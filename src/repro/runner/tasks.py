@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,6 +44,7 @@ from repro.experiments.registry import resolve_target
 from repro.faults.inject import fire_worker_faults, sabotage_outcome
 from repro.faults.plan import FaultDirective
 from repro.obs import runtime as obs_runtime
+from repro.runner.cache import pickle_result
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,16 @@ class SpanContext:
 
 @dataclass
 class TaskOutcome:
-    """Everything one executed task ships back to the parent."""
+    """Everything one executed task ships back to the parent.
+
+    A result is pickled once per outcome. Crossing the pool boundary,
+    :meth:`__getstate__` ships it as :attr:`payload` bytes and the receiving
+    side rebuilds :attr:`result` from them while keeping the bytes; the
+    parent then stores and hashes that payload as is (see
+    :func:`~repro.runner.cache.result_digest`) instead of pickling the result
+    again for the cache and again for the manifest hash. An in-process
+    outcome makes its payload on first use of :meth:`pickled`.
+    """
 
     result: Any
     wall_s: float
@@ -82,6 +93,25 @@ class TaskOutcome:
     spans_dropped: int = 0
     #: Live events the worker's publisher could not enqueue.
     live_dropped: int = 0
+    #: The pickled result, once :meth:`pickled` has made it.
+    payload: Optional[bytes] = None
+
+    def pickled(self) -> bytes:
+        """The result's :func:`~repro.runner.cache.pickle_result` bytes,
+        made at most once per outcome."""
+        if self.payload is None:
+            self.payload = pickle_result(self.result)
+        return self.payload
+
+    def __getstate__(self) -> Dict[str, Any]:
+        self.pickled()
+        state = dict(self.__dict__)
+        state["result"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.result = pickle.loads(self.payload)
 
 
 @dataclass(frozen=True)
@@ -147,9 +177,17 @@ def _gc_paused():
     objects (frames, events, transmission records); generation-0 collections
     spend several percent of a long run scanning them for cycles that cannot
     exist. Reference counting still frees everything promptly while the
-    collector is off. On exit the collector is restored to its prior state
-    and run once, so any genuine cycles a driver did create are reclaimed
-    before the next task executes.
+    collector is off.
+
+    On exit the collector is restored to its prior state and the *young*
+    generation is collected once. Nothing is promoted while the collector is
+    off, so every object the driver allocated is still in generation 0: a
+    generation-0 pass reclaims each cycle the driver created (a testbed's
+    simulator, components and callbacks) at a cost proportional to the
+    driver's own allocations. A full collection would also walk the whole
+    long-lived heap — imports, registries, caches — which takes longer than
+    an analog driver call itself; the interpreter's own thresholds schedule
+    those older generations as usual.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -158,7 +196,7 @@ def _gc_paused():
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()
+            gc.collect(0)
 
 
 def execute_task(spec: TaskSpec) -> TaskOutcome:
