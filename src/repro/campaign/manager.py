@@ -25,8 +25,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import pickle
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -47,12 +49,7 @@ from repro.faults.plan import FaultDirective, FaultPlan, WORKER_FAULT_POINTS
 from repro.obs import runtime as obs_runtime
 from repro.obs import slo as slo_mod
 from repro.runner.backoff import backoff_s
-from repro.runner.cache import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    code_fingerprint,
-    result_digest,
-)
+from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, code_fingerprint
 from repro.runner.core import ProgressFn, _InterruptGuard, _POLL_INTERVAL_S
 from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
 
@@ -322,7 +319,6 @@ def run_campaign(
         state_or_point: Any,
         result: Any,
         *,
-        sha: str,
         cached: bool,
         replayed: bool,
         wall_s: float,
@@ -333,6 +329,9 @@ def run_campaign(
             if isinstance(state_or_point, _PointState)
             else state_or_point
         )
+        sha = hashlib.sha256(
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        ).hexdigest()
         domain = slo_mod.domain_metrics(point.experiment, result)
         slo_rows = slo_mod.evaluate_specs(
             slo_specs_by_experiment.get(point.experiment, []),
@@ -419,13 +418,12 @@ def run_campaign(
             bool(worker_faults) or poisoned or expire_lease or corrupt_journal
         )
         if cache is not None and not must_execute:
-            hit, value, sha = cache.get_with_digest(point.key)
+            hit, value = cache.get(point.key)
             if hit:
                 replayed = point.key in prior.done
                 _finish(
                     point,
                     value,
-                    sha=sha,
                     cached=True,
                     replayed=replayed,
                     wall_s=0.0,
@@ -544,7 +542,6 @@ def run_campaign(
     def _record(state: _PointState, outcome_obj: TaskOutcome) -> None:
         nonlocal completed
         completed += 1
-        payload = outcome_obj.pickled()
         if cache is not None:
             cache.put(
                 state.point.key,
@@ -557,12 +554,10 @@ def run_campaign(
                     "campaign": spec.name,
                     "duration_s": round(outcome_obj.wall_s, 6),
                 },
-                payload=payload,
             )
         _finish(
             state,
             outcome_obj.result,
-            sha=result_digest(payload),
             cached=False,
             replayed=False,
             wall_s=outcome_obj.wall_s,

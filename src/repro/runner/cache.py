@@ -83,24 +83,6 @@ def code_fingerprint(package_root: Optional[Path] = None) -> str:
     return digest.hexdigest()
 
 
-def pickle_result(result: Any) -> bytes:
-    """The bytes a result is stored, shipped and hashed as."""
-    return pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def result_digest(payload: bytes) -> str:
-    """``result_sha256`` of a result pickled by :func:`pickle_result`.
-
-    Manifests, campaign points and cache hits all hash the pickled bytes
-    they already hold, so a result is pickled once on its way through the
-    runner rather than once per consumer.
-
-    >>> result_digest(pickle_result({"answer": 42}))[:12]
-    '16e4bb8169f8'
-    """
-    return hashlib.sha256(payload).hexdigest()
-
-
 def canonical_config(value: Any) -> Any:
     """Reduce driver kwargs to a JSON-safe, order-independent form.
 
@@ -180,32 +162,17 @@ class ResultCache:
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(hit, result)``; corrupt or unreadable entries count as misses
         and are quarantined (see :meth:`quarantine`)."""
-        hit, result, _ = self._load(key)
-        return hit, result
-
-    def get_with_digest(self, key: str) -> Tuple[bool, Any, str]:
-        """``(hit, result, result_sha256)``, the digest taken over the stored
-        bytes (``""`` on a miss), so a hit is never pickled again to be
-        hashed."""
-        hit, result, payload = self._load(key)
-        return hit, result, result_digest(payload) if hit else ""
-
-    def _load(self, key: str) -> Tuple[bool, Any, bytes]:
-        """``(hit, result, stored bytes)``."""
+        path = self._object_path(key)
         try:
-            payload = self._object_path(key).read_bytes()
+            with open(path, "rb") as handle:
+                return True, pickle.load(handle)
         except FileNotFoundError:
-            return False, None, b""
-        except OSError:
-            self.quarantine(key)
-            return False, None, b""
-        try:
-            return True, pickle.loads(payload), payload
+            return False, None
         except Exception:
             # Truncated/corrupt entry: move it aside so it cannot mask
             # re-execution, while keeping the bytes for post-mortems.
             self.quarantine(key)
-            return False, None, b""
+            return False, None
 
     def quarantine(self, key: str) -> None:
         """Move one entry (object + sidecar) into ``quarantine/``."""
@@ -232,22 +199,10 @@ class ResultCache:
             handle.truncate(4)
         return True
 
-    def put(
-        self,
-        key: str,
-        result: Any,
-        meta: Optional[Dict[str, Any]] = None,
-        payload: Optional[bytes] = None,
-    ) -> None:
-        """Store one result and its metadata sidecar atomically.
-
-        ``payload`` is the result already pickled by :func:`pickle_result`
-        (see :meth:`~repro.runner.tasks.TaskOutcome.pickled`); it is
-        written as is instead of pickling ``result`` again.
-        """
+    def put(self, key: str, result: Any, meta: Optional[Dict[str, Any]] = None) -> None:
+        """Store one result and its metadata sidecar atomically."""
         self.objects.mkdir(parents=True, exist_ok=True)
-        if payload is None:
-            payload = pickle_result(result)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         self._write_atomic(self._object_path(key), payload)
         record = dict(meta or {})
         record["size_bytes"] = len(payload)

@@ -42,7 +42,9 @@ instruments); the caller gets a :class:`RunAllResult` from which
 
 from __future__ import annotations
 
+import hashlib
 import os
+import pickle
 import signal
 import time
 from collections import deque
@@ -67,8 +69,6 @@ from repro.runner.cache import (
     ResultCache,
     cache_key,
     code_fingerprint,
-    pickle_result,
-    result_digest,
 )
 from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
 
@@ -475,7 +475,6 @@ def run_all(
 
     # Cache probe: hits load immediately, misses queue for execution.
     results: Dict[str, Tuple[Any, float]] = {}  # key -> (result, wall_s)
-    hit_digests: Dict[str, str] = {}  # key -> result_sha256 of a cache hit
     errors: Dict[str, str] = {}  # key -> error text
     hits: Dict[str, bool] = {}
     pending: List[_TaskState] = []
@@ -505,11 +504,10 @@ def run_all(
                 )
             hit = False
             if cache is not None and not worker_directives:
-                hit, value, digest = cache.get_with_digest(key)
+                hit, value = cache.get(key)
                 _drain_quarantine(task.label)
                 if hit:
                     results[key] = (value, 0.0)
-                    hit_digests[key] = digest
                     registry.counter("runner.cache.hits").inc()
             hits[key] = hit
             if not hit:
@@ -589,7 +587,6 @@ def run_all(
                     "seed": state.task.seed,
                     "duration_s": round(outcome.wall_s, 6),
                 },
-                payload=outcome.pickled(),
             )
 
     def _fail_or_retry(
@@ -977,19 +974,12 @@ def run_all(
             run.error = "; ".join(f"{part}: {message}" for part, message in failed)
         else:
             part_results = [results[key][0] for key in plan.keys]
-            if plan.merge is not None:
-                run.result = plan.merge(part_results)
-                run.result_sha256 = result_digest(pickle_result(run.result))
-            else:
-                # A single part is its own merged result: reuse the bytes
-                # it was already pickled to rather than pickling it again.
-                (key,) = plan.keys
-                run.result = part_results[0]
-                run.result_sha256 = (
-                    result_digest(outcomes[key].pickled())
-                    if key in outcomes
-                    else hit_digests[key]
-                )
+            run.result = (
+                plan.merge(part_results) if plan.merge is not None else part_results[0]
+            )
+            run.result_sha256 = hashlib.sha256(
+                pickle.dumps(run.result, protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest()
             run.shape_ok, run.shape_detail = _shape_check(plan.spec, run.result)
             run.domain = slo_mod.domain_metrics(run.id, run.result)
         runs.append(run)

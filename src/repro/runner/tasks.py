@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -44,7 +43,6 @@ from repro.experiments.registry import resolve_target
 from repro.faults.inject import fire_worker_faults, sabotage_outcome
 from repro.faults.plan import FaultDirective
 from repro.obs import runtime as obs_runtime
-from repro.runner.cache import pickle_result
 
 
 @dataclass(frozen=True)
@@ -73,16 +71,7 @@ class SpanContext:
 
 @dataclass
 class TaskOutcome:
-    """Everything one executed task ships back to the parent.
-
-    A result is pickled once per outcome. Crossing the pool boundary,
-    :meth:`__getstate__` ships it as :attr:`payload` bytes and the receiving
-    side rebuilds :attr:`result` from them while keeping the bytes; the
-    parent then stores and hashes that payload as is (see
-    :func:`~repro.runner.cache.result_digest`) instead of pickling the result
-    again for the cache and again for the manifest hash. An in-process
-    outcome makes its payload on first use of :meth:`pickled`.
-    """
+    """Everything one executed task ships back to the parent."""
 
     result: Any
     wall_s: float
@@ -93,25 +82,6 @@ class TaskOutcome:
     spans_dropped: int = 0
     #: Live events the worker's publisher could not enqueue.
     live_dropped: int = 0
-    #: The pickled result, once :meth:`pickled` has made it.
-    payload: Optional[bytes] = None
-
-    def pickled(self) -> bytes:
-        """The result's :func:`~repro.runner.cache.pickle_result` bytes,
-        made at most once per outcome."""
-        if self.payload is None:
-            self.payload = pickle_result(self.result)
-        return self.payload
-
-    def __getstate__(self) -> Dict[str, Any]:
-        self.pickled()
-        state = dict(self.__dict__)
-        state["result"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.result = pickle.loads(self.payload)
 
 
 @dataclass(frozen=True)

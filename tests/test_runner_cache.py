@@ -1,6 +1,5 @@
 """Runner cache layer: key construction, store semantics, fingerprinting."""
 
-import hashlib
 import pickle
 
 import pytest
@@ -10,8 +9,6 @@ from repro.runner.cache import (
     cache_key,
     canonical_config,
     code_fingerprint,
-    pickle_result,
-    result_digest,
 )
 
 FP = "f" * 64  # a stand-in code fingerprint
@@ -164,31 +161,3 @@ class TestResultCache:
         cache.put(key, "old")
         cache.put(key, "new")
         assert cache.get(key) == (True, "new")
-
-    def test_get_with_digest_hashes_the_stored_bytes(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        key = _key()
-        cache.put(key, {"answer": 42})
-        hit, value, digest = cache.get_with_digest(key)
-        assert hit and value == {"answer": 42}
-        assert digest == hashlib.sha256(
-            pickle.dumps({"answer": 42}, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
-        assert digest == result_digest(cache._object_path(key).read_bytes())
-
-    def test_get_with_digest_miss_and_corrupt_entry(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        key = _key()
-        assert cache.get_with_digest(key) == (False, None, "")
-        cache.put(key, [1, 2, 3])
-        cache._object_path(key).write_bytes(b"not a pickle")
-        assert cache.get_with_digest(key) == (False, None, "")
-        assert cache.quarantine_events == [key]
-
-    def test_put_writes_a_given_payload_verbatim(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        key = _key()
-        payload = pickle_result(("shipped", 1.5))
-        cache.put(key, ("shipped", 1.5), payload=payload)
-        assert cache._object_path(key).read_bytes() == payload
-        assert cache.get(key) == (True, ("shipped", 1.5))

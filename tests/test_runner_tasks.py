@@ -1,35 +1,18 @@
-"""Task execution: the collector policy around driver calls, and outcomes
-that pickle their result once on the way back from a pool worker."""
+"""Task execution: the collector policy around driver calls."""
 
 import gc
-import pickle
 import weakref
 
 import pytest
 
 from repro.runner import tasks
-from repro.runner.cache import pickle_result, result_digest
-from repro.runner.tasks import TaskOutcome, TaskSpec, _gc_paused, execute_task
+from repro.runner.tasks import TaskSpec, _gc_paused, execute_task
 
-FIG9 = "repro.experiments.fig09_return_loss:run_fig09"
 FIG7 = "repro.experiments.fig06_traffic:run_fig07"
 
 
 class _Node:
     other = None
-
-
-class _CountingResult:
-    """A result that counts how often it is pickled."""
-
-    pickles = 0
-
-    def __init__(self, value):
-        self.value = value
-
-    def __reduce__(self):
-        type(self).pickles += 1
-        return (_CountingResult, (self.value,))
 
 
 @pytest.fixture
@@ -103,35 +86,3 @@ class TestGcPaused:
             with _gc_paused():
                 raise RuntimeError("driver failed")
         assert gc.isenabled()
-
-
-class TestOutcomePickling:
-    def test_roundtrip_keeps_result_and_its_bytes(self):
-        result = {"curve": [1.5, 2.5], "label": "fig9"}
-        clone = pickle.loads(pickle.dumps(TaskOutcome(result=result, wall_s=0.5)))
-        assert clone.result == result
-        assert clone.payload == pickle_result(result)
-        assert clone.pickled() is clone.payload
-        assert clone.wall_s == 0.5
-
-    def test_result_is_pickled_once_per_outcome(self):
-        _CountingResult.pickles = 0
-        outcome = TaskOutcome(result=_CountingResult(7), wall_s=0.0)
-        first = pickle.dumps(outcome)
-        second = pickle.dumps(outcome)
-        assert outcome.pickled() == pickle_result(_CountingResult(7))
-        assert _CountingResult.pickles == 2  # the outcome's, and the check's
-        assert first == second
-        assert pickle.loads(first).result.value == 7
-
-    def test_in_process_outcome_pickles_lazily(self):
-        outcome = execute_task(TaskSpec(experiment_id="fig9", part="all", target=FIG9))
-        assert outcome.payload is None
-        assert outcome.pickled() == pickle_result(outcome.result)
-
-    def test_shipped_digest_matches_a_fresh_pickle_of_the_result(self):
-        outcome = execute_task(TaskSpec(experiment_id="fig9", part="all", target=FIG9))
-        shipped = pickle.loads(pickle.dumps(outcome))
-        assert result_digest(shipped.payload) == result_digest(
-            pickle_result(shipped.result)
-        )
