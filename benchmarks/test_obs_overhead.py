@@ -1,17 +1,18 @@
 """Instrumentation-overhead guard: observability must stay near-free.
 
-Runs the fig 6a UDP workload (one PoWiFi point) with observability enabled
-and in ``--no-obs`` mode, best-of-3 each, and bounds the enabled-mode
-wall-clock overhead. The hot paths (medium transmissions, queue pushes,
-gate checks, injector ticks) each touch a handful of counters per event,
-so the budget is 10 % plus a small absolute slack for timer noise on
-short runs.
+Runs one fig 6a UDP point (PoWiFi, 20 Mb/s, 4 s) with observability enabled
+and in ``--no-obs`` mode, alternating the two, and bounds the best-of-3
+enabled-mode wall-clock overhead at 15 % of the best unobserved run. There
+is no absolute slack: the point runs for about half a second, long enough
+for timer noise to stay well inside the budget.
 
-The attribution profiler (per-kind component + sim-bound tracking in the
-dispatch loop) rides inside that same budget — its steady-state cost is
-one list store per dispatch plus the pre-existing stride-sampled timer —
-and the ``--no-obs`` guard additionally asserts the escape hatch is
-*clean*: a disabled run accumulates no attribution state whatsoever.
+The overhead is what observing adds per event: the engine's per-kind
+profile (an exact dispatch count and sim-time bounds per kind, plus a
+stride-sampled timer) and the hot-path components' tallies and ordered
+buffers, which publish to the registry when ``Simulator.run`` returns
+(``repro.obs.hotpath``). The ``--no-obs`` guard additionally asserts the
+escape hatch is *clean*: a disabled run accumulates no attribution state
+and buffers nothing.
 """
 
 from time import perf_counter
@@ -23,64 +24,68 @@ from repro.experiments.fig06_traffic import run_udp_for_scheme
 from repro.obs import runtime as obs_runtime
 
 #: Relative wall-clock budget for enabled-mode instrumentation.
-MAX_OVERHEAD_FRACTION = 0.10
+MAX_OVERHEAD_FRACTION = 0.15
 
-#: Absolute slack (seconds) so sub-second runs don't fail on scheduler noise.
-ABSOLUTE_SLACK_S = 0.08
+#: Simulated seconds of the timed fig 6a point.
+RUN_SECONDS = 4
 
 
-def _run_once() -> float:
+def _run_once(enabled: bool = True) -> float:
+    obs_runtime.configure(enabled=enabled)
     started = perf_counter()
     run_udp_for_scheme(
-        Scheme.POWIFI, rates_mbps=(20,), copies=1, run_seconds=0.5
+        Scheme.POWIFI, rates_mbps=(20,), copies=1, run_seconds=RUN_SECONDS
     )
     return perf_counter() - started
 
 
-def _best_of(n: int) -> float:
-    return min(_run_once() for _ in range(n))
-
-
 def test_obs_overhead_under_budget():
     try:
-        obs_runtime.configure(enabled=True)
         _run_once()  # warm imports and caches outside the timed runs
-        observed = _best_of(3)
-        obs_runtime.configure(enabled=False)
-        unobserved = _best_of(3)
+        # Alternate the modes so a drifting host slows both alike.
+        pairs = [(_run_once(True), _run_once(False)) for _ in range(3)]
     finally:
         obs_runtime.configure(enabled=True)
+    observed = min(on for on, _ in pairs)
+    unobserved = min(off for _, off in pairs)
 
     overhead = observed - unobserved
     fraction = overhead / unobserved if unobserved > 0 else 0.0
     write_report(
         "obs_overhead",
         [
-            "Observability overhead — fig 6a UDP point (PoWiFi, 20 Mb/s, 0.5 s)",
+            "Observability overhead — fig 6a UDP point "
+            f"(PoWiFi, 20 Mb/s, {RUN_SECONDS} s)",
             f"observed   {observed:8.3f} s",
             f"unobserved {unobserved:8.3f} s",
             f"overhead   {overhead:8.3f} s ({100 * fraction:.1f} %)",
             "",
-            f"budget: {100 * MAX_OVERHEAD_FRACTION:.0f} % + {ABSOLUTE_SLACK_S} s slack",
+            f"budget: {100 * MAX_OVERHEAD_FRACTION:.0f} % (best of 3 each)",
         ],
     )
-    assert overhead <= MAX_OVERHEAD_FRACTION * unobserved + ABSOLUTE_SLACK_S, (
+    assert overhead <= MAX_OVERHEAD_FRACTION * unobserved, (
         f"instrumentation overhead {overhead:.3f}s "
         f"({100 * fraction:.1f}%) exceeds budget"
     )
 
 
-def test_no_obs_leaves_no_attribution_state():
+def test_no_obs_leaves_no_attribution_state(monkeypatch):
     """``--no-obs`` must be profiler-clean: zero tracked simulators, zero
-    per-kind counters, zero attribution rows — not merely 'cheap'."""
+    per-kind counters, zero attribution rows, and no hot-path component
+    registering tallies (so nothing is buffered) — not merely 'cheap'."""
     from repro.obs.profile import rows_from_engine
+    from repro.sim.engine import Simulator
 
+    registered = []
+    monkeypatch.setattr(
+        Simulator, "add_tallies", lambda sim, tallies: registered.append(tallies)
+    )
     try:
-        obs_runtime.configure(enabled=False)
-        _run_once()
+        _run_once(enabled=False)
         engine = obs_runtime.aggregate_engine_stats()
     finally:
         obs_runtime.configure(enabled=True)
+    assert registered == []
     assert engine["simulators"] == 0
     assert engine["callback_counts"] == {}
     assert engine["callback_components"] == {}

@@ -24,11 +24,11 @@ retuned, or the loop stops — it settles every skipped tick in closed form
 and resumes live ticking at the exact time the next tick would have fired.
 
 Settlement is byte-exact, not approximate: tick times follow the same
-``t += period`` float recurrence the live loop produces, counters advance by
-the same amounts, the depth-at-check histogram replays per-depth segments
-via :meth:`~repro.obs.metrics.Histogram.observe_many` (identical reservoir
-state included), frame ids the saturated path would have consumed are
-consumed (:func:`repro.mac80211.frames.consume_frame_ids`), and the
+``t += period`` float recurrence the live loop produces, tallies advance by
+the same amounts, each skipped tick's queue depth joins the gate's ordered
+depth buffer exactly where a live check would have put it (see
+:mod:`repro.obs.hotpath`), frame ids the saturated path would have consumed
+are consumed (:func:`repro.mac80211.frames.consume_frame_ids`), and the
 every-64th-tick metric sync is replicated boundary-for-boundary. Equal-seed
 runs therefore produce byte-identical results and metric exports with the
 fast-forward on. Fast-forward is bypassed whenever its preconditions fail:
@@ -46,6 +46,7 @@ from repro.core.config import InjectorConfig
 from repro.core.ip_power import IpPowerGate
 from repro.mac80211.frames import FrameJob, FrameKind, consume_frame_ids
 from repro.mac80211.station import Station
+from repro.obs.hotpath import BUFFER_CAP, Tallies
 from repro.sim.engine import Event, Simulator
 
 #: Consecutive no-op ticks before the injector goes dormant. Entering and
@@ -144,6 +145,12 @@ class PowerInjector:
         self._m_collided = metrics.counter(
             "core.injector.collided", interface=station.name
         )
+        if self._obs_on:
+            # Frame completions publish from the _sent/_collided tallies.
+            tallies = Tallies(self)
+            tallies.add_counter(self._m_sent, "_sent")
+            tallies.add_counter(self._m_collided, "_collided")
+            sim.add_tallies(tallies)
         self._m_duty_cycle = metrics.gauge(
             "core.injector.duty_cycle", interface=station.name
         )
@@ -324,12 +331,10 @@ class PowerInjector:
 
     def _on_complete(self, frame: FrameJob, success: bool, time: float) -> None:
         self._sent += 1
-        self._m_sent.inc()
         if not success:
             # A collided broadcast still delivered RF energy; we only count
             # it for §8c-style coexistence statistics.
             self._collided += 1
-            self._m_collided.inc()
 
     # ----------------------------------------------------------- fast-forward
 
@@ -406,11 +411,10 @@ class PowerInjector:
         """Apply every virtual tick at time < ``upto`` (≤ when inclusive).
 
         Exactly replicates what the live ticks would have done: the same
-        ``t += period`` time recurrence, the same per-tick depth histogram
-        observations (grouped per depth segment via ``observe_many``), the
-        same counter totals, frame-id consumption (saturated mode) and
-        64-tick metric syncs. The injector stays dormant afterwards; waking
-        is :meth:`_wake`'s job.
+        ``t += period`` time recurrence, the same per-tick depth entries in
+        the gate's ordered depth buffer, the same tally totals, frame-id
+        consumption (saturated mode) and 64-tick metric syncs. The injector
+        stays dormant afterwards; waking is :meth:`_wake`'s job.
         """
         dormancy = self._dormant
         tick_time = dormancy.next_tick
@@ -419,55 +423,37 @@ class PowerInjector:
         period = dormancy.period
         breaks = dormancy.breaks
         n_breaks = len(breaks)
-        observe_many = self.gate._m_depth_at_check.observe_many
+        gate = self.gate
+        depths = gate.depth_buffer
         index = 0
-        seg_depth = breaks[0][1]
-        seg_count = 0
         total = 0
         while tick_time <= upto if inclusive else tick_time < upto:
             while index + 1 < n_breaks and breaks[index + 1][0] <= tick_time:
                 index += 1
-            depth = breaks[index][1]
-            if depth != seg_depth:
-                if seg_count:
-                    observe_many(seg_depth, seg_count)
-                seg_depth = depth
-                seg_count = 1
-            else:
-                seg_count += 1
+            if depths is not None:
+                depths.append(breaks[index][1])
             total += 1
             tick_time += period
-        if seg_count:
-            observe_many(seg_depth, seg_count)
         dormancy.next_tick = tick_time
         if index:
             del breaks[:index]
-        if not total:
-            return
+        if depths is not None and len(depths) >= BUFFER_CAP:
+            gate.tallies.flush()
         self._spell_ticks += total
         prev_ticks = self._ticks
         self._ticks += total
-        gate = self.gate
-        gate.stats.considered += total
-        gate._m_considered.inc(total)
+        stats = gate.stats
+        stats.considered += total
         if dormancy.mode == "gated":
             self._dropped_by_gate += total
-            gate.stats.dropped += total
-            gate._m_dropped.inc(total)
+            stats.dropped += total
         else:
-            gate.stats.admitted += total
-            gate._m_admitted.inc(total)
+            stats.admitted += total
             consume_frame_ids(total)
-            queue = self.station.queue
-            queue.total_tail_dropped += total
-            queue._m_dropped.inc(total)
-            station = self.station
-            station.frames_dropped += total
-            station._m_dropped.inc(total)
+            self.station.queue.total_tail_dropped += total
+            self.station.frames_dropped += total
             self._sent += total
-            self._m_sent.inc(total)
             self._collided += total
-            self._m_collided.inc(total)
         # Replicate the every-64th-tick syncs the live loop would have run.
         boundaries = (self._ticks >> 6) - (prev_ticks >> 6)
         if boundaries:

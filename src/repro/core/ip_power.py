@@ -9,10 +9,11 @@ frames queued to keep the channel busy. Client traffic is never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.mac80211.station import Station
+from repro.obs.hotpath import Tallies
 from repro.packets.ipv4 import IPv4Packet
 
 
@@ -53,21 +54,29 @@ class IpPowerGate:
         self.station = station
         self.queue_threshold = queue_threshold
         self.stats = GateStatistics()
-        metrics = station.sim.metrics
-        self._m_considered = metrics.counter(
-            "core.ip_power.considered", interface=station.name
-        )
-        self._m_admitted = metrics.counter(
-            "core.ip_power.admitted", interface=station.name
-        )
-        self._m_dropped = metrics.counter(
-            "core.ip_power.dropped", interface=station.name
-        )
+        #: Deferred instruments and the queue depths seen by ``admit``
+        #: awaiting publication (repro.obs.hotpath); None with
+        #: observability off.
+        self.tallies: Optional[Tallies] = None
+        self.depth_buffer: Optional[List[int]] = None
+        sim = station.sim
+        metrics = sim.metrics
+        name = station.name
+        considered = metrics.counter("core.ip_power.considered", interface=name)
+        admitted = metrics.counter("core.ip_power.admitted", interface=name)
+        dropped = metrics.counter("core.ip_power.dropped", interface=name)
         self._m_depth_at_check = metrics.histogram(
             "core.ip_power.depth_at_check",
             buckets=(0, 1, 2, 3, 4, 5, 6, 8, 10, 20, 50),
-            interface=station.name,
+            interface=name,
         )
+        if metrics.enabled:
+            tallies = self.tallies = Tallies(self)
+            tallies.add_counter(considered, "stats.considered")
+            tallies.add_counter(admitted, "stats.admitted")
+            tallies.add_counter(dropped, "stats.dropped")
+            self.depth_buffer = tallies.add_histogram(self._m_depth_at_check)
+            sim.add_tallies(tallies)
 
     def admit(self) -> bool:
         """Decide whether the next power datagram may be queued.
@@ -78,15 +87,15 @@ class IpPowerGate:
         """
         stats = self.stats
         stats.considered += 1
-        self._m_considered.inc()
         station = self.station
         # station.queue_depth, inlined: this runs once per injection tick.
         depth = station.queue._size + (1 if station._in_flight is not None else 0)
-        self._m_depth_at_check.observe(depth)
+        depths = self.depth_buffer
+        if depths is not None:
+            depths.append(depth)
         threshold = self.queue_threshold
         if threshold is not None and depth >= threshold:
             stats.dropped += 1
-            self._m_dropped.inc()
             trace = station.sim.trace
             if trace.wants("core.gate_drop"):
                 trace.emit(
@@ -98,7 +107,6 @@ class IpPowerGate:
                 )
             return False
         stats.admitted += 1
-        self._m_admitted.inc()
         return True
 
     def check_datagram(self, packet: IPv4Packet) -> bool:

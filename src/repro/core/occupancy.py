@@ -25,6 +25,7 @@ from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.mac80211.medium import Medium, TransmissionRecord
+from repro.obs.hotpath import Tallies
 from repro.packets.pcap import PcapReader
 from repro.packets.radiotap import RadiotapHeader
 
@@ -99,12 +100,6 @@ def occupancy_from_pcap(
     return airtime / duration_s
 
 
-@dataclass
-class _FrameSample:
-    time: float
-    airtime_s: float
-
-
 class OccupancyAnalyzer:
     """Live occupancy accounting on one medium.
 
@@ -125,14 +120,31 @@ class OccupancyAnalyzer:
     def __init__(self, medium: Medium, station_filter: Optional[str] = None) -> None:
         self.medium = medium
         self.station_filter = station_filter
-        self._samples: List[_FrameSample] = []
+        #: Start time and payload airtime of every counted frame, in order.
+        self._times: List[float] = []
+        self._airtimes: List[float] = []
         self._started_at = medium.sim.now
         self._airtime_total = 0.0
-        metrics = medium.sim.metrics
-        labels = dict(channel=medium.channel, station=station_filter or "*")
-        self._m_frames = metrics.counter("core.occupancy.frames", **labels)
-        self._m_airtime = metrics.counter("core.occupancy.airtime_s", **labels)
-        self._m_fraction = metrics.gauge("core.occupancy.fraction", **labels)
+        sim = medium.sim
+        metrics = sim.metrics
+        if metrics.enabled:
+            # Everything publishes from the frame lists (repro.obs.hotpath),
+            # so counting a frame costs the same with observability off.
+            labels = dict(channel=medium.channel, station=station_filter or "*")
+            tallies = Tallies(self)
+            tallies.add_counter(
+                metrics.counter("core.occupancy.frames", **labels), "frame_count"
+            )
+            tallies.add_sums(
+                metrics.counter("core.occupancy.airtime_s", **labels),
+                self._airtimes,
+            )
+            tallies.add_gauge(
+                metrics.gauge("core.occupancy.fraction", **labels),
+                "_fraction_sets",
+                "_fraction",
+            )
+            sim.add_tallies(tallies)
         medium.add_observer(self._on_transmission)
 
     def _on_transmission(self, record: TransmissionRecord) -> None:
@@ -140,21 +152,28 @@ class OccupancyAnalyzer:
             if self.station_filter is not None and station_name != self.station_filter:
                 continue
             airtime = 8 * frame.mac_bytes / (frame.rate_mbps * 1e6)
-            self._samples.append(_FrameSample(record.start, airtime))
+            self._times.append(record.start)
+            self._airtimes.append(airtime)
             self._airtime_total += airtime
-            self._m_frames.inc()
-            self._m_airtime.inc(airtime)
-            elapsed = self.medium.sim.now - self._started_at
-            if elapsed > 0:
-                # Running Σ size/rate ÷ elapsed — the paper's occupancy
-                # metric as a live gauge (counts the in-flight frame, so it
-                # can briefly lead the windowed statistic).
-                self._m_fraction.set(self._airtime_total / elapsed)
+
+    # The live occupancy gauge, Σ size/rate ÷ elapsed, is set once per frame
+    # counted after the start instant (counting the in-flight frame, so it
+    # can briefly lead the windowed statistic). Observers run inside the
+    # transmission, so a frame's elapsed time is its start minus ours, and
+    # the last set is always the last frame's.
+
+    @property
+    def _fraction_sets(self) -> int:
+        return len(self._times) - bisect.bisect_right(self._times, self._started_at)
+
+    @property
+    def _fraction(self) -> float:
+        return self._airtime_total / (self._times[-1] - self._started_at)
 
     @property
     def frame_count(self) -> int:
         """Number of frames counted so far."""
-        return len(self._samples)
+        return len(self._times)
 
     def occupancy(self, start: Optional[float] = None, end: Optional[float] = None) -> float:
         """Occupancy over ``[start, end)`` (defaults: observation span)."""
@@ -164,7 +183,9 @@ class OccupancyAnalyzer:
             end = self.medium.sim.now
         if end <= start:
             raise ConfigurationError("window must have positive length")
-        airtime = sum(s.airtime_s for s in self._samples if start <= s.time < end)
+        airtime = sum(
+            a for t, a in zip(self._times, self._airtimes) if start <= t < end
+        )
         return airtime / (end - start)
 
     def series(

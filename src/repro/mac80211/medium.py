@@ -13,22 +13,25 @@ occupancy meters and harvester couplers subscribe to these records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.errors import MediumError
 from repro.mac80211.airtime import ack_airtime_s, frame_airtime_s
 from repro.mac80211.frames import FrameJob
 from repro.mac80211.rates import PHY_80211G, PhyParameters
+from repro.obs.hotpath import Tallies
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.mac80211.station import Station
 
 
-@dataclass(frozen=True)
 class TransmissionRecord:
     """One medium-busy period caused by one or more frames.
+
+    A plain slotted class, built once per DCF round: construction is about
+    seven times cheaper than a frozen dataclass's. Observers must treat it
+    as read-only.
 
     Attributes
     ----------
@@ -48,13 +51,28 @@ class TransmissionRecord:
         For unicast: whether the (single) frame was acknowledged.
     """
 
-    start: float
-    duration: float
-    airtime: float
-    channel: int
-    transmissions: Tuple[Tuple[str, FrameJob], ...]
-    collided: bool
-    success: bool
+    __slots__ = (
+        "start", "duration", "airtime", "channel", "transmissions",
+        "collided", "success",
+    )
+
+    def __init__(
+        self,
+        start: float,
+        duration: float,
+        airtime: float,
+        channel: int,
+        transmissions: Tuple[Tuple[str, FrameJob], ...],
+        collided: bool,
+        success: bool,
+    ) -> None:
+        self.start = start
+        self.duration = duration
+        self.airtime = airtime
+        self.channel = channel
+        self.transmissions = transmissions
+        self.collided = collided
+        self.success = success
 
     @property
     def end(self) -> float:
@@ -104,15 +122,34 @@ class Medium:
         self.total_busy_time = 0.0
         self.transmission_count = 0
         self.collision_count = 0
+        self.dcf_rounds = 0
         self.outage_count = 0
+        # Per-round instruments publish from the tallies above and two
+        # ordered buffers (repro.obs.hotpath); None with observability off.
+        self._busy_buffer: Optional[List[float]] = None
+        self._airtime_buffer: Optional[List[float]] = None
         metrics = sim.metrics
-        self._m_transmissions = metrics.counter(
-            "mac.medium.transmissions", channel=channel
-        )
-        self._m_collisions = metrics.counter("mac.medium.collisions", channel=channel)
-        self._m_busy_s = metrics.counter("mac.medium.busy_time_s", channel=channel)
-        self._m_airtime_s = metrics.counter("mac.medium.airtime_s", channel=channel)
-        self._m_rounds = metrics.counter("mac.medium.dcf_rounds", channel=channel)
+        if metrics.enabled:
+            tallies = Tallies(self)
+            tallies.add_counter(
+                metrics.counter("mac.medium.transmissions", channel=channel),
+                "transmission_count",
+            )
+            tallies.add_counter(
+                metrics.counter("mac.medium.collisions", channel=channel),
+                "collision_count",
+            )
+            self._busy_buffer = tallies.add_sums(
+                metrics.counter("mac.medium.busy_time_s", channel=channel)
+            )
+            self._airtime_buffer = tallies.add_sums(
+                metrics.counter("mac.medium.airtime_s", channel=channel)
+            )
+            tallies.add_counter(
+                metrics.counter("mac.medium.dcf_rounds", channel=channel),
+                "dcf_rounds",
+            )
+            sim.add_tallies(tallies)
         self._m_outages = metrics.counter("mac.medium.outages", channel=channel)
 
     # ------------------------------------------------------------------ wiring
@@ -255,13 +292,13 @@ class Medium:
         self._busy_until = start + duration
         self.total_busy_time += duration
         self.transmission_count += len(pairs)
-        self._m_transmissions.inc(len(pairs))
-        self._m_busy_s.inc(duration)
-        self._m_airtime_s.inc(airtime)
-        self._m_rounds.inc()
+        self.dcf_rounds += 1
         if collided:
             self.collision_count += 1
-            self._m_collisions.inc()
+        busy = self._busy_buffer
+        if busy is not None:
+            busy.append(duration)
+            self._airtime_buffer.append(airtime)
         trace = sim.trace
         if trace.wants("mac.tx"):
             trace.emit(
@@ -274,17 +311,14 @@ class Medium:
                 collided=collided,
                 success=success,
             )
-        record = TransmissionRecord(
-            start=start,
-            duration=duration,
-            airtime=airtime,
-            channel=self.channel,
-            transmissions=tuple((s.name, f) for s, f in pairs),
-            collided=collided,
-            success=success,
-        )
-        for observer in self._observers:
-            observer(record)
+        observers = self._observers
+        if observers:
+            record = TransmissionRecord(
+                start, duration, airtime, self.channel,
+                tuple([(s.name, f) for s, f in pairs]), collided, success,
+            )
+            for observer in observers:
+                observer(record)
         # Detail-gated hot-path span: one per busy period, ended by the
         # tx_done callback (non-LIFO close — overlapping channels interleave).
         spans = sim.spans

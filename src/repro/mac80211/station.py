@@ -9,11 +9,12 @@ stations on the same media.
 from __future__ import annotations
 
 import random
-from typing import Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import MediumError
 from repro.mac80211.frames import FrameJob, FrameKind
 from repro.netstack.txqueue import DeviceQueue
+from repro.obs.hotpath import Tallies
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 
@@ -77,15 +78,33 @@ class Station:
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_sent = 0
+        self.retries = 0
+        #: Backoff draws awaiting publication (repro.obs.hotpath); None with
+        #: observability off.
+        self._backoff_buffer: Optional[List[int]] = None
         metrics = sim.metrics
-        self._m_sent = metrics.counter("mac.station.frames_sent", station=name)
-        self._m_dropped = metrics.counter("mac.station.frames_dropped", station=name)
-        self._m_retries = metrics.counter("mac.station.retries", station=name)
-        self._m_backoff = metrics.histogram(
-            "mac.station.backoff_slots",
-            buckets=(0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023),
-            station=name,
-        )
+        if metrics.enabled:
+            tallies = Tallies(self)
+            tallies.add_counter(
+                metrics.counter("mac.station.frames_sent", station=name),
+                "frames_sent",
+            )
+            tallies.add_counter(
+                metrics.counter("mac.station.frames_dropped", station=name),
+                "frames_dropped",
+            )
+            tallies.add_counter(
+                metrics.counter("mac.station.retries", station=name), "retries"
+            )
+            self._backoff_buffer = tallies.add_histogram(
+                metrics.histogram(
+                    "mac.station.backoff_slots",
+                    buckets=(0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023),
+                    station=name,
+                )
+            )
+            sim.add_tallies(tallies)
+            sim.add_tallies(self.queue.tallies)
 
     # ----------------------------------------------------------------- queue
 
@@ -98,7 +117,6 @@ class Station:
         frame.enqueued_at = self.sim._now
         if not self.queue.push(frame):
             self.frames_dropped += 1
-            self._m_dropped.inc()
             trace = self.sim.trace
             if trace.wants("mac.drop"):
                 trace.emit(
@@ -128,8 +146,9 @@ class Station:
             else:
                 attempts = 0
             cw = self._phy().cw_for_attempt(attempts)
-            self.backoff_remaining = self.backoff_rng.randint(0, cw)
-            self._m_backoff.observe(self.backoff_remaining)
+            self.backoff_remaining = slots = self.backoff_rng.randint(0, cw)
+            if self._backoff_buffer is not None:
+                self._backoff_buffer.append(slots)
 
     def begin_transmission(self) -> FrameJob:
         """Called by the medium when this station wins the round.
@@ -162,7 +181,6 @@ class Station:
             self.backoff_remaining = None
             self.frames_sent += 1
             self.bytes_sent += frame.mac_bytes
-            self._m_sent.inc()
             if frame.on_complete is not None:
                 frame.on_complete(frame, success, self.sim._now)
             return
@@ -170,7 +188,6 @@ class Station:
         if frame.attempts > phy.retry_limit:
             self.backoff_remaining = None
             self.frames_dropped += 1
-            self._m_dropped.inc()
             trace = self.sim.trace
             if trace.wants("mac.drop"):
                 trace.emit(
@@ -179,11 +196,12 @@ class Station:
                 )
             frame.complete(False, self.sim.now)
             return
-        self._m_retries.inc()
+        self.retries += 1
         self.queue.push_front(frame)
         cw = phy.cw_for_attempt(frame.attempts)
-        self.backoff_remaining = self.backoff_rng.randint(0, cw)
-        self._m_backoff.observe(self.backoff_remaining)
+        self.backoff_remaining = slots = self.backoff_rng.randint(0, cw)
+        if self._backoff_buffer is not None:
+            self._backoff_buffer.append(slots)
 
     def _phy(self):
         if self._medium is None:

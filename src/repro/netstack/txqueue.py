@@ -22,6 +22,7 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.mac80211.frames import FrameJob
+from repro.obs.hotpath import Tallies
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 
 #: Depth-at-push histogram buckets (frames); the interesting edges sit
@@ -88,19 +89,44 @@ class DeviceQueue:
         self.total_forced_dropped = 0
         self.forced_overflow = False
         self.high_watermark = 0
+        #: Set counts of the depth and high-watermark gauges; each gauge's
+        #: last value is the live ``_size`` / ``high_watermark``.
+        self._depth_sets = 0
+        self._high_watermark_sets = 0
+        #: Deferred instruments (repro.obs.hotpath), None when the registry
+        #: is disabled; the owning station publishes them with its simulator.
+        self.tallies: Optional[Tallies] = None
+        self._depth_buffer: Optional[List[int]] = None
         registry = metrics if metrics is not None else NULL_REGISTRY
-        self._m_enqueued = registry.counter("net.txqueue.enqueued", queue=name)
-        self._m_dropped = registry.counter("net.txqueue.tail_dropped", queue=name)
-        self._m_depth = registry.gauge("net.txqueue.depth", queue=name)
-        self._m_high_watermark = registry.gauge(
-            "net.txqueue.high_watermark", queue=name
-        )
-        self._m_depth_on_push = registry.histogram(
-            "net.txqueue.depth_on_push", buckets=_DEPTH_BUCKETS, queue=name
-        )
-        self._m_forced_dropped = registry.counter(
-            "net.txqueue.forced_dropped", queue=name
-        )
+        if registry.enabled:
+            tallies = self.tallies = Tallies(self)
+            tallies.add_counter(
+                registry.counter("net.txqueue.enqueued", queue=name),
+                "total_enqueued",
+            )
+            tallies.add_counter(
+                registry.counter("net.txqueue.tail_dropped", queue=name),
+                "total_tail_dropped",
+            )
+            tallies.add_gauge(
+                registry.gauge("net.txqueue.depth", queue=name),
+                "_depth_sets",
+                "_size",
+            )
+            tallies.add_gauge(
+                registry.gauge("net.txqueue.high_watermark", queue=name),
+                "_high_watermark_sets",
+                "high_watermark",
+            )
+            self._depth_buffer = tallies.add_histogram(
+                registry.histogram(
+                    "net.txqueue.depth_on_push", buckets=_DEPTH_BUCKETS, queue=name
+                )
+            )
+            tallies.add_counter(
+                registry.counter("net.txqueue.forced_dropped", queue=name),
+                "total_forced_dropped",
+            )
         #: Optional observer invoked (with no arguments) after any change to
         #: queue contents or admission state — push success, pop, push_front,
         #: clear, forced-overflow begin/end. The injector's idle-tick
@@ -120,8 +146,6 @@ class DeviceQueue:
             # the condition the IP_Power qdepth gate exists to absorb.
             self.total_tail_dropped += 1
             self.total_forced_dropped += 1
-            self._m_dropped.inc()
-            self._m_forced_dropped.inc()
             return False
         classes = self._classes
         name = self.classifier(frame)
@@ -130,7 +154,6 @@ class DeviceQueue:
             queue = classes[name] = deque()
         if len(queue) >= self.capacity:
             self.total_tail_dropped += 1
-            self._m_dropped.inc()
             return False
         queue.append(frame)
         size = self._size + 1
@@ -141,12 +164,13 @@ class DeviceQueue:
         if getattr(frame, "attempts", 0):
             self._retry_pending += 1
         self.total_enqueued += 1
-        self._m_enqueued.inc()
-        self._m_depth.set(size)
-        self._m_depth_on_push.observe(size)
+        self._depth_sets += 1
         if size > self.high_watermark:
             self.high_watermark = size
-            self._m_high_watermark.set(size)
+            self._high_watermark_sets += 1
+        depths = self._depth_buffer
+        if depths is not None:
+            depths.append(size)
         if self.on_change is not None:
             self.on_change()
         return True
@@ -178,7 +202,7 @@ class DeviceQueue:
         self._size += 1
         if getattr(frame, "attempts", 0):
             self._retry_pending += 1
-        self._m_depth.set(self._size)
+        self._depth_sets += 1
         if self.on_change is not None:
             self.on_change()
 
@@ -210,7 +234,7 @@ class DeviceQueue:
         if getattr(frame, "attempts", 0):
             self._retry_pending -= 1
         self._next_index += 1
-        self._m_depth.set(self._size)
+        self._depth_sets += 1
         if self.on_change is not None:
             self.on_change()
         return frame
@@ -221,7 +245,7 @@ class DeviceQueue:
         self._size = 0
         self._next_index = 0
         self._retry_pending = 0
-        self._m_depth.set(0)
+        self._depth_sets += 1
         if self.on_change is not None:
             self.on_change()
 

@@ -26,6 +26,7 @@ whose mutators are empty methods, which is the ``--no-obs`` escape hatch.
 from __future__ import annotations
 
 import bisect
+import collections
 import json
 import re
 import time
@@ -114,6 +115,22 @@ class Counter(_Instrument):
             )
         self.value += amount
 
+    def inc_batch(self, amounts: Sequence[float]) -> None:
+        """Add each of ``amounts`` in order, as sequential :meth:`inc` calls.
+
+        The additions are replayed left to right rather than summed, so a
+        float total ends bit-identical to the per-event path (``sum()`` is
+        compensated on Python >= 3.12 and would round differently).
+        """
+        if amounts and min(amounts) < 0:
+            raise ObservabilityError(
+                f"counter {self.name!r} cannot decrease (inc by {min(amounts)})"
+            )
+        value = self.value
+        for amount in amounts:
+            value += amount
+        self.value = value
+
     def to_record(self) -> Dict[str, Any]:
         record = self._base_record()
         record["value"] = self.value
@@ -136,6 +153,17 @@ class Gauge(_Instrument):
         """Replace the gauge value."""
         self.value = float(value)
         self.updates += 1
+
+    def set_batch(self, last: float, sets: int) -> None:
+        """Record ``sets`` sequential :meth:`set` calls, the last of ``last``.
+
+        Only the final value of a run of sets survives, so a component can
+        count its sets and remember the last value instead of calling
+        :meth:`set` on every event.
+        """
+        if sets > 0:
+            self.value = float(last)
+            self.updates += sets
 
     def inc(self, amount: float = 1.0) -> None:
         """Shift the gauge up by ``amount``."""
@@ -218,65 +246,67 @@ class Histogram(_Instrument):
                 self._stride *= 2
         self._seen += 1
 
-    def observe_many(self, value: float, n: int) -> None:
-        """Record ``n`` identical observations in O(admitted) time.
+    def observe_batch(self, values: Sequence[float]) -> None:
+        """Record ``values`` in order, as sequential :meth:`observe` calls.
 
-        Byte-for-byte equivalent to ``n`` sequential :meth:`observe` calls —
-        same bucket counts, sum, min/max, and the same reservoir contents,
-        stride and decimation points — which is what lets bulk-settling
-        components (the injector's idle-tick fast-forward) skip the per-event
-        loop without perturbing any exported record.
+        Bit-identical to observing each (NaN-free) value in turn: the same
+        bucket counts, sum, min/max, and the same reservoir contents, stride
+        and decimation points. This is what lets hot-path components buffer
+        their observations and publish them in bulk
+        (:mod:`repro.obs.hotpath`) without perturbing any exported record.
 
         >>> a, b = Histogram("demo", (), (1, 5)), Histogram("demo", (), (1, 5))
-        >>> for _ in range(1300): a.observe(3.0)
-        >>> b.observe_many(3.0, 1300)
-        >>> (a.to_record() == b.to_record(), a._stride == b._stride,
-        ...  a._seen == b._seen, a._reservoir == b._reservoir)
+        >>> values = [3, 0.1, 7] * 500
+        >>> for value in values: a.observe(value)
+        >>> b.observe_batch(values)
+        >>> (a.to_record() == b.to_record(), a._reservoir == b._reservoir,
+        ...  a._stride == b._stride, a._seen == b._seen)
         (True, True, True, True)
-        >>> for _ in range(77): a.observe(0.1)  # non-exact float sums too
-        >>> b.observe_many(0.1, 77)
-        >>> a.to_record() == b.to_record()
-        True
         """
-        if n <= 0:
+        n = len(values)
+        if not n:
             return
-        value = float(value)
-        self.bucket_counts[bisect.bisect_left(self.edges, value)] += n
+        # Buckets, min and max only need each distinct value once. Equal
+        # values share one key, the first seen, as the scalar path keeps it.
+        counts = collections.Counter(values)
+        edges = self.edges
+        buckets = self.bucket_counts
+        for value, count in counts.items():
+            buckets[bisect.bisect_left(edges, float(value))] += count
         self.count += n
-        # ``sum`` must finish byte-identical to n sequential ``+= value``
-        # adds. Integer-valued accumulations (depth histograms) stay exact
-        # in closed form; otherwise replay the additions.
-        bulk = value * n
-        if (
-            value.is_integer()
-            and self.sum.is_integer()
-            and abs(self.sum) + abs(bulk) <= 2**53
-        ):
-            self.sum += bulk
-        else:
-            acc = self.sum
-            for _ in range(n):
-                acc += value
-            self.sum = acc
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        # Replay only the admitted samples: positions where
-        # ``_seen % _stride == 0``, with the stride doubling whenever the
-        # reservoir overflows — identical to the scalar path.
-        remaining = n
-        while remaining > 0:
-            gap = -self._seen % self._stride
-            if gap >= remaining:
-                self._seen += remaining
-                return
-            self._seen += gap + 1
-            remaining -= gap + 1
-            self._reservoir.append(value)
-            if len(self._reservoir) > _RESERVOIR_MAX:
-                self._reservoir = self._reservoir[::2]
-                self._stride *= 2
+        low = min(counts)
+        if low < self.min:
+            self.min = float(low)
+        high = max(counts)
+        if high > self.max:
+            self.max = float(high)
+        # Replayed, not ``sum()``ed: that is compensated on Python >= 3.12.
+        total = self.sum
+        for value in values:
+            total += value
+        self.sum = total
+        # Admitted samples are the positions where ``_seen % _stride == 0``;
+        # take them a slice at a time, decimating whenever the reservoir
+        # overflows exactly where the scalar path would.
+        reservoir = self._reservoir
+        stride = self._stride
+        seen = self._seen
+        start = 0
+        while True:
+            start += -(seen + start) % stride
+            if start >= n:
+                break
+            room = _RESERVOIR_MAX + 1 - len(reservoir)
+            admitted = values[start:start + room * stride:stride]
+            reservoir.extend(map(float, admitted))
+            if len(admitted) < room:
+                break
+            reservoir = reservoir[::2]
+            start += (room - 1) * stride + 1
+            stride *= 2
+        self._reservoir = reservoir
+        self._stride = stride
+        self._seen = seen + n
 
     @property
     def mean(self) -> float:
@@ -432,11 +462,17 @@ class _NullCounter(Counter):
     def inc(self, amount: float = 1.0) -> None:
         pass
 
+    def inc_batch(self, amounts: Sequence[float]) -> None:
+        pass
+
 
 class _NullGauge(Gauge):
     __slots__ = ()
 
     def set(self, value: float) -> None:
+        pass
+
+    def set_batch(self, last: float, sets: int) -> None:
         pass
 
     def inc(self, amount: float = 1.0) -> None:
@@ -452,7 +488,7 @@ class _NullHistogram(Histogram):
     def observe(self, value: float) -> None:
         pass
 
-    def observe_many(self, value: float, n: int) -> None:
+    def observe_batch(self, values: Sequence[float]) -> None:
         pass
 
 

@@ -15,7 +15,6 @@ timestamps of completed sensor operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -94,16 +93,6 @@ class DutyCycleSimulator:
         deposits, operation withdrawals and a (strided) storage-voltage
         timeseries. The ledger's timeseries is monotonic in time, so use a
         fresh ledger per ``run`` call.
-    vectorized:
-        Opt-in numpy fast path. Evaluates the harvester chain once per
-        *distinct* occupancy value and advances the storage recurrence in
-        array chunks instead of per step — one to two orders of magnitude
-        faster for long runs. Results agree with the scalar loop to float
-        re-association tolerance (operation counts and times match to the
-        integration step), but are **not** bit-identical, so the default
-        (and every seeded paper driver) keeps the scalar loop. Ignored when
-        numpy is unavailable or a ledger is attached (the ledger's per-step
-        timeseries requires the scalar walk).
     """
 
     def __init__(
@@ -116,7 +105,6 @@ class DutyCycleSimulator:
         boot_voltage_v: float = BOOT_VOLTAGE_V,
         floor_voltage_v: float = BROWNOUT_VOLTAGE_V,
         ledger: Optional[EnergyLedger] = None,
-        vectorized: bool = False,
     ) -> None:
         if operation_energy_j <= 0:
             raise ConfigurationError("operation energy must be > 0")
@@ -137,7 +125,6 @@ class DutyCycleSimulator:
         self.boot_voltage_v = boot_voltage_v
         self.floor_voltage_v = floor_voltage_v
         self.ledger = ledger
-        self.vectorized = vectorized
 
     # ------------------------------------------------------------------ model
 
@@ -162,11 +149,6 @@ class DutyCycleSimulator:
         """
         if duration_s <= 0:
             raise ConfigurationError("duration must be > 0")
-        if self.vectorized and self.ledger is None:
-            try:
-                return self._run_vectorized(duration_s, occupancy)
-            except ImportError:  # pragma: no cover - numpy always in CI image
-                pass
         result = DutyCycleResult(duration_s=duration_s)
         cap = self.storage
         ledger = self.ledger
@@ -197,82 +179,6 @@ class DutyCycleSimulator:
             if ledger is not None:
                 ledger.sample_voltage(t, cap.voltage_v)
             t += self.step_s
-        return result
-
-    def _run_vectorized(
-        self,
-        duration_s: float,
-        occupancy: Callable[[float], float],
-    ) -> DutyCycleResult:
-        """Numpy fast path: chunked closed-form advance of the storage state.
-
-        Per step the scalar loop computes ``E' = (E + P·dt) · k`` where
-        ``k = exp(-2·dt/τ)`` is the leakage decay of *energy*. Rescaling by
-        ``k⁻ⁿ`` turns that recurrence into a cumulative sum, so a whole
-        chunk of steps advances in one vector expression; a chunk is cut
-        short only where the energy crosses the boot-and-budget threshold
-        and an operation (withdrawal) must be applied. Chunks are kept
-        short enough (1024 steps) that the ``k⁻ⁿ`` rescaling stays well
-        within float range for any physical leakage constant.
-        """
-        import numpy as np
-
-        cap = self.storage
-        step = self.step_s
-        n_steps = int(math.ceil(duration_s / step - 1e-9))
-        result = DutyCycleResult(duration_s=duration_s)
-        if n_steps <= 0:
-            return result
-        times = np.arange(n_steps) * step
-        occ = np.fromiter(
-            (occupancy(float(t)) for t in times), dtype=float, count=n_steps
-        )
-        # One harvester-chain evaluation per distinct occupancy level: home
-        # deployment logs hold a few hundred windows, constant runs just one.
-        values, inverse = np.unique(occ, return_inverse=True)
-        powers = np.array([self._harvest_power_w(float(v)) for v in values])
-        deposits = powers[inverse] * step
-        if math.isinf(cap.leakage_resistance_ohm):
-            k = 1.0
-        else:
-            tau = cap.leakage_resistance_ohm * cap.capacitance_f
-            k = math.exp(-2.0 * step / tau)
-        brownout_energy = 0.5 * cap.capacitance_f * self.floor_voltage_v**2
-        boot_energy = 0.5 * cap.capacitance_f * self.boot_voltage_v**2
-        # The scalar loop fires when voltage >= boot AND the energy above
-        # the brown-out floor covers one operation — a single energy bar.
-        threshold = max(boot_energy, brownout_energy + self.operation_energy_j)
-        chunk = 1024
-        c_scale = 2.0 / cap.capacitance_f
-        energy = cap.energy_j
-        index = 0
-        while index < n_steps:
-            end = min(index + chunk, n_steps)
-            d = deposits[index:end]
-            m = end - index
-            if k == 1.0:
-                trajectory = energy + np.cumsum(d)
-            else:
-                decay = k ** np.arange(1, m + 1)
-                trajectory = decay * (energy + np.cumsum(d * k ** -np.arange(m)))
-            crossings = trajectory >= threshold
-            if not crossings.any():
-                energy = float(trajectory[-1])
-                index = end
-                continue
-            hit = int(np.argmax(crossings))
-            energy = float(trajectory[hit])
-            voltage_before = math.sqrt(c_scale * energy)
-            energy -= self.operation_energy_j
-            result.operations.append(
-                OperationRecord(
-                    time_s=float(times[index + hit]) + MCU_BOOT_TIME_S,
-                    storage_voltage_before=voltage_before,
-                    storage_voltage_after=math.sqrt(c_scale * max(energy, 0.0)),
-                )
-            )
-            index += hit + 1
-        cap.set_energy(max(energy, 0.0))
         return result
 
     # ------------------------------------------------------- occupancy inputs

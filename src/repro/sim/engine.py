@@ -30,10 +30,10 @@ the heap high-water mark, and cancelled events into :attr:`Simulator.stats`,
 so the hot callbacks of a long ``fig14``/``table1`` run are visible without
 an external profiler. Dispatch counts are exact; wall-clock is
 stride-sampled (every :data:`TIMING_STRIDE`-th occurrence of each callback
-name is timed with ``perf_counter`` and scaled), which keeps the profiled
-dispatch loop within a few percent of the unobserved one. Profiling never
-touches simulation time or any random stream, so observed and unobserved
-runs produce identical results.
+name is timed with ``perf_counter`` and scaled by the dispatches each sample
+stands for), which keeps the profiled dispatch loop within a few percent of
+the unobserved one. Profiling never touches simulation time or any random
+stream, so observed and unobserved runs produce identical results.
 
 Each event kind is additionally attributed to a *component* — the class (or
 module) that owns its callback, resolved once on the kind's first dispatch —
@@ -49,16 +49,35 @@ from __future__ import annotations
 import heapq
 import itertools
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
+from repro.obs.hotpath import BUFFER_CAP
 
-#: Wall-clock sampling stride (power of two): every Nth dispatch of each
-#: callback name is timed and the elapsed time scaled by N. Counts stay
-#: exact; only the timing is sampled.
-TIMING_STRIDE = 4
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.obs.hotpath import Tallies
+
+#: Wall-clock sampling stride (power of two): dispatches 0, N, 2N, ... of
+#: each callback name are timed, and the sampled time is scaled by the
+#: dispatches per sample. Counts stay exact; only the timing is sampled.
+#: Reading the clock is the costliest part of profiling (at N=4 it was about
+#: a third of the observability overhead on a fig 6a point).
+TIMING_STRIDE = 16
 _TIMING_MASK = TIMING_STRIDE - 1
+
+
+def _scaled_wall_s(entry: List[float]) -> float:
+    """A profile entry's sampled wall time, scaled to all of its dispatches.
+
+    Each sample stands for ``count / samples`` dispatches, so a kind
+    dispatched fewer than :data:`TIMING_STRIDE` times is scaled by its
+    count rather than by the stride.
+    """
+    count = entry[0]
+    samples = (count + _TIMING_MASK) // TIMING_STRIDE
+    return entry[1] * count / samples if samples else 0.0
+
 
 #: Tombstone-compaction floor: the heap is rebuilt (dropping cancelled
 #: entries) only when at least this many tombstones are present *and* they
@@ -141,8 +160,8 @@ class SimulatorStats:
         self.heap_high_watermark = 0
         self.heap_tombstones = 0
         self.compactions = 0
-        # name -> [count, wall_s, sim_first_s, sim_last_s]; one dict lookup
-        # per dispatch keeps the profiled run loop tight.
+        # name -> [count, sampled_wall_s, sim_first_s, sim_last_s]; one dict
+        # lookup per dispatch keeps the profiled run loop tight.
         self._profile: Dict[str, List[float]] = {}
         self._components: Dict[str, str] = {}
 
@@ -154,7 +173,9 @@ class SimulatorStats:
     @property
     def callback_wall_s(self) -> Dict[str, float]:
         """Cumulative wall-clock seconds per event name."""
-        return {name: entry[1] for name, entry in self._profile.items()}
+        return {
+            name: _scaled_wall_s(entry) for name, entry in self._profile.items()
+        }
 
     @property
     def callback_components(self) -> Dict[str, str]:
@@ -171,12 +192,12 @@ class SimulatorStats:
     @property
     def total_wall_s(self) -> float:
         """Wall-clock seconds spent inside callbacks."""
-        return sum(entry[1] for entry in self._profile.values())
+        return sum(_scaled_wall_s(entry) for entry in self._profile.values())
 
     def hot_callbacks(self, limit: int = 10) -> List[Tuple[str, int, float]]:
         """``(name, count, wall_s)`` rows, costliest first."""
         rows = [
-            (name, int(entry[0]), entry[1])
+            (name, int(entry[0]), _scaled_wall_s(entry))
             for name, entry in self._profile.items()
         ]
         rows.sort(key=lambda row: row[2], reverse=True)
@@ -310,6 +331,7 @@ class Simulator:
         self._running = False
         self._dispatched = 0
         self._run_end_hooks: List[Callable[[], None]] = []
+        self._tallies: List["Tallies"] = []
         if observe is None:
             observe = obs_runtime.enabled()
         self.observe = bool(observe)
@@ -354,6 +376,21 @@ class Simulator:
         materialise their bulk state before the driver reads it.
         """
         self._run_end_hooks.append(hook)
+
+    def add_tallies(self, tallies: "Tallies") -> None:
+        """Publish a component's hot-path ``tallies`` with this simulator.
+
+        :meth:`run` empties their buffers every
+        :data:`~repro.obs.hotpath.BUFFER_CAP` dispatches and publishes them
+        when it returns cleanly, after the run-end hooks, so the instruments
+        (:mod:`repro.obs.hotpath`) see the settled state.
+        """
+        self._tallies.append(tallies)
+
+    def publish_tallies(self) -> None:
+        """Bring every registered component's hot-path instruments up to date."""
+        for tallies in self._tallies:
+            tallies.publish()
 
     def schedule(
         self,
@@ -481,6 +518,8 @@ class Simulator:
         # same branch as a bound but drops the per-event None checks.
         limit = float("inf") if until is None else until
         budget = float("inf") if max_events is None else max_events
+        # The budget check doubles as the hot-path buffer flush cadence.
+        checkpoint = min(budget, BUFFER_CAP)
         run_span = self.spans.begin("sim.engine.run", sim_start_s=self._now)
         status = "ok"
         try:
@@ -512,7 +551,7 @@ class Simulator:
                     else:
                         started = clock()
                         event.callback(*event.args)
-                        entry[1] += (clock() - started) * TIMING_STRIDE
+                        entry[1] += clock() - started
                     entry[0] += 1
                     entry[3] = time
                 else:
@@ -532,8 +571,12 @@ class Simulator:
                 else:
                     heap = self._heap
                 dispatched_this_run += 1
-                if dispatched_this_run >= budget:
-                    break
+                if dispatched_this_run >= checkpoint:
+                    if dispatched_this_run >= budget:
+                        break
+                    for tallies in self._tallies:
+                        tallies.flush()
+                    checkpoint = min(budget, dispatched_this_run + BUFFER_CAP)
         except BaseException:
             status = "error"
             raise
@@ -546,6 +589,7 @@ class Simulator:
             if status == "ok":
                 for hook in self._run_end_hooks:
                     hook()
+                self.publish_tallies()
             self.spans.end(
                 run_span,
                 sim_end_s=self._now,

@@ -160,17 +160,17 @@ class TestRunEndHooks:
         assert seen == []
 
 
-class TestObserveManyEdgeCases:
+class TestObserveBatchEdgeCases:
     def test_reservoir_decimation_boundary(self):
         scalar = Histogram("h", (), (1, 10))
         bulk = Histogram("h", (), (1, 10))
         # Push both through several stride doublings, split across calls.
         for _ in range(700):
             scalar.observe(4.0)
-        bulk.observe_many(4.0, 700)
+        bulk.observe_batch([4.0] * 700)
         for _ in range(900):
             scalar.observe(7.0)
-        bulk.observe_many(7.0, 900)
+        bulk.observe_batch([7.0] * 900)
         assert scalar.to_record() == bulk.to_record()
         assert scalar._reservoir == bulk._reservoir
         assert scalar._stride == bulk._stride
@@ -181,7 +181,7 @@ class TestObserveManyEdgeCases:
         bulk = Histogram("h", (), (1,))
         for _ in range(1234):
             scalar.observe(0.1)
-        bulk.observe_many(0.1, 1234)
+        bulk.observe_batch([0.1] * 1234)
         assert scalar.sum == bulk.sum  # exact, not approx
 
     def test_mixed_scalar_and_bulk(self):
@@ -190,15 +190,14 @@ class TestObserveManyEdgeCases:
         values = [2.0] * 100 + [6.0] * 57 + [2.0] * 513
         for v in values:
             scalar.observe(v)
-        mixed.observe_many(2.0, 100)
+        mixed.observe_batch([2.0] * 100)
         for _ in range(57):
             mixed.observe(6.0)
-        mixed.observe_many(2.0, 513)
+        mixed.observe_batch([2.0] * 513)
         assert scalar.to_record() == mixed.to_record()
 
-    def test_zero_and_negative_counts_noop(self):
+    def test_empty_batch_is_noop(self):
         h = Histogram("h", (), (1,))
-        h.observe_many(3.0, 0)
-        h.observe_many(3.0, -5)
+        h.observe_batch([])
         assert h.count == 0
         assert h._seen == 0
