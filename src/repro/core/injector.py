@@ -46,7 +46,7 @@ from repro.core.config import InjectorConfig
 from repro.core.ip_power import IpPowerGate
 from repro.mac80211.frames import FrameJob, FrameKind, consume_frame_ids
 from repro.mac80211.station import Station
-from repro.obs.hotpath import BUFFER_CAP, Tallies
+from repro.obs.hotpath import FLUSH_INTERVAL, Tallies
 from repro.sim.engine import Event, Simulator
 
 #: Consecutive no-op ticks before the injector goes dormant. Entering and
@@ -437,7 +437,7 @@ class PowerInjector:
         dormancy.next_tick = tick_time
         if index:
             del breaks[:index]
-        if depths is not None and len(depths) >= BUFFER_CAP:
+        if depths is not None and len(depths) >= FLUSH_INTERVAL:
             gate.tallies.flush()
         self._spell_ticks += total
         prev_ticks = self._ticks

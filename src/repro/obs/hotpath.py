@@ -21,13 +21,13 @@ exported records do not change. A simulator publishes every registered
 ``Tallies`` each time :meth:`~repro.sim.engine.Simulator.run` returns,
 after the run-end hooks have settled lazily-advanced state (the injector's
 idle-tick fast-forward). While it runs, it empties the buffers every
-:data:`BUFFER_CAP` dispatches (:meth:`Tallies.flush`): an ordinary event
-adds at most a few values to a buffer, so the cadence bounds them without a
-length check on every append, which cost more than the flushes. The one
-path that appends a burst, the injector settling a dormant spell, flushes
-as soon as its buffer reaches the cap. Between publications the hot-path
-instruments lag the simulation; ``Simulator.publish_tallies`` brings them
-up to date.
+:data:`FLUSH_INTERVAL` dispatches (:meth:`Tallies.flush`). An ordinary
+event adds about one value to a buffer, so the cadence keeps every buffer
+under :data:`BUFFER_CAP` without a length check on each append, which cost
+more than the flushes. The one path that appends a burst, the injector
+settling a dormant spell, flushes the gate's buffer itself once it holds
+``FLUSH_INTERVAL`` values. Between publications the hot-path instruments
+lag the simulation; ``Simulator.publish_tallies`` brings them up to date.
 
 Components build a ``Tallies`` only when their registry is enabled: with
 observability off nothing is buffered and nothing is published.
@@ -40,10 +40,14 @@ from typing import List, Optional, Tuple
 
 from repro.obs.metrics import Counter, Gauge, Histogram
 
-#: A running simulator empties its components' buffers every this many
-#: dispatches, and a burst flushes once its buffer holds this many values:
-#: the bound on the memory a long run spends on buffering.
-BUFFER_CAP = 8192
+#: The most values a hot-path buffer holds between events: the bound on
+#: the memory a long run spends on buffering.
+BUFFER_CAP = 16384
+
+#: Dispatches between buffer flushes of a running simulator, and the fill
+#: at which a burst flushes. Half the cap leaves room for the events in
+#: between.
+FLUSH_INTERVAL = BUFFER_CAP // 2
 
 
 class Tallies:

@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
-from repro.obs.hotpath import BUFFER_CAP
+from repro.obs.hotpath import FLUSH_INTERVAL
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.obs.hotpath import Tallies
@@ -63,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 #: dispatches per sample. Counts stay exact; only the timing is sampled.
 #: Reading the clock is the costliest part of profiling (at N=4 it was about
 #: a third of the observability overhead on a fig 6a point).
-TIMING_STRIDE = 16
+TIMING_STRIDE = 64
 _TIMING_MASK = TIMING_STRIDE - 1
 
 
@@ -381,9 +381,9 @@ class Simulator:
         """Publish a component's hot-path ``tallies`` with this simulator.
 
         :meth:`run` empties their buffers every
-        :data:`~repro.obs.hotpath.BUFFER_CAP` dispatches and publishes them
-        when it returns cleanly, after the run-end hooks, so the instruments
-        (:mod:`repro.obs.hotpath`) see the settled state.
+        :data:`~repro.obs.hotpath.FLUSH_INTERVAL` dispatches and publishes
+        them when it returns cleanly, after the run-end hooks, so the
+        instruments (:mod:`repro.obs.hotpath`) see the settled state.
         """
         self._tallies.append(tallies)
 
@@ -519,7 +519,7 @@ class Simulator:
         limit = float("inf") if until is None else until
         budget = float("inf") if max_events is None else max_events
         # The budget check doubles as the hot-path buffer flush cadence.
-        checkpoint = min(budget, BUFFER_CAP)
+        checkpoint = min(budget, FLUSH_INTERVAL)
         run_span = self.spans.begin("sim.engine.run", sim_start_s=self._now)
         status = "ok"
         try:
@@ -576,7 +576,9 @@ class Simulator:
                         break
                     for tallies in self._tallies:
                         tallies.flush()
-                    checkpoint = min(budget, dispatched_this_run + BUFFER_CAP)
+                    checkpoint = min(
+                        budget, dispatched_this_run + FLUSH_INTERVAL
+                    )
         except BaseException:
             status = "error"
             raise
