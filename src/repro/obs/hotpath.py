@@ -2,9 +2,9 @@
 
 The components on the discrete-event hot path — the medium, stations and
 their device queues, the IP_Power gate, occupancy analyzers and the power
-injector — run millions of times per experiment, and calling a registry
-instrument on every event cost about a quarter of a fig 6a part. They keep
-plain tallies instead (most of which they need anyway) plus ordered value
+injector — run millions of times per experiment, so a registry call on
+every event adds up to millions of calls per fig 6a part. They keep plain
+tallies instead (most of which they need anyway) plus ordered value
 buffers, and one :class:`Tallies` per component publishes them:
 
 * a counter publishes the growth of an integer tally since the last
