@@ -1,10 +1,13 @@
 """Instrumentation-overhead guard: observability must stay near-free.
 
-Runs one fig 6a UDP point (PoWiFi, 20 Mb/s, 4 s) with observability enabled
-and in ``--no-obs`` mode, alternating the two, and bounds the best-of-3
-enabled-mode wall-clock overhead at 15 % of the best unobserved run. There
-is no absolute slack: the point runs for about half a second, long enough
-for timer noise to stay well inside the budget.
+Runs one fig 6a UDP point (PoWiFi, 20 Mb/s, 4 s) in twenty back-to-back
+pairs, once with observability enabled and once in ``--no-obs`` mode, and
+bounds the median of the pairs' enabled-mode wall-clock overhead at 15 % of
+the unobserved run. There is no absolute slack. The point runs for about
+half a second, and a shared host slows single runs by a third at times. So
+the guard compares each observed run with the unobserved run next to it,
+which a slow spell affects alike, and takes the median over the pairs,
+which a burst that hits a few runs cannot move.
 
 The overhead is what observing adds per event: the engine's per-kind
 profile (an exact dispatch count and sim-time bounds per kind, plus a
@@ -15,6 +18,8 @@ escape hatch is *clean*: a disabled run accumulates no attribution state
 and buffers nothing.
 """
 
+import gc
+import statistics
 from time import perf_counter
 
 from conftest import write_report
@@ -29,9 +34,13 @@ MAX_OVERHEAD_FRACTION = 0.15
 #: Simulated seconds of the timed fig 6a point.
 RUN_SECONDS = 4
 
+#: Observed/unobserved pairs the median is taken over.
+PAIRS = 20
+
 
 def _run_once(enabled: bool = True) -> float:
     obs_runtime.configure(enabled=enabled)
+    gc.collect()  # start every timed run from the same heap state
     started = perf_counter()
     run_udp_for_scheme(
         Scheme.POWIFI, rates_mbps=(20,), copies=1, run_seconds=RUN_SECONDS
@@ -39,33 +48,39 @@ def _run_once(enabled: bool = True) -> float:
     return perf_counter() - started
 
 
+def _pair(observed_first: bool) -> tuple:
+    if observed_first:
+        observed = _run_once(True)
+        return observed, _run_once(False)
+    unobserved = _run_once(False)
+    return _run_once(True), unobserved
+
+
 def test_obs_overhead_under_budget():
     try:
         _run_once()  # warm imports and caches outside the timed runs
-        # Alternate the modes so a drifting host slows both alike.
-        pairs = [(_run_once(True), _run_once(False)) for _ in range(3)]
+        # Which mode runs first alternates, so neither gains from going second.
+        pairs = [_pair(i % 2 == 0) for i in range(PAIRS)]
     finally:
         obs_runtime.configure(enabled=True)
-    observed = min(on for on, _ in pairs)
-    unobserved = min(off for _, off in pairs)
-
-    overhead = observed - unobserved
-    fraction = overhead / unobserved if unobserved > 0 else 0.0
+    fractions = sorted(on / off - 1.0 for on, off in pairs)
+    fraction = statistics.median(fractions)
     write_report(
         "obs_overhead",
         [
             "Observability overhead — fig 6a UDP point "
             f"(PoWiFi, 20 Mb/s, {RUN_SECONDS} s)",
-            f"observed   {observed:8.3f} s",
-            f"unobserved {unobserved:8.3f} s",
-            f"overhead   {overhead:8.3f} s ({100 * fraction:.1f} %)",
+            f"observed   {min(on for on, _ in pairs):8.3f} s (best of {PAIRS})",
+            f"unobserved {min(off for _, off in pairs):8.3f} s (best of {PAIRS})",
+            f"overhead   {100 * fraction:8.1f} % (median of {PAIRS} pairs; "
+            f"range {100 * fractions[0]:.1f} to {100 * fractions[-1]:.1f} %)",
             "",
-            f"budget: {100 * MAX_OVERHEAD_FRACTION:.0f} % (best of 3 each)",
+            f"budget: {100 * MAX_OVERHEAD_FRACTION:.0f} % (median pair)",
         ],
     )
-    assert overhead <= MAX_OVERHEAD_FRACTION * unobserved, (
-        f"instrumentation overhead {overhead:.3f}s "
-        f"({100 * fraction:.1f}%) exceeds budget"
+    assert fraction <= MAX_OVERHEAD_FRACTION, (
+        f"instrumentation overhead {100 * fraction:.1f}% (median of "
+        f"{PAIRS} pairs) exceeds budget"
     )
 
 

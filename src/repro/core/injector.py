@@ -40,6 +40,7 @@ open, or a forced-overflow fault window is active (see
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from repro.core.config import InjectorConfig
@@ -61,6 +62,9 @@ IDLE_STREAK_BEFORE_SLEEP = 4
 #: results; the adaptation only avoids re-paying the streak on every drain
 #: cycle of a long saturated phase.
 LONG_SPELL_TICKS = 8
+
+#: The settle's next depth-change time once no later change is recorded.
+_NEVER = float("inf")
 
 
 class _Dormancy:
@@ -427,18 +431,32 @@ class PowerInjector:
         depths = gate.depth_buffer
         index = 0
         total = 0
-        while tick_time <= upto if inclusive else tick_time < upto:
+        while True:
+            # The ticks before the next depth change all see one depth.
+            next_break = breaks[index + 1][0] if index + 1 < n_breaks else _NEVER
+            count = 0
+            while (
+                tick_time <= upto if inclusive else tick_time < upto
+            ) and tick_time < next_break:
+                count += 1
+                tick_time += period
+            total += count
+            if depths is not None:
+                depth = breaks[index][1]
+                while count:
+                    take = min(count, FLUSH_INTERVAL - len(depths))
+                    if take > 0:
+                        depths.extend(repeat(depth, take))
+                        count -= take
+                    if len(depths) >= FLUSH_INTERVAL:
+                        gate.tallies.flush()
+            if not (tick_time <= upto if inclusive else tick_time < upto):
+                break
             while index + 1 < n_breaks and breaks[index + 1][0] <= tick_time:
                 index += 1
-            if depths is not None:
-                depths.append(breaks[index][1])
-            total += 1
-            tick_time += period
         dormancy.next_tick = tick_time
         if index:
             del breaks[:index]
-        if depths is not None and len(depths) >= FLUSH_INTERVAL:
-            gate.tallies.flush()
         self._spell_ticks += total
         prev_ticks = self._ticks
         self._ticks += total

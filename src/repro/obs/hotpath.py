@@ -25,9 +25,10 @@ idle-tick fast-forward). While it runs, it empties the buffers every
 event adds about one value to a buffer, so the cadence keeps every buffer
 under :data:`BUFFER_CAP` without a length check on each append, which cost
 more than the flushes. The one path that appends a burst, the injector
-settling a dormant spell, flushes the gate's buffer itself once it holds
-``FLUSH_INTERVAL`` values. Between publications the hot-path instruments
-lag the simulation; ``Simulator.publish_tallies`` brings them up to date.
+settling a dormant spell, flushes the gate's buffer itself whenever it
+reaches ``FLUSH_INTERVAL`` values, however long the spell. Between
+publications the hot-path instruments lag the simulation;
+``Simulator.publish_tallies`` brings them up to date.
 
 Components build a ``Tallies`` only when their registry is enabled: with
 observability off nothing is buffered and nothing is published.

@@ -61,8 +61,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 #: Wall-clock sampling stride (power of two): dispatches 0, N, 2N, ... of
 #: each callback name are timed, and the sampled time is scaled by the
 #: dispatches per sample. Counts stay exact; only the timing is sampled.
-#: Reading the clock is the costliest part of profiling (at N=4 it was about
-#: a third of the observability overhead on a fig 6a point).
+#: On a fig 6a part, N=64 keeps every kind's share of the profiled wall
+#: within 1.6 points of timing every dispatch (N=4: within 0.5), while N=4
+#: costs about four points of the 15 % observability-overhead guard
+#: (docs/performance.md, "Hot-path instrumentation").
 TIMING_STRIDE = 64
 _TIMING_MASK = TIMING_STRIDE - 1
 
@@ -514,6 +516,7 @@ class Simulator:
         push = heapq.heappush
         seq_counter = self._seq
         clock = perf_counter
+        mask = _TIMING_MASK
         # Hoisted per-dispatch conditionals: comparing against +inf is the
         # same branch as a bound but drops the per-event None checks.
         limit = float("inf") if until is None else until
@@ -538,21 +541,23 @@ class Simulator:
                 if self.on_event is not None:
                     self.on_event(event)
                 if profiling:
-                    entry = profile.get(event.name)
-                    if entry is None:
+                    try:
+                        entry = profile[event.name]
+                    except KeyError:
                         entry = profile[event.name] = [
                             0, 0.0, time, time,
                         ]
                         stats._components[event.name] = _component_of(
                             event.callback
                         )
-                    if entry[0] & _TIMING_MASK:
+                    count = entry[0]
+                    if count & mask:
                         event.callback(*event.args)
                     else:
                         started = clock()
                         event.callback(*event.args)
                         entry[1] += clock() - started
-                    entry[0] += 1
+                    entry[0] = count + 1
                     entry[3] = time
                 else:
                     event.callback(*event.args)

@@ -298,27 +298,57 @@ class TestPublicationContract:
         sim.run(until=0.3)
         assert obs_runtime.get_registry().snapshot() == segmented
 
-    def test_buffers_stay_under_the_cap_over_a_long_run(self):
-        # Saturated: the injector sleeps and settles its spells in bursts.
-        sim, _, _, injector, _ = build(threshold=None, capacity=40)
-        largest = []
+    @pytest.mark.parametrize("mode", ["saturated", "gated"])
+    def test_buffers_stay_under_the_cap_over_a_long_run(self, mode, monkeypatch):
+        if mode == "saturated":
+            # The injector sleeps on a full queue and settles its spells in
+            # bursts.
+            sim, _, _, injector, _ = build(threshold=None, capacity=40)
+        else:
+            # One gated spell as long as the run: the router has no medium,
+            # so its queue never drains below the threshold and every tick
+            # of the run settles in one burst when it returns.
+            sim = Simulator()
+            router = Station(sim, name="router:ch6", streams=RandomStreams(5))
+            injector = PowerInjector(
+                sim,
+                router,
+                InjectorConfig(queue_threshold=1, inter_packet_delay_s=50e-6),
+            )
+            router.enqueue(
+                FrameJob(mac_bytes=900, rate_mbps=24.0, kind=FrameKind.DATA)
+            )
+            injector.start()
+        largest = [0]
 
         def probe():
-            largest.append(
-                max(
+            largest[0] = max(
+                [largest[0]]
+                + [
                     len(buffer)
                     for tallies in sim._tallies
                     for _, buffer in tallies._sums + tallies._histograms
-                )
+                ]
             )
 
+        # A buffer is at its fullest just before a flush empties it.
+        flush = Tallies.flush
+
+        def probed_flush(tallies):
+            probe()
+            flush(tallies)
+
+        monkeypatch.setattr(Tallies, "flush", probed_flush)
         sim.schedule_periodic(1e-3, probe, name="probe")
         sim.run(until=3.0)
-        # Far more values than one buffer holds went through the buffers,
-        # and the run flushed on its dispatch cadence several times.
+        # Far more values than one buffer holds went through the buffers.
         assert injector.gate._m_depth_at_check.count > 3 * BUFFER_CAP
-        assert sim.dispatched_events > 3 * FLUSH_INTERVAL
-        assert 0 < max(largest) < BUFFER_CAP
+        if mode == "saturated":
+            # The run flushed on its dispatch cadence several times.
+            assert sim.dispatched_events > 3 * FLUSH_INTERVAL
+        else:
+            assert injector.gate.stats.admitted == 0
+        assert 0 < largest[0] < BUFFER_CAP
 
     def test_no_obs_builds_no_tallies(self):
         obs_runtime.configure(enabled=False)

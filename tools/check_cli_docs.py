@@ -56,8 +56,11 @@ PARSER_SOURCES = (
 PREPARSE_FLAGS = {"--no-obs", "--help"}
 
 #: Root-level scaffolding that quotes *other* projects' command lines
-#: (exemplar snippets, the working issue); not user-facing documentation.
-SKIP_FILES = {"SNIPPETS.md", "ISSUE.md", "PAPERS.md", "PAPER.md", "CHANGES.md"}
+#: (exemplar snippets, the working issue, review notes, which also quote
+#: the flags of helper scripts); not user-facing documentation.
+SKIP_FILES = {
+    "SNIPPETS.md", "ISSUE.md", "REVIEW.md", "PAPERS.md", "PAPER.md", "CHANGES.md",
+}
 
 
 def repo_root() -> Path:

@@ -13,8 +13,8 @@ Used by the CI ``metrics-smoke`` job against the digests committed in
     python tools/metrics_digest.py fig6a=metrics_fig6a.jsonl          # print
     python tools/metrics_digest.py --check benchmarks/results/metrics_digests.json \\
         fig6a=metrics_fig6a.jsonl fig7=metrics_fig7.jsonl             # exit 1 on drift
-    python tools/metrics_digest.py --write benchmarks/results/metrics_digests.json \\
-        fig6a=metrics_fig6a.jsonl                                     # record
+    python tools/metrics_digest.py fig6a=metrics_fig6a.jsonl fig6c=metrics_fig6c.jsonl \\
+        fig7=metrics_fig7.jsonl > benchmarks/results/metrics_digests.json   # record
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ def export_digest(path: str) -> str:
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("exports", nargs="+", help="ID=PATH of a metrics export")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--check", metavar="FILE", help="compare with committed digests")
-    mode.add_argument("--write", metavar="FILE", help="record the digests")
+    parser.add_argument("--check", metavar="FILE", help="compare with committed digests")
     args = parser.parse_args(argv)
 
     digests: Dict[str, str] = {}
@@ -54,11 +52,6 @@ def main(argv: List[str]) -> int:
             parser.error(f"expected ID=PATH, got {item!r}")
         digests[name] = export_digest(path)
 
-    if args.write:
-        with open(args.write, "w", encoding="utf-8") as handle:
-            json.dump(digests, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return 0
     if args.check:
         with open(args.check, encoding="utf-8") as handle:
             expected = json.load(handle)
