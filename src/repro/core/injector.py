@@ -117,7 +117,7 @@ class PowerInjector:
     ) -> None:
         self.sim = sim
         self.station = station
-        self.config = config
+        self._configure(config)
         self.interface_id = interface_id
         #: Shared by every frame this injector builds: ``meta`` is read-only
         #: downstream (captures and reporters only ``.get`` from it), and one
@@ -164,6 +164,12 @@ class PowerInjector:
         # metric exporters) always see fully materialised state.
         sim.add_run_end_hook(self._settle_at_rest)
 
+    def _configure(self, config: InjectorConfig) -> None:
+        """Adopt ``config`` and cache the derived values the tick path reads."""
+        self.config = config
+        self._period = config.effective_period_s
+        self._frame_bytes = config.mac_frame_bytes
+
     # ------------------------------------------------------------- lifecycle
 
     def start(self) -> None:
@@ -172,7 +178,7 @@ class PowerInjector:
             return
         self._running = True
         self._timer = self.sim.schedule_periodic(
-            self.config.effective_period_s, self._tick, name="power_inject"
+            self._period, self._tick, name="power_inject"
         )
 
     def stop(self) -> None:
@@ -284,11 +290,11 @@ class PowerInjector:
         dormant_mode = None
         sat_class = None
         station = self.station
-        if self.gate.admit():
-            config = self.config
+        gate = self.gate
+        if gate.admit():
             frame = FrameJob(
-                mac_bytes=config.mac_frame_bytes,
-                rate_mbps=config.rate_mbps,
+                mac_bytes=self._frame_bytes,
+                rate_mbps=self.config.rate_mbps,
                 kind=FrameKind.POWER,
                 broadcast=True,
                 flow="power",
@@ -298,15 +304,15 @@ class PowerInjector:
             if not station.enqueue(frame):
                 queue = station.queue
                 if (
-                    self.gate.queue_threshold is None
+                    gate.queue_threshold is None
                     and not queue.forced_overflow
-                    and not sim.trace.wants("mac.drop")
+                    and not station._trace_drops
                 ):
                     dormant_mode = "saturated"
                     sat_class = queue.classifier(frame)
         else:
             self._dropped_by_gate += 1
-            if not sim.trace.wants("core.gate_drop"):
+            if not gate.trace_drops:
                 dormant_mode = "gated"
         if not self._ticks & 63:
             self._sync_metrics()
@@ -348,7 +354,7 @@ class PowerInjector:
             self._timer.cancel()
             self._timer = None
         station = self.station
-        period = self.config.effective_period_s
+        period = self._period
         self._dormant = _Dormancy(
             mode=mode,
             next_tick=self.sim.now + period,
@@ -399,7 +405,7 @@ class PowerInjector:
         if not self._running:
             return
         timer = self.sim.schedule_at(next_tick, self._tick, name="power_inject")
-        timer.period = self.config.effective_period_s
+        timer.period = self._period
         self._timer = timer
 
     def _settle_now(self) -> None:
@@ -441,15 +447,17 @@ class PowerInjector:
                 count += 1
                 tick_time += period
             total += count
-            if depths is not None:
+            if depths is not None and count:
                 depth = breaks[index][1]
-                while count:
-                    take = min(count, FLUSH_INTERVAL - len(depths))
-                    if take > 0:
-                        depths.extend(repeat(depth, take))
-                        count -= take
-                    if len(depths) >= FLUSH_INTERVAL:
-                        gate.tallies.flush()
+                room = FLUSH_INTERVAL - len(depths)
+                while count >= room:
+                    if room > 0:
+                        depths.extend(repeat(depth, room))
+                        count -= room
+                    gate.tallies.flush()
+                    room = FLUSH_INTERVAL
+                if count:
+                    depths.extend(repeat(depth, count))
             if not (tick_time <= upto if inclusive else tick_time < upto):
                 break
             while index + 1 < n_breaks and breaks[index + 1][0] <= tick_time:
@@ -503,12 +511,12 @@ class PowerInjector:
             # keeps its old-period time, exactly like the live loop where
             # the next tick was scheduled before the retune.
             self._wake()
-        self.config = InjectorConfig(
+        self._configure(InjectorConfig(
             inter_packet_delay_s=delay_s,
             queue_threshold=self.config.queue_threshold,
             rate_mbps=self.config.rate_mbps,
             ip_datagram_bytes=self.config.ip_datagram_bytes,
             syscall_overhead_s=self.config.syscall_overhead_s,
-        )
+        ))
         if self._timer is not None:
-            self._timer.period = self.config.effective_period_s
+            self._timer.period = self._period

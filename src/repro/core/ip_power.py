@@ -60,6 +60,9 @@ class IpPowerGate:
         self.tallies: Optional[Tallies] = None
         self.depth_buffer: Optional[List[int]] = None
         sim = station.sim
+        #: Whether each bounced datagram is traced (``core.gate_drop``); a
+        #: simulator's trace kinds are fixed when it is built.
+        self.trace_drops = sim.trace.wants("core.gate_drop")
         metrics = sim.metrics
         name = station.name
         considered = metrics.counter("core.ip_power.considered", interface=name)
@@ -96,9 +99,8 @@ class IpPowerGate:
         threshold = self.queue_threshold
         if threshold is not None and depth >= threshold:
             stats.dropped += 1
-            trace = station.sim.trace
-            if trace.wants("core.gate_drop"):
-                trace.emit(
+            if self.trace_drops:
+                station.sim.trace.emit(
                     station.sim.now,
                     station.name,
                     "core.gate_drop",

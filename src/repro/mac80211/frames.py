@@ -14,9 +14,12 @@ from enum import Enum
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
-from repro.mac80211.rates import validate_rate
+from repro.mac80211.rates import ALL_RATES_MBPS, validate_rate
 
 _frame_ids = itertools.count(1)
+
+#: The legal rates as a set: every frame checks its rate on construction.
+_RATES = frozenset(ALL_RATES_MBPS)
 
 
 def consume_frame_ids(n: int) -> None:
@@ -79,7 +82,7 @@ class FrameJob:
     on_complete: Optional[Callable[["FrameJob", bool, float], None]] = None
     payload: Any = None
     meta: Dict[str, Any] = field(default_factory=dict)
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_frame_ids.__next__)
     enqueued_at: float = 0.0
     attempts: int = 0
     #: True for PoWiFi power traffic. Precomputed from ``kind`` (which never
@@ -90,7 +93,8 @@ class FrameJob:
     def __post_init__(self) -> None:
         if self.mac_bytes <= 0:
             raise ConfigurationError(f"mac_bytes must be > 0, got {self.mac_bytes}")
-        validate_rate(self.rate_mbps)
+        if self.rate_mbps not in _RATES:
+            validate_rate(self.rate_mbps)
         self.is_power = self.kind is FrameKind.POWER
 
     def complete(self, success: bool, time: float) -> None:

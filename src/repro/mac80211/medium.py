@@ -114,11 +114,29 @@ class Medium:
         # traffic mix reuses a handful of combinations millions of times.
         self._airtime_cache: dict = {}
         self._ack_cache: dict = {}
+        # Backoff draw table, shared by every attached station: entry ``a``
+        # is ``(n, n.bit_length())`` with ``n = cw_for_attempt(a) + 1``, up
+        # to the first attempt whose window reaches ``cw_max``.
+        table = []
+        attempt = 0
+        while True:
+            cw = phy.cw_for_attempt(attempt)
+            table.append((cw + 1, (cw + 1).bit_length()))
+            if cw >= phy.cw_max:
+                break
+            attempt += 1
+        self._backoff_table: Tuple[Tuple[int, int], ...] = tuple(table)
         self._busy_until = 0.0
+        #: The pending DCF round (None when none is pending) and the one
+        #: event object every round of this medium re-arms; at most one of
+        #: each of ``dcf_round`` and ``tx_done`` is ever pending.
         self._round_event: Optional[Event] = None
+        self._round_timer: Optional[Event] = None
+        self._tx_done_timer: Optional[Event] = None
         self._round_contenders: List["Station"] = []
-        self._round_started_at = 0.0
         self._observers: List[MediumObserver] = []
+        # A simulator's trace kinds are fixed when it is built.
+        self._trace_tx = sim.trace.wants("mac.tx")
         self.total_busy_time = 0.0
         self.transmission_count = 0
         self.collision_count = 0
@@ -160,6 +178,8 @@ class Medium:
             raise MediumError(f"station {station.name!r} already attached")
         self.stations.append(station)
         station._medium = self
+        station._backoff_table = self._backoff_table
+        station._retry_limit = self.phy.retry_limit
 
     def add_observer(self, observer: MediumObserver) -> None:
         """Subscribe a callback to every :class:`TransmissionRecord`."""
@@ -192,8 +212,10 @@ class Medium:
         self.outage_count += 1
         self._m_outages.inc()
         if self._round_event is not None:
+            # The cancelled event stays on the heap as a tombstone, so the
+            # next round allocates a fresh one.
             self._round_event.cancel()
-            self._round_event = None
+            self._round_event = self._round_timer = None
             self._round_contenders = []
         self.sim.schedule(duration_s, self.notify_ready, name="outage_end")
 
@@ -219,16 +241,20 @@ class Medium:
         for station in contenders:
             remaining = station.backoff_remaining
             if remaining is None:
-                station.ensure_backoff()
-                remaining = station.backoff_remaining
+                remaining = station.ensure_backoff()
             if min_slots is None or remaining < min_slots:
                 min_slots = remaining
         wait = self._difs + min_slots * self._slot_time
         self._round_contenders = contenders
-        self._round_started_at = self.sim.now
-        self._round_event = self.sim.schedule(
-            wait, self._resolve_round, min_slots, name="dcf_round"
-        )
+        sim = self.sim
+        event = self._round_timer
+        if event is None:
+            event = self._round_timer = sim.schedule(
+                wait, self._resolve_round, min_slots, name="dcf_round"
+            )
+        else:
+            sim.rearm(event, wait, min_slots)
+        self._round_event = event
 
     def _resolve_round(self, min_slots: int) -> None:
         self._round_event = None
@@ -243,12 +269,13 @@ class Medium:
         # arrives here with a reset backoff; it re-draws and contends fresh.
         winners = []
         for station in contenders:
-            if station.backoff_remaining is None:
-                station.ensure_backoff()
-            if station.backoff_remaining <= min_slots:
+            remaining = station.backoff_remaining
+            if remaining is None:
+                remaining = station.ensure_backoff()
+            if remaining <= min_slots:
                 winners.append(station)
             else:
-                station.backoff_remaining -= min_slots
+                station.backoff_remaining = remaining - min_slots
         if not winners:
             # All original minimum-backoff stations drained; restart.
             self.notify_ready()
@@ -299,9 +326,8 @@ class Medium:
         if busy is not None:
             busy.append(duration)
             self._airtime_buffer.append(airtime)
-        trace = sim.trace
-        if trace.wants("mac.tx"):
-            trace.emit(
+        if self._trace_tx:
+            sim.trace.emit(
                 start,
                 f"medium:ch{self.channel}",
                 "mac.tx",
@@ -330,10 +356,14 @@ class Medium:
                 channel=self.channel,
                 collided=collided,
             )
-        sim.schedule(
-            duration, self._finish_transmission, pairs, collided, success,
-            busy_span, name="tx_done",
-        )
+        event = self._tx_done_timer
+        if event is None:
+            self._tx_done_timer = sim.schedule(
+                duration, self._finish_transmission, pairs, collided, success,
+                busy_span, name="tx_done",
+            )
+        else:
+            sim.rearm(event, duration, pairs, collided, success, busy_span)
 
     def _finish_transmission(
         self,
@@ -342,11 +372,15 @@ class Medium:
         success: bool,
         busy_span=None,
     ) -> None:
+        sim = self.sim
         if busy_span is not None:
-            self.sim.spans.end(busy_span, sim_end_s=self.sim.now)
+            sim.spans.end(busy_span, sim_end_s=sim._now)
+        delivered = success and not collided
         for station, frame in pairs:
-            station.finish_transmission(frame, success=(success and not collided))
-        self.notify_ready()
+            station.finish_transmission(frame, delivered)
+        # notify_ready, inlined: once per busy period.
+        if self._round_event is None and sim._now >= self._busy_until:
+            self._schedule_round()
 
     # ---------------------------------------------------------------- metrics
 

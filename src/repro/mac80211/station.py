@@ -9,7 +9,7 @@ stations on the same media.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MediumError
 from repro.mac80211.frames import FrameJob, FrameKind
@@ -69,12 +69,17 @@ class Station:
         self.unicast_loss_probability = unicast_loss_probability
         self.backoff_remaining: Optional[int] = None
         self._medium: Optional["Medium"] = None
+        #: The medium's backoff draw table and retry limit, set on attach.
+        self._backoff_table: Optional[Tuple[Tuple[int, int], ...]] = None
+        self._retry_limit = 0
         self._in_flight: Optional[FrameJob] = None
         #: Optional observer fired whenever the in-flight slot flips — the
         #: other half of :attr:`queue_depth` beyond the device queue itself.
         #: Queue-content changes are observable via ``queue.on_change``; a
         #: depth watcher (the injector fast-forward) subscribes to both.
         self.on_depth_change: Optional[callable] = None
+        # A simulator's trace kinds are fixed when it is built.
+        self._trace_drops = sim.trace.wants("mac.drop")
         self.frames_sent = 0
         self.frames_dropped = 0
         self.bytes_sent = 0
@@ -117,9 +122,8 @@ class Station:
         frame.enqueued_at = self.sim._now
         if not self.queue.push(frame):
             self.frames_dropped += 1
-            trace = self.sim.trace
-            if trace.wants("mac.drop"):
-                trace.emit(
+            if self._trace_drops:
+                self.sim.trace.emit(
                     self.sim.now, self.name, "mac.drop",
                     reason="tail_drop", flow=frame.flow,
                 )
@@ -129,26 +133,42 @@ class Station:
             self._medium.notify_ready()
         return True
 
-    def has_pending(self) -> bool:
-        """True when a frame is queued or mid-transmission setup."""
-        return self.queue._size > 0
-
     # ------------------------------------------------------------------- DCF
 
-    def ensure_backoff(self) -> None:
-        """Draw a fresh backoff counter if none is carried over."""
-        if self.backoff_remaining is None:
+    def ensure_backoff(self) -> int:
+        """Draw a fresh backoff counter if none is carried over; returns it."""
+        slots = self.backoff_remaining
+        if slots is None:
+            if self._backoff_table is None:
+                raise MediumError(
+                    f"station {self.name!r} is not attached to a medium"
+                )
             queue = self.queue
             # With no retried frame queued (the common case) the head's
             # attempt count is 0 by construction — skip the round-robin peek.
             if queue._retry_pending and queue._size:
-                attempts = queue.peek().attempts
+                slots = self._draw_backoff(queue.peek().attempts)
             else:
-                attempts = 0
-            cw = self._phy().cw_for_attempt(attempts)
-            self.backoff_remaining = slots = self.backoff_rng.randint(0, cw)
-            if self._backoff_buffer is not None:
-                self._backoff_buffer.append(slots)
+                slots = self._draw_backoff(0)
+        return slots
+
+    def _draw_backoff(self, attempts: int) -> int:
+        """Draw the counter for a frame's ``attempts``-th retry window.
+
+        Exactly ``randint(0, cw_for_attempt(attempts))``: the same rejection
+        loop over ``n.bit_length()`` random bits with ``n = cw + 1``, so the
+        stream advances identically.
+        """
+        table = self._backoff_table
+        n, bits = table[attempts] if attempts < len(table) else table[-1]
+        getrandbits = self.backoff_rng.getrandbits
+        slots = getrandbits(bits)
+        while slots >= n:
+            slots = getrandbits(bits)
+        self.backoff_remaining = slots
+        if self._backoff_buffer is not None:
+            self._backoff_buffer.append(slots)
+        return slots
 
     def begin_transmission(self) -> FrameJob:
         """Called by the medium when this station wins the round.
@@ -174,7 +194,8 @@ class Station:
         self._in_flight = None
         if self.on_depth_change is not None:
             self.on_depth_change()
-        phy = self._phy()
+        if self._backoff_table is None:
+            raise MediumError(f"station {self.name!r} is not attached to a medium")
         if frame.broadcast or success:
             # Broadcast is fire-and-forget: it leaves the MAC regardless of
             # whether it collided; unicast leaves on acknowledgement.
@@ -185,12 +206,12 @@ class Station:
                 frame.on_complete(frame, success, self.sim._now)
             return
         # Failed unicast: retry with doubled contention window, or drop.
-        if frame.attempts > phy.retry_limit:
+        attempts = frame.attempts
+        if attempts > self._retry_limit:
             self.backoff_remaining = None
             self.frames_dropped += 1
-            trace = self.sim.trace
-            if trace.wants("mac.drop"):
-                trace.emit(
+            if self._trace_drops:
+                self.sim.trace.emit(
                     self.sim.now, self.name, "mac.drop",
                     reason="retry_limit", flow=frame.flow,
                 )
@@ -198,15 +219,7 @@ class Station:
             return
         self.retries += 1
         self.queue.push_front(frame)
-        cw = phy.cw_for_attempt(frame.attempts)
-        self.backoff_remaining = slots = self.backoff_rng.randint(0, cw)
-        if self._backoff_buffer is not None:
-            self._backoff_buffer.append(slots)
-
-    def _phy(self):
-        if self._medium is None:
-            raise MediumError(f"station {self.name!r} is not attached to a medium")
-        return self._medium.phy
+        self._draw_backoff(attempts)
 
     # --------------------------------------------------------------- metrics
 

@@ -206,30 +206,30 @@ class DeviceQueue:
         if self.on_change is not None:
             self.on_change()
 
-    def _serving_class(self) -> Optional[str]:
-        """The class the next ``pop`` serves (round robin over backlogged)."""
-        classes = self._classes
-        if len(classes) == 1:
-            for name, q in classes.items():
-                return name if q else None
-        backlogged = [name for name, q in classes.items() if q]
-        if not backlogged:
-            return None
-        return backlogged[self._next_index % len(backlogged)]
-
     def peek(self) -> Optional[FrameJob]:
         """The frame the next ``pop`` would return, or None when empty."""
-        name = self._serving_class()
-        if name is None:
+        if not self._size:
             return None
-        return self._classes[name][0]
+        # pop's class selection: round robin over the backlogged classes.
+        classes = self._classes
+        if len(classes) == 1:
+            (queue,) = classes.values()
+            return queue[0]
+        backlogged = [q for q in classes.values() if q]
+        return backlogged[self._next_index % len(backlogged)][0]
 
     def pop(self) -> Optional[FrameJob]:
         """Remove and return the next frame per the service discipline."""
-        name = self._serving_class()
-        if name is None:
+        if not self._size:
             return None
-        frame = self._classes[name].popleft()
+        # Round robin over the backlogged classes (a single class is a FIFO).
+        classes = self._classes
+        if len(classes) == 1:
+            (queue,) = classes.values()
+            frame = queue.popleft()
+        else:
+            backlogged = [q for q in classes.values() if q]
+            frame = backlogged[self._next_index % len(backlogged)].popleft()
         self._size -= 1
         if getattr(frame, "attempts", 0):
             self._retry_pending -= 1

@@ -31,6 +31,8 @@ import json
 import re
 import time
 from contextlib import contextmanager
+from functools import reduce
+from operator import add
 from typing import (
     Any,
     Dict,
@@ -118,18 +120,16 @@ class Counter(_Instrument):
     def inc_batch(self, amounts: Sequence[float]) -> None:
         """Add each of ``amounts`` in order, as sequential :meth:`inc` calls.
 
-        The additions are replayed left to right rather than summed, so a
-        float total ends bit-identical to the per-event path (``sum()`` is
-        compensated on Python >= 3.12 and would round differently).
+        The additions are replayed left to right (``functools.reduce`` over
+        ``operator.add``) rather than summed, so a float total ends
+        bit-identical to the per-event path (``sum()`` is compensated on
+        Python >= 3.12 and would round differently).
         """
         if amounts and min(amounts) < 0:
             raise ObservabilityError(
                 f"counter {self.name!r} cannot decrease (inc by {min(amounts)})"
             )
-        value = self.value
-        for amount in amounts:
-            value += amount
-        self.value = value
+        self.value = reduce(add, amounts, self.value)
 
     def to_record(self) -> Dict[str, Any]:
         record = self._base_record()
@@ -280,11 +280,9 @@ class Histogram(_Instrument):
         high = max(counts)
         if high > self.max:
             self.max = float(high)
-        # Replayed, not ``sum()``ed: that is compensated on Python >= 3.12.
-        total = self.sum
-        for value in values:
-            total += value
-        self.sum = total
+        # Replayed left to right, not ``sum()``ed: that is compensated on
+        # Python >= 3.12.
+        self.sum = reduce(add, values, self.sum)
         # Admitted samples are the positions where ``_seen % _stride == 0``;
         # take them a slice at a time, decimating whenever the reservoir
         # overflows exactly where the scalar path would.

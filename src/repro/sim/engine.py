@@ -22,7 +22,10 @@ Periodic sources (beacons, injector ticks) use
 :class:`Event` object after each callback return, exactly as if the callback
 had rescheduled itself as its last statement (same sequence-number order,
 same times via the ``t += period`` float recurrence), but without a fresh
-allocation per tick.
+allocation per tick. A component that keeps at most one pending occurrence
+of a one-shot kind (the medium's DCF round and transmission completion)
+puts its dispatched event back with :meth:`Simulator.rearm`, which draws
+the sequence number ``schedule`` would have.
 
 Self-profiling: when observability is on (the default), the dispatcher
 tallies per-callback-name dispatch counts and cumulative wall-clock time,
@@ -69,16 +72,33 @@ TIMING_STRIDE = 64
 _TIMING_MASK = TIMING_STRIDE - 1
 
 
-def _scaled_wall_s(entry: List[float]) -> float:
-    """A profile entry's sampled wall time, scaled to all of its dispatches.
+class KindProfile:
+    """One event kind's profile: exact dispatch count, sampled wall time
+    and the first/last simulation times it dispatched at.
 
-    Each sample stands for ``count / samples`` dispatches, so a kind
-    dispatched fewer than :data:`TIMING_STRIDE` times is scaled by its
-    count rather than by the stride.
+    Every :class:`Event` of a profiling simulator holds its kind's profile
+    from creation, so a dispatch updates it without a lookup by name.
     """
-    count = entry[0]
-    samples = (count + _TIMING_MASK) // TIMING_STRIDE
-    return entry[1] * count / samples if samples else 0.0
+
+    __slots__ = ("count", "wall_s", "first", "last")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.wall_s = 0.0
+        self.first = 0.0
+        self.last = 0.0
+
+    @property
+    def scaled_wall_s(self) -> float:
+        """The sampled wall time, scaled to all of the kind's dispatches.
+
+        Each sample stands for ``count / samples`` dispatches, so a kind
+        dispatched fewer than :data:`TIMING_STRIDE` times is scaled by its
+        count rather than by the stride.
+        """
+        count = self.count
+        samples = (count + _TIMING_MASK) // TIMING_STRIDE
+        return self.wall_s * count / samples if samples else 0.0
 
 
 #: Tombstone-compaction floor: the heap is rebuilt (dropping cancelled
@@ -151,6 +171,7 @@ class SimulatorStats:
         "heap_high_watermark",
         "heap_tombstones",
         "compactions",
+        "_kinds",
         "_profile",
         "_components",
     )
@@ -162,22 +183,28 @@ class SimulatorStats:
         self.heap_high_watermark = 0
         self.heap_tombstones = 0
         self.compactions = 0
-        # name -> [count, sampled_wall_s, sim_first_s, sim_last_s]; one dict
-        # lookup per dispatch keeps the profiled run loop tight.
-        self._profile: Dict[str, List[float]] = {}
+        # Every kind scheduled while profiling, and the dispatched ones in
+        # first-dispatch order (the export order).
+        self._kinds: Dict[str, KindProfile] = {}
+        self._profile: Dict[str, KindProfile] = {}
         self._components: Dict[str, str] = {}
+
+    def _first_dispatch(self, event: "Event", time: float) -> None:
+        """Register ``event``'s kind on its first dispatch."""
+        kind = event.profile
+        kind.first = time
+        self._profile[event.name] = kind
+        self._components[event.name] = _component_of(event.callback)
 
     @property
     def callback_counts(self) -> Dict[str, int]:
         """Dispatch count per event name."""
-        return {name: int(entry[0]) for name, entry in self._profile.items()}
+        return {name: kind.count for name, kind in self._profile.items()}
 
     @property
     def callback_wall_s(self) -> Dict[str, float]:
         """Cumulative wall-clock seconds per event name."""
-        return {
-            name: _scaled_wall_s(entry) for name, entry in self._profile.items()
-        }
+        return {name: kind.scaled_wall_s for name, kind in self._profile.items()}
 
     @property
     def callback_components(self) -> Dict[str, str]:
@@ -187,20 +214,18 @@ class SimulatorStats:
     @property
     def callback_sim_bounds(self) -> Dict[str, List[float]]:
         """``[first, last]`` dispatch sim-times per event name."""
-        return {
-            name: [entry[2], entry[3]] for name, entry in self._profile.items()
-        }
+        return {name: [kind.first, kind.last] for name, kind in self._profile.items()}
 
     @property
     def total_wall_s(self) -> float:
         """Wall-clock seconds spent inside callbacks."""
-        return sum(_scaled_wall_s(entry) for entry in self._profile.values())
+        return sum(kind.scaled_wall_s for kind in self._profile.values())
 
     def hot_callbacks(self, limit: int = 10) -> List[Tuple[str, int, float]]:
         """``(name, count, wall_s)`` rows, costliest first."""
         rows = [
-            (name, int(entry[0]), _scaled_wall_s(entry))
-            for name, entry in self._profile.items()
+            (name, kind.count, kind.scaled_wall_s)
+            for name, kind in self._profile.items()
         ]
         rows.sort(key=lambda row: row[2], reverse=True)
         return rows[:limit]
@@ -259,7 +284,7 @@ class Event:
 
     __slots__ = (
         "time", "seq", "callback", "args", "cancelled", "name", "stats",
-        "period", "heaped",
+        "period", "heaped", "profile",
     )
 
     def __init__(
@@ -281,6 +306,14 @@ class Event:
         self.stats = stats
         self.period = period
         self.heaped = False
+        #: The kind's :class:`KindProfile` when the simulator profiles.
+        self.profile: Optional[KindProfile] = None
+        if stats is not None and stats.profiling:
+            kinds = stats._kinds
+            profile = kinds.get(self.name)
+            if profile is None:
+                profile = kinds[self.name] = KindProfile()
+            self.profile = profile
 
     def cancel(self) -> None:
         """Mark the event so the dispatcher skips it."""
@@ -404,15 +437,14 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
         Body duplicates :meth:`schedule_at` rather than forwarding to it:
-        this is the hottest scheduling entry point (one call per DCF round
-        and per transmission completion), and the extra call frame is
-        measurable at millions of events.
+        this is a hot scheduling entry point (traffic sources, TCP timers),
+        and the extra call frame is measurable at millions of events.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
         time = self._now + delay
         stats = self.stats
-        event = Event(time, next(self._seq), callback, args, name=name, stats=stats)
+        event = Event(time, next(self._seq), callback, args, name, stats)
         event.heaped = True
         heap = self._heap
         if (
@@ -439,7 +471,7 @@ class Simulator:
                 f"cannot schedule into the past: t={time!r} < now={self._now!r}"
             )
         stats = self.stats
-        event = Event(time, next(self._seq), callback, args, name=name, stats=stats)
+        event = Event(time, next(self._seq), callback, args, name, stats)
         event.heaped = True
         heap = self._heap
         if (
@@ -449,6 +481,42 @@ class Simulator:
             self._compact()
             heap = self._heap
         heapq.heappush(heap, (time, event.seq, event))
+        if len(heap) > stats.heap_high_watermark:
+            stats.heap_high_watermark = len(heap)
+        return event
+
+    def rearm(self, event: Event, delay: float, *args: Any) -> Event:
+        """Put the dispatched one-shot ``event`` back on the heap ``delay``
+        seconds from now, to call its callback with ``args``.
+
+        Equivalent to ``schedule(delay, event.callback, *args,
+        name=event.name)`` — the same fresh sequence number, compaction
+        check and high-water mark — without allocating a new
+        :class:`Event`. A component that keeps at most one pending
+        occurrence of a kind (the medium's ``dcf_round`` and ``tx_done``)
+        reuses one object for it. The event must have been dispatched:
+        re-arming a pending, cancelled or periodic event raises.
+        """
+        if event.heaped or event.cancelled or event.period is not None:
+            raise SimulationError(
+                f"can only re-arm a dispatched one-shot event, not {event!r}"
+            )
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past: delay={delay!r}")
+        time = self._now + delay
+        event.time = time
+        event.seq = seq = next(self._seq)
+        event.args = args
+        event.heaped = True
+        stats = self.stats
+        heap = self._heap
+        if (
+            stats.heap_tombstones >= COMPACT_MIN_TOMBSTONES
+            and stats.heap_tombstones * 2 >= len(heap)
+        ):
+            self._compact()
+            heap = self._heap
+        heapq.heappush(heap, (time, seq, event))
         if len(heap) > stats.heap_high_watermark:
             stats.heap_high_watermark = len(heap)
         return event
@@ -510,7 +578,6 @@ class Simulator:
         dispatched_this_run = 0
         stats = self.stats
         profiling = stats.profiling
-        profile = stats._profile
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush
@@ -541,24 +608,18 @@ class Simulator:
                 if self.on_event is not None:
                     self.on_event(event)
                 if profiling:
-                    try:
-                        entry = profile[event.name]
-                    except KeyError:
-                        entry = profile[event.name] = [
-                            0, 0.0, time, time,
-                        ]
-                        stats._components[event.name] = _component_of(
-                            event.callback
-                        )
-                    count = entry[0]
+                    kind = event.profile
+                    count = kind.count
                     if count & mask:
                         event.callback(*event.args)
                     else:
+                        if not count:
+                            stats._first_dispatch(event, time)
                         started = clock()
                         event.callback(*event.args)
-                        entry[1] += clock() - started
-                    entry[0] = count + 1
-                    entry[3] = time
+                        kind.wall_s += clock() - started
+                    kind.count = count + 1
+                    kind.last = time
                 else:
                     event.callback(*event.args)
                 period = event.period

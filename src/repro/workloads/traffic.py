@@ -37,8 +37,10 @@ DEFAULT_RATE_MIX: Tuple[Tuple[float, float], ...] = (
 )
 
 
-def _weighted_choice(rng: random.Random, mix: Sequence[Tuple[float, float]]) -> float:
-    total = sum(w for _, w in mix)
+def _weighted_choice(
+    rng: random.Random, mix: Sequence[Tuple[float, float]], total: float
+) -> float:
+    """Draw a value of ``mix``; ``total`` is ``sum(w for _, w in mix)``."""
     x = rng.random() * total
     for value, weight in mix:
         x -= weight
@@ -79,6 +81,9 @@ class PoissonFrameSource:
         self.rng = rng
         self.size_mix = tuple(size_mix)
         self.rate_mix = tuple(rate_mix)
+        # The weight totals every draw scales by, summed once.
+        self._size_total = sum(w for _, w in self.size_mix)
+        self._rate_total = sum(w for _, w in self.rate_mix)
         self.frames_generated = 0
         self._running = False
         self._timer: Optional[Event] = None
@@ -117,13 +122,19 @@ class PoissonFrameSource:
         if not self._running or self._mean_gap == float("inf"):
             return
         gap = self.rng.expovariate(1.0 / self._mean_gap)
-        self._timer = self.sim.schedule(gap, self._emit, name="bg_frame")
+        timer = self._timer
+        if timer is None:
+            self._timer = self.sim.schedule(gap, self._emit, name="bg_frame")
+        else:
+            # Called from the dispatched timer's own _emit: re-arm it.
+            self.sim.rearm(timer, gap)
 
     def _emit(self) -> None:
         if not self._running:
             return
-        size = int(_weighted_choice(self.rng, self.size_mix))
-        rate = _weighted_choice(self.rng, self.rate_mix)
+        rng = self.rng
+        size = int(_weighted_choice(rng, self.size_mix, self._size_total))
+        rate = _weighted_choice(rng, self.rate_mix, self._rate_total)
         frame = FrameJob(
             mac_bytes=size,
             rate_mbps=rate,
@@ -171,13 +182,17 @@ class BurstyFrameSource(PoissonFrameSource):
         if not self._running:
             return
         # Geometric burst length with the configured mean.
+        rng = self.rng
         p = 1.0 / self.mean_burst_frames
         length = 1
-        while self.rng.random() > p and length < 100:
+        while rng.random() > p and length < 100:
             length += 1
+        size_mix, size_total = self.size_mix, self._size_total
+        rate_mix, rate_total = self.rate_mix, self._rate_total
+        enqueue = self.station.enqueue
         for _ in range(length):
-            size = int(_weighted_choice(self.rng, self.size_mix))
-            rate = _weighted_choice(self.rng, self.rate_mix)
+            size = int(_weighted_choice(rng, size_mix, size_total))
+            rate = _weighted_choice(rng, rate_mix, rate_total)
             frame = FrameJob(
                 mac_bytes=size,
                 rate_mbps=rate,
@@ -185,6 +200,6 @@ class BurstyFrameSource(PoissonFrameSource):
                 broadcast=True,
                 flow="background",
             )
-            self.station.enqueue(frame)
-            self.frames_generated += 1
+            enqueue(frame)
+        self.frames_generated += length
         self._schedule_next()

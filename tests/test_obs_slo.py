@@ -57,8 +57,11 @@ class TestObjectiveValidation:
 
     @pytest.mark.parametrize("bad_id", ["Nope", "single", "a.B.c", "", "a..b"])
     def test_bad_ids_rejected(self, bad_id):
+        # The literal id reaches objective() through the spec loader: PW006
+        # holds every objective() call site to a well-formed literal id.
+        data = spec_data(objectives=[{"id": bad_id, "metric": "client.demo.value"}])
         with pytest.raises(ObservabilityError, match="bad objective id"):
-            objective(bad_id, "client.demo.value")
+            parse_spec(data)
 
     @pytest.mark.parametrize(
         "bad_metric",
