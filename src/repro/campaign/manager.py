@@ -1,6 +1,13 @@
 """The campaign manager: run a journaled grid to completion, survivably.
 
-:func:`run_campaign` is ``run_all``'s hardening promoted to campaign scope:
+:func:`dispatch` is the one scheduler behind both entry points that
+produce numbers: :func:`run_campaign` below and
+:func:`repro.runner.core.run_all`. It owns the interrupt guard, the
+ready-time queue, submission bounded to the worker count, the deadline
+watchdog, seeded-backoff retries and the pool rebuild; each caller supplies
+only its policy as :class:`DispatchHooks`.
+
+:func:`run_campaign` drives it over a campaign grid:
 
 1. **Expand** the spec into content-addressed points and **fold** the
    journal — points already done (or quarantined) in a previous generation
@@ -8,9 +15,9 @@
 2. **Probe** the result cache: any point whose key is stored replays
    without execution (``run_missing`` semantics — after a ``kill -9`` the
    only re-executed work is what never finished an append).
-3. **Dispatch** the rest through a worker pool under *leases*: every
-   attempt journals ``point.lease`` before it runs, the manager journals
-   ``point.heartbeat`` for in-flight leases on a fixed cadence, and a
+3. **Dispatch** the rest under *leases*: every attempt journals
+   ``point.lease`` before it runs, the manager journals
+   ``point.heartbeat`` for in-flight leases on a fixed cadence, and the
    watchdog reclaims leases that outlive ``task_timeout_s`` (or that the
    ``campaign.lease.expire`` fault expired at grant time).
 4. **Retry** failures with deterministic :mod:`repro.runner.backoff`
@@ -29,13 +36,14 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.campaign.journal import (
     JOURNAL_FILENAME,
@@ -50,8 +58,10 @@ from repro.obs import runtime as obs_runtime
 from repro.obs import slo as slo_mod
 from repro.runner.backoff import backoff_s
 from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, code_fingerprint
-from repro.runner.core import ProgressFn, _InterruptGuard, _POLL_INTERVAL_S
 from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
+
+#: Progress callback type: receives one formatted line per event.
+ProgressFn = Callable[[str], None]
 
 #: Bump on any breaking change to the campaign manifest layout.
 MANIFEST_SCHEMA_VERSION = 1
@@ -61,6 +71,471 @@ MANIFEST_FILENAME = "campaign_manifest.json"
 
 #: Default seconds between heartbeat appends for in-flight leases.
 DEFAULT_HEARTBEAT_S = 2.0
+
+#: How often the dispatch loop wakes to run the watchdog when nothing
+#: completes (seconds). Completions interrupt the wait immediately.
+_POLL_INTERVAL_S = 0.25
+
+#: Deadline of a lease born expired: the next watchdog pass reclaims it.
+_EXPIRED = float("-inf")
+
+
+class _InterruptGuard:
+    """Flag-based SIGINT/SIGTERM handling for graceful degradation.
+
+    The first signal sets :attr:`triggered`; the run loop notices, stops
+    submitting, and unwinds to flush a partial manifest. A second signal
+    raises ``KeyboardInterrupt`` so an operator can still abort hard.
+    Installation is skipped silently off the main thread (``signal.signal``
+    refuses there), which keeps the loop usable from test harnesses and
+    embedding code.
+    """
+
+    _SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+    def __init__(self) -> None:
+        self.triggered = False
+        self._previous: Dict[int, Any] = {}
+        self._pid = os.getpid()
+
+    def _handle(self, signum: int, frame: Any) -> None:
+        if os.getpid() != self._pid:
+            # A forked pool worker inherited this handler; restore the
+            # default disposition and re-deliver so the worker dies
+            # silently instead of spraying a KeyboardInterrupt traceback
+            # when the parent terminates its pool.
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        if self.triggered:
+            raise KeyboardInterrupt
+        self.triggered = True
+
+    def __enter__(self) -> "_InterruptGuard":
+        for signum in self._SIGNALS:
+            try:
+                self._previous[signum] = signal.signal(signum, self._handle)
+            except ValueError:  # not the main thread
+                break
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        for signum, previous in self._previous.items():
+            try:
+                signal.signal(signum, previous)
+            except ValueError:
+                pass
+
+
+@dataclass(eq=False)
+class Dispatch:
+    """One schedulable unit's bookkeeping: a run-all part or a campaign point."""
+
+    #: The driver call; faults, attempt and telemetry are set per attempt.
+    task: TaskSpec
+    #: Content-addressed cache key.
+    key: str
+    #: Part name on the live board.
+    part_label: str
+    #: One-shot directives: the first attempt carries them, retries run clean.
+    faults: Tuple[FaultDirective, ...] = ()
+    #: Directives that re-arm on every attempt (a poisoned point).
+    sticky_faults: Tuple[FaultDirective, ...] = ()
+    #: One-shot: the next attempt's deadline is born expired.
+    expire_lease: bool = False
+    attempts: int = 0
+    #: Whether any attempt tripped the watchdog.
+    timed_out: bool = False
+    #: Final failure (``error`` / ``timeout`` / ``lease_expired`` /
+    #: ``pool_broken`` / ``interrupted``); ``None`` unless the unit failed.
+    failure_kind: Optional[str] = None
+    error: Optional[str] = None
+    #: ``perf_counter`` timestamp before which a retry must not re-submit
+    #: (seeded backoff; 0.0 = immediately eligible).
+    ready_at: float = 0.0
+
+    @property
+    def label(self) -> str:
+        """``experiment:part_label``, which fault plans, backoff draws and
+        progress lines use."""
+        return f"{self.task.experiment_id}:{self.part_label}"
+
+
+def _ignore(*args: Any) -> None:
+    return None
+
+
+@dataclass
+class DispatchHooks:
+    """A caller's policy around :func:`dispatch`."""
+
+    #: ``task`` or ``point``: the unit named in progress lines.
+    noun: str
+    #: A successful attempt's outcome.
+    done: Callable[[Dispatch, TaskOutcome], None]
+    #: The unit spent its attempt budget (``failure_kind``/``error`` set).
+    failed: Callable[[Dispatch], None]
+    #: The watchdog reclaims an attempt of ``kind`` (``timeout`` or
+    #: ``lease_expired``); emits its progress line, returns the message.
+    reclaim: Callable[[Dispatch, str], str]
+    #: An attempt is charged, before it is submitted.
+    attempt: Callable[[Dispatch], None] = _ignore
+    #: A failed attempt is requeued: ``(state, kind, message, delay_s)``.
+    retry: Callable[[Dispatch, str, str, float], None] = _ignore
+    #: Once per loop pass, with the units still in flight.
+    tick: Callable[[List[Dispatch]], None] = _ignore
+
+
+def bind_faults(
+    fault_plan: Optional[FaultPlan], labels: List[str]
+) -> Tuple[Dict[str, Tuple[FaultDirective, ...]], List[Dict[str, Any]]]:
+    """Bind a plan's directives to ``labels``: the assignment, one event each."""
+    if fault_plan is None:
+        return {}, []
+    assignment = fault_plan.assign(labels)
+    events = [
+        {"point": directive.point, "task": label, "param": directive.param}
+        for label in sorted(assignment)
+        for directive in assignment[label]
+    ]
+    return assignment, events
+
+
+def worker_count(jobs: Optional[int], pending: int) -> int:
+    """Workers for ``pending`` units: ``jobs`` (default: CPUs), at most one per unit."""
+    requested = jobs if jobs is not None else (os.cpu_count() or 1)
+    return max(1, min(requested, max(pending, 1)))
+
+
+def _run_inline(spec: TaskSpec, root_id: Optional[str]) -> Future:
+    """``jobs=1``'s synchronous submit: run one attempt here, return it done.
+
+    The ambient recorders capture the driver directly, so the task span
+    lives on this process's recorder and engine work is attributed by
+    diffing the tracked-simulator list. The outcome is round-tripped through
+    pickle like a pool worker's: the result hash is over pickle bytes, and a
+    part that shares objects with another part (fig 6c's scheme parts share
+    site-name strings) must hash as the pool's independently unpickled
+    copy does.
+    """
+    spans = obs_runtime.get_spans()
+    sims_before = len(obs_runtime.simulator_stats())
+    task_span = spans.begin(
+        "runner.task",
+        parent_id=root_id,
+        experiment=spec.experiment_id,
+        part=spec.part,
+        attempt=spec.attempt,
+    )
+    future: Future = Future()
+    try:
+        outcome = pickle.loads(
+            pickle.dumps(execute_task(spec), protocol=pickle.HIGHEST_PROTOCOL)
+        )
+    except Exception as exc:
+        spans.end(task_span, status="error")
+        future.set_exception(exc)
+        return future
+    spans.end(task_span)
+    outcome.engine = obs_runtime.aggregate_engine_stats(
+        obs_runtime.simulator_stats()[sims_before:]
+    )
+    future.set_result(outcome)
+    return future
+
+
+def _shutdown_pool(pool: Any, terminate: bool) -> None:
+    """Shut a pool down without waiting; optionally kill its workers."""
+    # Snapshot the worker processes BEFORE shutdown: the executor nulls out
+    # ``_processes`` as part of shutdown, and an unterminated hung worker
+    # would block interpreter exit (atexit joins the management thread).
+    stale = list((getattr(pool, "_processes", None) or {}).values())
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:
+        pass
+    if terminate:
+        for proc in stale:
+            # Private attr, hence best-effort: without it a hung worker
+            # lingers until process exit, which is survivable.
+            try:
+                proc.terminate()
+            except Exception:
+                pass
+
+
+def _pop_ready(queue: Deque[Dispatch]) -> Optional[Dispatch]:
+    """FIFO among eligible units; a backing-off retry parks in place."""
+    now = time.perf_counter()
+    for index, state in enumerate(queue):
+        if state.ready_at <= now:
+            del queue[index]
+            return state
+    return None
+
+
+def dispatch(
+    states: List[Dispatch],
+    hooks: DispatchHooks,
+    *,
+    jobs: int,
+    seed: int,
+    retries: int,
+    task_timeout_s: Optional[float],
+    root_span: Any,
+    emit: ProgressFn,
+    live_sink: Optional[Any] = None,
+    live_channel: Optional[Any] = None,
+) -> bool:
+    """Run ``states`` to completion on ``jobs`` workers.
+
+    Returns whether SIGINT/SIGTERM cut the run short; unfinished units are
+    then marked ``interrupted``. ``jobs=1`` runs each attempt in this
+    process at submit time (:func:`_run_inline`) and is otherwise the same
+    loop: a single thread cannot preempt its own driver call, so the
+    ``task_timeout_s`` watchdog only acts on pool workers.
+
+    Pool tasks ship a :class:`SpanContext`, so a worker mirrors this
+    process's observability mode and mints span ids under a per-task
+    prefix. Submission is bounded to the worker count, so a task's submit
+    time approximates its start time; the watchdog deadline runs from it.
+    A pool task that fails gets a synthesized error-status ``runner.task``
+    span: the worker's own spans died with it. ``live_channel`` carries
+    pool workers' ``running`` transitions into ``live_sink``; the loop
+    drains it every pass and closes it on the way out.
+    """
+    registry = obs_runtime.get_registry()
+    spans = obs_runtime.get_spans()
+    root_id = root_span.span_id if spans.enabled else None
+    max_attempts = retries + 1
+    queue: Deque[Dispatch] = deque(states)
+    in_flight: Dict[Future, Dispatch] = {}
+    deadlines: Dict[Future, float] = {}  # future -> submit time
+    pool: Optional[Any] = None
+    submitted = 0
+    completed = 0
+
+    def _live(state: Dispatch, part_state: str, **fields: Any) -> None:
+        if live_sink is not None:
+            live_sink.part_state(
+                state.task.experiment_id, state.part_label, part_state, **fields
+            )
+
+    def _pool() -> Any:
+        nonlocal pool
+        if pool is None:
+            pool = ProcessPoolExecutor(max_workers=jobs)
+        return pool
+
+    def _rebuild(requeued: int) -> None:
+        nonlocal pool
+        registry.counter("runner.pool.rebuilds").inc()
+        emit(
+            f"[pool] rebuilding worker pool ({requeued} {hooks.noun}(s) requeued)"
+        )
+        _shutdown_pool(pool, terminate=True)
+        pool = None
+
+    def _submit(state: Dispatch) -> None:
+        nonlocal submitted
+        submitted += 1
+        state.attempts += 1
+        hooks.attempt(state)
+        spec = replace(
+            state.task,
+            faults=state.faults + state.sticky_faults,
+            attempt=state.attempts,
+        )
+        if jobs == 1:
+            _live(state, "running", attempt=state.attempts)
+            future = _run_inline(spec, root_id)
+        else:
+            spec = replace(
+                spec,
+                obs=SpanContext(
+                    root_id=root_id,
+                    prefix=f"t{submitted:02d}.",
+                    obs_enabled=obs_runtime.enabled(),
+                    span_detail=spans.detail,
+                ),
+                live=live_channel.publisher() if live_channel is not None else None,
+            )
+            try:
+                future = _pool().submit(execute_task, spec)
+            except BrokenProcessPool:
+                _rebuild(requeued=0)
+                future = _pool().submit(execute_task, spec)
+            _live(state, "submitted", attempt=state.attempts)
+        in_flight[future] = state
+        deadlines[future] = _EXPIRED if state.expire_lease else time.perf_counter()
+        state.expire_lease = False
+
+    def _fail(state: Dispatch, kind: str, message: str) -> None:
+        """Route one failed attempt: requeue it after backoff, or give up."""
+        if jobs > 1:
+            synth = spans.begin(
+                "runner.task",
+                parent_id=root_id,
+                experiment=state.task.experiment_id,
+                part=state.task.part,
+                attempt=state.attempts,
+                synthesized=True,
+            )
+            spans.end(synth, status="error", failure=kind)
+        experiment = state.task.experiment_id
+        if state.attempts < max_attempts:
+            delay_s = backoff_s(seed, state.label, state.attempts)
+            state.ready_at = time.perf_counter() + delay_s
+            state.faults = ()
+            hooks.retry(state, kind, message, delay_s)
+            _live(
+                state,
+                "retrying",
+                attempt=state.attempts,
+                kind=kind,
+                backoff_s=round(delay_s, 4),
+            )
+            registry.counter("runner.parts.retried", experiment=experiment).inc()
+            registry.histogram(
+                "runner.retry.backoff_s", experiment=experiment
+            ).observe(delay_s)
+            emit(
+                f"[retry] {state.label} attempt {state.attempts}/{max_attempts} "
+                f"failed ({kind}: {message}); requeueing in {delay_s:.3f}s"
+            )
+            queue.append(state)
+            return
+        state.failure_kind = kind
+        state.error = message
+        registry.counter("runner.parts.failed", experiment=experiment).inc()
+        hooks.failed(state)
+
+    def _drain_live() -> None:
+        if live_channel is not None:
+            for record in live_channel.drain():
+                live_sink.ingest(record)
+
+    with _InterruptGuard() as guard:
+        try:
+            while (queue or in_flight) and not guard.triggered:
+                while queue and len(in_flight) < jobs and not guard.triggered:
+                    state = _pop_ready(queue)
+                    if state is None:
+                        break
+                    _submit(state)
+                if not in_flight:
+                    # Everything pending is backing off; wait() would
+                    # return instantly on an empty set and spin.
+                    ready_in = min(s.ready_at for s in queue) - time.perf_counter()
+                    time.sleep(min(_POLL_INTERVAL_S, max(ready_in, 0.0)))
+                    continue
+                done, _ = wait(
+                    set(in_flight),
+                    timeout=_POLL_INTERVAL_S,
+                    return_when=FIRST_COMPLETED,
+                )
+                _drain_live()
+                broken = False
+                for future in done:
+                    state = in_flight.pop(future)
+                    if deadlines.pop(future) == _EXPIRED:
+                        # The lease was reclaimed before the result landed:
+                        # the attempt is charged and retried even though it
+                        # finished — a zombie lease-holder racing its
+                        # watchdog.
+                        _fail(state, "lease_expired", "injected lease expiry")
+                        continue
+                    try:
+                        outcome = future.result()
+                    except BrokenProcessPool as exc:
+                        broken = True
+                        _fail(
+                            state,
+                            "pool_broken",
+                            f"worker process died mid-{hooks.noun} "
+                            f"({type(exc).__name__})",
+                        )
+                    except Exception as exc:
+                        _fail(state, "error", f"{type(exc).__name__}: {exc}")
+                    else:
+                        completed += 1
+                        spans.adopt(outcome.spans)
+                        hooks.done(state, outcome)
+                        _live(
+                            state,
+                            "done",
+                            wall_s=round(outcome.wall_s, 3),
+                            attempt=state.attempts,
+                        )
+                        emit(
+                            f"[{hooks.noun} {completed}/{len(states)}] "
+                            f"{state.label} {outcome.wall_s:.2f}s"
+                            + (
+                                f" (attempt {state.attempts})"
+                                if state.attempts > 1
+                                else ""
+                            )
+                        )
+                hooks.tick(list(in_flight.values()))
+                now = time.perf_counter()
+                overdue = [
+                    future
+                    for future, submitted_at in deadlines.items()
+                    if submitted_at == _EXPIRED
+                    or (
+                        task_timeout_s is not None
+                        and now - submitted_at > task_timeout_s
+                    )
+                ]
+                if broken or overdue:
+                    # The pool is unusable (broken) or harbouring a hung
+                    # worker (overdue): charge the culprits, requeue the
+                    # innocents uncharged, and start a fresh pool.
+                    for future in overdue:
+                        state = in_flight.pop(future)
+                        if deadlines.pop(future) == _EXPIRED:
+                            kind = "lease_expired"
+                        else:
+                            kind = "timeout"
+                            state.timed_out = True
+                        _fail(state, kind, hooks.reclaim(state, kind))
+                    for state in in_flight.values():
+                        if broken:
+                            # A broken pool reports the same exception for
+                            # every in-flight future; charge them all
+                            # rather than guess the culprit.
+                            _fail(
+                                state,
+                                "pool_broken",
+                                f"worker pool broke while {hooks.noun} "
+                                "was in flight",
+                            )
+                        else:
+                            # Innocent victim of a watchdog rebuild: the
+                            # attempt never ran to completion through no
+                            # fault of its own, so it is not charged.
+                            state.attempts -= 1
+                            queue.append(state)
+                    requeued = len(in_flight)
+                    in_flight.clear()
+                    deadlines.clear()
+                    _rebuild(requeued)
+        finally:
+            _drain_live()
+            if live_channel is not None:
+                live_channel.close()
+            if pool is not None:
+                _shutdown_pool(pool, terminate=guard.triggered)
+        interrupted = guard.triggered
+
+    if interrupted:
+        unfinished = set(queue) | set(in_flight.values())
+        for state in states:
+            if state in unfinished:
+                state.failure_kind = "interrupted"
+                state.error = "interrupted before completion"
+                _live(state, "interrupted")
+    return interrupted
 
 
 @dataclass
@@ -119,35 +594,6 @@ class CampaignResult:
     def ok(self) -> bool:
         """Campaign completed (quarantined points degrade, not fail)."""
         return not self.interrupted
-
-
-@dataclass
-class _PointState:
-    """Mutable dispatch bookkeeping for one point."""
-
-    point: CampaignPoint
-    #: Directives that ride into the worker (worker.* one-shot + poison).
-    worker_faults: Tuple[FaultDirective, ...] = ()
-    #: Poison re-arms on every retry instead of stripping.
-    poisoned: bool = False
-    #: One-shot: the first granted lease is born expired.
-    expire_lease: bool = False
-    #: One-shot: tear the journal append of the first lease.
-    corrupt_journal: bool = False
-    attempts: int = 0
-    ready_at: float = 0.0
-    lease: Optional[str] = None
-    failure: Optional[str] = None
-
-
-def _point_faults(
-    state: _PointState,
-) -> Tuple[FaultDirective, ...]:
-    """The directives this attempt carries into ``execute_task``."""
-    faults = state.worker_faults
-    if state.poisoned:
-        faults = faults + (FaultDirective(point="campaign.point.poison"),)
-    return faults
 
 
 def build_manifest(
@@ -236,10 +682,8 @@ def run_campaign(
     """
     started = time.perf_counter()
     emit = progress or (lambda line: None)
-    registry = obs_runtime.get_registry()
     spans = obs_runtime.get_spans()
     retries = max(0, int(retries))
-    max_attempts = retries + 1
 
     fingerprint = code_fingerprint()
     points = spec.expand(fingerprint)
@@ -276,19 +720,7 @@ def run_campaign(
     # Bind fault directives to point labels (seed-qualified, so a count=1
     # spec poisons exactly one replicate). Campaign-infra points configure
     # the manager; worker points ride into execute_task as usual.
-    fault_events: List[Dict[str, Any]] = []
-    assignment: Dict[str, Tuple[FaultDirective, ...]] = {}
-    if fault_plan is not None:
-        assignment = fault_plan.assign([p.label for p in points])
-        for label in sorted(assignment):
-            for directive in assignment[label]:
-                fault_events.append(
-                    {
-                        "point": directive.point,
-                        "task": label,
-                        "param": directive.param,
-                    }
-                )
+    assignment, fault_events = bind_faults(fault_plan, [p.label for p in points])
 
     journal.append(
         "campaign.open",
@@ -313,22 +745,19 @@ def run_campaign(
         emit(f"[slo] skipping default specs: {exc}")
 
     outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
-    pending: List[_PointState] = []
+    pending: List[Dispatch] = []
+    point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
+    torn: Set[str] = set()  # keys whose next lease append is torn
 
     def _finish(
-        state_or_point: Any,
+        point: CampaignPoint,
         result: Any,
         *,
         cached: bool,
         replayed: bool,
         wall_s: float,
         attempts: int,
-    ) -> PointOutcome:
-        point = (
-            state_or_point.point
-            if isinstance(state_or_point, _PointState)
-            else state_or_point
-        )
+    ) -> None:
         sha = hashlib.sha256(
             pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         ).hexdigest()
@@ -337,7 +766,7 @@ def run_campaign(
             slo_specs_by_experiment.get(point.experiment, []),
             {point.experiment: domain},
         )
-        outcome = PointOutcome(
+        outcomes[point.key] = PointOutcome(
             point=point,
             status="ok",
             cached=cached,
@@ -348,19 +777,16 @@ def run_campaign(
             domain=domain,
             slo_rows=slo_rows,
         )
-        outcomes[point.key] = outcome
-        return outcome
 
     def _quarantine_point(point: CampaignPoint, attempts: int, error: str,
-                          replayed: bool = False) -> PointOutcome:
-        outcome = PointOutcome(
+                          replayed: bool = False) -> None:
+        outcomes[point.key] = PointOutcome(
             point=point,
             status="quarantined",
             replayed=replayed,
             attempts=attempts,
             error=error,
         )
-        outcomes[point.key] = outcome
         if not replayed:
             journal.append(
                 "point.quarantined",
@@ -369,7 +795,6 @@ def run_campaign(
                 attempts=attempts,
                 error=error,
             )
-            registry.counter("campaign.points.quarantined").inc()
             emit(
                 f"[quarantine] {point.label} after {attempts} attempt(s): "
                 f"{error}"
@@ -381,7 +806,6 @@ def run_campaign(
                 "quarantined",
                 error=error,
             )
-        return outcome
 
     # ---------------------------------------------------------------- probe
     for point in points:
@@ -440,21 +864,31 @@ def run_campaign(
                         wall_s=0.0,
                         attempt=0,
                     )
-                registry.counter("campaign.points.cached").inc()
                 continue
+        if corrupt_journal:
+            torn.add(point.key)
         pending.append(
-            _PointState(
-                point=point,
-                worker_faults=worker_faults,
-                poisoned=poisoned,
+            Dispatch(
+                task=TaskSpec(
+                    experiment_id=point.experiment,
+                    part=point.part,
+                    target=point.target,
+                    kwargs=dict(point.kwargs),
+                    seed=point.seed,
+                ),
+                key=point.key,
+                part_label=point.part_label,
+                faults=worker_faults,
+                sticky_faults=(
+                    (FaultDirective(point="campaign.point.poison"),)
+                    if poisoned
+                    else ()
+                ),
                 expire_lease=expire_lease,
-                corrupt_journal=corrupt_journal,
             )
         )
 
-    total_tasks = len(pending)
-    effective_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    effective_jobs = max(1, min(effective_jobs, max(total_tasks, 1)))
+    effective_jobs = worker_count(jobs, len(pending))
 
     if live_sink is not None:
         live_sink.emit(
@@ -462,7 +896,7 @@ def run_campaign(
             ids=sorted({p.experiment for p in points}),
             campaign=spec.name,
             experiments=len({p.experiment for p in points}),
-            tasks=total_tasks,
+            tasks=len(pending),
             jobs=effective_jobs,
             seed=seed,
             retries=retries,
@@ -473,378 +907,132 @@ def run_campaign(
                 live_sink.part_state(point.experiment, point.part_label, "cached")
         for state in pending:
             live_sink.part_state(
-                state.point.experiment, state.point.part_label, "queued"
+                state.task.experiment_id, state.part_label, "queued"
             )
         for event in fault_events:
             live_sink.emit("fault", **event)
 
-    lease_counter = 0
-    completed = 0
+    generation = prior.generations + 1
+    leases: Dict[str, str] = {}  # key -> current lease id
+    granted = 0
+    last_heartbeat = time.perf_counter()
 
-    def _grant_lease(state: _PointState) -> None:
-        """Charge one attempt and journal its lease."""
-        nonlocal lease_counter
-        lease_counter += 1
-        state.attempts += 1
-        state.lease = f"g{prior.generations + 1}-l{lease_counter}"
-        if state.corrupt_journal:
+    def _grant_lease(state: Dispatch) -> None:
+        """Journal the lease of the attempt just charged."""
+        nonlocal granted
+        granted += 1
+        lease = leases[state.key] = f"g{generation}-l{granted}"
+        if state.key in torn:
             # One-shot: tear this lease's append exactly like a kill -9.
             from repro.faults import runtime as faults_runtime
 
             faults_runtime.arm("campaign.journal.corrupt")
-            state.corrupt_journal = False
+            torn.discard(state.key)
         journal.append(
             "point.lease",
-            point=state.point.point_id,
-            key=state.point.key,
-            lease=state.lease,
+            point=point_of[state.key].point_id,
+            key=state.key,
+            lease=lease,
             attempt=state.attempts,
         )
-        registry.counter("campaign.leases.granted").inc()
 
-    def _fail_or_retry(state: _PointState, kind: str, message: str,
-                       queue: Deque[_PointState]) -> None:
-        """Seeded-backoff retry while attempts remain, else quarantine."""
-        if state.attempts < max_attempts:
-            delay_s = backoff_s(seed, state.point.label, state.attempts)
-            state.ready_at = time.perf_counter() + delay_s
-            # Worker faults are one-shot; poison re-arms by staying set.
-            state.worker_faults = ()
-            journal.append(
-                "point.retry",
-                point=state.point.point_id,
-                key=state.point.key,
-                attempt=state.attempts,
-                kind=kind,
-                error=message,
-                backoff_s=round(delay_s, 4),
-            )
-            registry.counter("campaign.points.retried").inc()
-            registry.histogram("runner.retry.backoff_s").observe(delay_s)
-            if live_sink is not None:
-                live_sink.part_state(
-                    state.point.experiment,
-                    state.point.part_label,
-                    "retrying",
-                    attempt=state.attempts,
-                    kind=kind,
-                    backoff_s=round(delay_s, 4),
-                )
-            emit(
-                f"[retry] {state.point.label} attempt "
-                f"{state.attempts}/{max_attempts} failed ({kind}: {message});"
-                f" requeueing in {delay_s:.3f}s"
-            )
-            queue.append(state)
-            return
-        _quarantine_point(state.point, state.attempts, f"{kind}: {message}")
+    def _journal_retry(state: Dispatch, kind: str, message: str,
+                       delay_s: float) -> None:
+        journal.append(
+            "point.retry",
+            point=point_of[state.key].point_id,
+            key=state.key,
+            attempt=state.attempts,
+            kind=kind,
+            error=message,
+            backoff_s=round(delay_s, 4),
+        )
 
-    def _record(state: _PointState, outcome_obj: TaskOutcome) -> None:
-        nonlocal completed
-        completed += 1
+    def _record(state: Dispatch, outcome: TaskOutcome) -> None:
+        point = point_of[state.key]
         if cache is not None:
             cache.put(
-                state.point.key,
-                outcome_obj.result,
+                state.key,
+                outcome.result,
                 meta={
-                    "experiment": state.point.experiment,
-                    "part": state.point.part,
-                    "target": state.point.target,
-                    "seed": state.point.seed,
+                    "experiment": point.experiment,
+                    "part": point.part,
+                    "target": point.target,
+                    "seed": point.seed,
                     "campaign": spec.name,
-                    "duration_s": round(outcome_obj.wall_s, 6),
+                    "duration_s": round(outcome.wall_s, 6),
                 },
             )
         _finish(
-            state,
-            outcome_obj.result,
+            point,
+            outcome.result,
             cached=False,
             replayed=False,
-            wall_s=outcome_obj.wall_s,
+            wall_s=outcome.wall_s,
             attempts=state.attempts,
         )
         journal.append(
             "point.done",
-            point=state.point.point_id,
-            key=state.point.key,
+            point=point.point_id,
+            key=state.key,
             cached=False,
-            wall_s=round(outcome_obj.wall_s, 4),
+            wall_s=round(outcome.wall_s, 4),
             attempt=state.attempts,
         )
-        registry.counter("campaign.points.executed").inc()
-        registry.histogram(
-            "campaign.point.wall_s", experiment=state.point.experiment
-        ).observe(outcome_obj.wall_s)
-        if live_sink is not None:
-            live_sink.part_state(
-                state.point.experiment,
-                state.point.part_label,
-                "done",
-                wall_s=round(outcome_obj.wall_s, 3),
-                attempt=state.attempts,
-            )
+
+    def _quarantine(state: Dispatch) -> None:
+        _quarantine_point(
+            point_of[state.key],
+            state.attempts,
+            f"{state.failure_kind}: {state.error}",
+        )
+
+    def _reclaim(state: Dispatch, kind: str) -> str:
         emit(
-            f"[point {completed}/{total_tasks}] {state.point.label} "
-            f"{outcome_obj.wall_s:.2f}s"
-            + (f" (attempt {state.attempts})" if state.attempts > 1 else "")
+            f"[watchdog] {state.label} ({kind}); "
+            f"reclaiming lease {leases[state.key]}"
         )
+        if kind == "lease_expired":
+            return "injected lease expiry"
+        return f"lease exceeded {task_timeout_s:.1f}s"
 
-    def _task_spec(state: _PointState, obs_ctx: Optional[SpanContext]) -> TaskSpec:
-        return TaskSpec(
-            experiment_id=state.point.experiment,
-            part=state.point.part,
-            target=state.point.target,
-            kwargs=dict(state.point.kwargs),
-            seed=state.point.seed,
-            obs=obs_ctx,
-            faults=_point_faults(state),
-            attempt=state.attempts,
-        )
-
-    queue: Deque[_PointState] = deque(pending)
-    interrupted = False
-    last_heartbeat = time.perf_counter()
-
-    def _heartbeat(in_flight_states: List[_PointState]) -> None:
+    def _heartbeat(in_flight: List[Dispatch]) -> None:
         """Journal liveness for every in-flight lease, on a fixed cadence."""
         nonlocal last_heartbeat
         now = time.perf_counter()
         if now - last_heartbeat < heartbeat_s:
             return
         last_heartbeat = now
-        for state in in_flight_states:
-            if state.lease is None:
-                continue
+        for state in in_flight:
             journal.append(
                 "point.heartbeat",
-                point=state.point.point_id,
-                key=state.point.key,
-                lease=state.lease,
+                point=point_of[state.key].point_id,
+                key=state.key,
+                lease=leases[state.key],
                 attempt=state.attempts,
             )
 
-    with _InterruptGuard() as guard:
-        if effective_jobs == 1:
-            while queue and not guard.triggered:
-                state = queue.popleft()
-                wait_s = state.ready_at - time.perf_counter()
-                if wait_s > 0:
-                    time.sleep(wait_s)
-                _grant_lease(state)
-                if state.expire_lease:
-                    # In-process there is nothing to reclaim mid-task; the
-                    # fault degrades to an immediate expiry-and-retry.
-                    state.expire_lease = False
-                    _fail_or_retry(
-                        state, "lease_expired", "injected lease expiry", queue
-                    )
-                    registry.counter("campaign.leases.expired").inc()
-                    continue
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.point.experiment,
-                        state.point.part_label,
-                        "running",
-                        attempt=state.attempts,
-                    )
-                try:
-                    outcome_obj = execute_task(_task_spec(state, None))
-                except Exception as exc:
-                    _fail_or_retry(
-                        state, "error", f"{type(exc).__name__}: {exc}", queue
-                    )
-                    continue
-                _record(state, outcome_obj)
-        elif queue:
-            pool = ProcessPoolExecutor(max_workers=effective_jobs)
-            in_flight: Dict[Any, _PointState] = {}
-            deadlines: Dict[Any, float] = {}
-            task_index = 0
-
-            def _rebuild_pool(requeued: int) -> None:
-                nonlocal pool
-                registry.counter("campaign.pool.rebuilds").inc()
-                emit(
-                    f"[pool] rebuilding worker pool "
-                    f"({requeued} point(s) requeued)"
-                )
-                stale = list((getattr(pool, "_processes", None) or {}).values())
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                for proc in stale:
-                    try:
-                        proc.terminate()
-                    except Exception:
-                        pass
-                pool = ProcessPoolExecutor(max_workers=effective_jobs)
-
-            def _submit(state: _PointState) -> None:
-                nonlocal task_index
-                task_index += 1
-                _grant_lease(state)
-                ctx = SpanContext(
-                    root_id=campaign_span.span_id if spans.enabled else None,
-                    prefix=f"c{task_index:03d}.",
-                    obs_enabled=obs_runtime.enabled(),
-                    span_detail=spans.detail,
-                )
-                task = _task_spec(state, ctx)
-                try:
-                    future = pool.submit(execute_task, task)
-                except BrokenProcessPool:
-                    _rebuild_pool(requeued=0)
-                    future = pool.submit(execute_task, task)
-                in_flight[future] = state
-                if state.expire_lease:
-                    # Born expired: the watchdog pass reclaims it at once.
-                    deadlines[future] = float("-inf")
-                    state.expire_lease = False
-                    registry.counter("campaign.leases.expired").inc()
-                else:
-                    deadlines[future] = time.perf_counter()
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.point.experiment,
-                        state.point.part_label,
-                        "submitted",
-                        attempt=state.attempts,
-                    )
-
-            def _pop_ready() -> Optional[_PointState]:
-                now = time.perf_counter()
-                for index, state in enumerate(queue):
-                    if state.ready_at <= now:
-                        del queue[index]
-                        return state
-                return None
-
-            try:
-                while (queue or in_flight) and not guard.triggered:
-                    while (
-                        queue
-                        and len(in_flight) < effective_jobs
-                        and not guard.triggered
-                    ):
-                        state = _pop_ready()
-                        if state is None:
-                            break
-                        _submit(state)
-                    if not in_flight:
-                        time.sleep(_POLL_INTERVAL_S)
-                        continue
-                    done, _ = wait(
-                        set(in_flight),
-                        timeout=_POLL_INTERVAL_S,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    _heartbeat(list(in_flight.values()))
-                    broken = False
-                    for future in done:
-                        state = in_flight.pop(future)
-                        expired = deadlines.pop(future, 0.0) == float("-inf")
-                        if expired:
-                            # The lease was reclaimed before the result
-                            # landed; the attempt is charged and retried
-                            # even though the worker finished — exactly a
-                            # zombie lease-holder racing its watchdog.
-                            _fail_or_retry(
-                                state,
-                                "lease_expired",
-                                "injected lease expiry",
-                                queue,
-                            )
-                            continue
-                        try:
-                            outcome_obj = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            _fail_or_retry(
-                                state,
-                                "pool_broken",
-                                "worker process died mid-point "
-                                f"({type(exc).__name__})",
-                                queue,
-                            )
-                        except Exception as exc:
-                            _fail_or_retry(
-                                state,
-                                "error",
-                                f"{type(exc).__name__}: {exc}",
-                                queue,
-                            )
-                        else:
-                            spans.adopt(outcome_obj.spans)
-                            _record(state, outcome_obj)
-                    overdue: List[Any] = []
-                    now = time.perf_counter()
-                    for future, submitted in deadlines.items():
-                        if submitted == float("-inf"):
-                            overdue.append(future)
-                        elif (
-                            task_timeout_s is not None
-                            and now - submitted > task_timeout_s
-                        ):
-                            overdue.append(future)
-                    if broken or overdue:
-                        for future in overdue:
-                            state = in_flight.pop(future)
-                            was_expired = deadlines.pop(future) == float("-inf")
-                            kind = (
-                                "lease_expired" if was_expired else "timeout"
-                            )
-                            message = (
-                                "injected lease expiry"
-                                if was_expired
-                                else f"lease exceeded {task_timeout_s:.1f}s"
-                            )
-                            emit(
-                                f"[watchdog] {state.point.label} "
-                                f"({kind}); reclaiming lease {state.lease}"
-                            )
-                            _fail_or_retry(state, kind, message, queue)
-                        for future, state in list(in_flight.items()):
-                            if broken:
-                                _fail_or_retry(
-                                    state,
-                                    "pool_broken",
-                                    "worker pool broke while point was "
-                                    "in flight",
-                                    queue,
-                                )
-                            else:
-                                # Innocent victim of the rebuild: uncharged.
-                                state.attempts -= 1
-                                queue.append(state)
-                        requeued = len(in_flight)
-                        in_flight.clear()
-                        deadlines.clear()
-                        _rebuild_pool(requeued)
-            finally:
-                stale = list((getattr(pool, "_processes", None) or {}).values())
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                if guard.triggered:
-                    for proc in stale:
-                        try:
-                            proc.terminate()
-                        except Exception:
-                            pass
-        interrupted = guard.triggered
-
+    interrupted = dispatch(
+        pending,
+        DispatchHooks(
+            noun="point",
+            done=_record,
+            failed=_quarantine,
+            reclaim=_reclaim,
+            attempt=_grant_lease,
+            retry=_journal_retry,
+            tick=_heartbeat,
+        ),
+        jobs=effective_jobs,
+        seed=seed,
+        retries=retries,
+        task_timeout_s=task_timeout_s,
+        root_span=campaign_span,
+        emit=emit,
+        live_sink=live_sink,
+    )
     if interrupted:
         emit("[interrupt] signal received; journal preserved for --resume")
-        for state in pending:
-            if state.point.key not in outcomes:
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.point.experiment,
-                        state.point.part_label,
-                        "interrupted",
-                    )
 
     ordered_outcomes = [
         outcomes[point.key] for point in points if point.key in outcomes
@@ -868,8 +1056,6 @@ def run_campaign(
         quarantined=quarantined_count,
         interrupted=interrupted,
     )
-    registry.gauge("campaign.run.wall_s").set(wall_s)
-    registry.gauge("campaign.run.points").set(len(points))
     if live_sink is not None:
         live_sink.emit(
             "run.done",
@@ -894,7 +1080,7 @@ def run_campaign(
         manifest=manifest,
         wall_s=wall_s,
         interrupted=interrupted,
-        generations=prior.generations + 1,
+        generations=generation,
         journal_dropped=prior.dropped,
         journal_quarantined=journal_quarantined,
         fault_events=fault_events,

@@ -18,8 +18,9 @@ experiments in one call:
 4. **Merge + check** — part results are merged in canonical order and the
    experiment's shape check validates the paper's headline claim.
 
-The execution stage is hardened against worker failure (this is the layer
-the chaos CI job beats on, see ``docs/robustness.md``):
+Execution goes through :func:`repro.campaign.manager.dispatch`, the
+scheduler campaigns use too, which hardens it against worker failure
+(this is the layer the chaos CI job beats on, see ``docs/robustness.md``):
 
 * a **watchdog** enforces ``task_timeout_s`` per task — a hung worker is
   terminated with its pool and the innocent in-flight tasks are requeued
@@ -43,15 +44,10 @@ instruments); the caller gets a :class:`RunAllResult` from which
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import signal
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
@@ -61,23 +57,15 @@ from repro.experiments.registry import (
     get_spec,
     resolve_target,
 )
-from repro.faults.plan import FaultDirective, FaultPlan, WORKER_FAULT_POINTS
+from repro.faults.plan import FaultPlan, WORKER_FAULT_POINTS
 from repro.obs import runtime as obs_runtime
-from repro.runner.backoff import backoff_s
 from repro.runner.cache import (
     DEFAULT_CACHE_DIR,
     ResultCache,
     cache_key,
     code_fingerprint,
 )
-from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
-
-#: Progress callback type: receives one formatted line per event.
-ProgressFn = Callable[[str], None]
-
-#: How often the pool loop wakes to run the watchdog when nothing
-#: completes (seconds). Completions interrupt the wait immediately.
-_POLL_INTERVAL_S = 0.25
+from repro.runner.tasks import TaskOutcome, TaskSpec
 
 
 @dataclass
@@ -204,74 +192,6 @@ class _Planned:
     error: Optional[str] = None
 
 
-@dataclass
-class _TaskState:
-    """Mutable per-task execution bookkeeping (attempts, faults, fate)."""
-
-    task: TaskSpec
-    key: str
-    rank: int
-    faults: Tuple[FaultDirective, ...] = ()
-    attempts: int = 0
-    timed_out: bool = False
-    failure_kind: Optional[str] = None
-    error: Optional[str] = None
-    #: ``perf_counter`` timestamp before which a retry must not re-submit
-    #: (seeded backoff; 0.0 = immediately eligible).
-    ready_at: float = 0.0
-
-    @property
-    def label(self) -> str:
-        return self.task.label
-
-
-class _InterruptGuard:
-    """Flag-based SIGINT/SIGTERM handling for graceful degradation.
-
-    The first signal sets :attr:`triggered`; the run loop notices, stops
-    submitting, and unwinds to flush a partial manifest. A second signal
-    raises ``KeyboardInterrupt`` so an operator can still abort hard.
-    Installation is skipped silently off the main thread (``signal.signal``
-    refuses there), which keeps ``run_all`` usable from test harnesses and
-    embedding code.
-    """
-
-    _SIGNALS = (signal.SIGINT, signal.SIGTERM)
-
-    def __init__(self) -> None:
-        self.triggered = False
-        self._previous: Dict[int, Any] = {}
-        self._pid = os.getpid()
-
-    def _handle(self, signum: int, frame: Any) -> None:
-        if os.getpid() != self._pid:
-            # A forked pool worker inherited this handler; restore the
-            # default disposition and re-deliver so the worker dies
-            # silently instead of spraying a KeyboardInterrupt traceback
-            # when the parent terminates its pool.
-            signal.signal(signum, signal.SIG_DFL)
-            os.kill(os.getpid(), signum)
-            return
-        if self.triggered:
-            raise KeyboardInterrupt
-        self.triggered = True
-
-    def __enter__(self) -> "_InterruptGuard":
-        for signum in self._SIGNALS:
-            try:
-                self._previous[signum] = signal.signal(signum, self._handle)
-            except ValueError:  # not the main thread
-                break
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        for signum, previous in self._previous.items():
-            try:
-                signal.signal(signum, previous)
-            except ValueError:
-                pass
-
-
 def _plan_experiment(spec: ExperimentSpec, seed: int, fingerprint: str) -> _Planned:
     """Decompose one experiment into tasks and compute their cache keys."""
     try:
@@ -345,10 +265,6 @@ def resolve_ids(ids: Optional[Sequence[str]]) -> List[str]:
     return [key for key in SPECS if key in requested]
 
 
-def _runtime_rank(spec: ExperimentSpec) -> int:
-    return RUNTIME_CLASSES.index(spec.runtime)
-
-
 def _shape_check(spec: ExperimentSpec, result: Any) -> Tuple[Optional[bool], str]:
     """Run the experiment's shape check, reporting its own failures."""
     if spec.check is None:
@@ -367,7 +283,7 @@ def run_all(
     use_cache: bool = True,
     cache_dir: str = DEFAULT_CACHE_DIR,
     seed: int = 0,
-    progress: Optional[ProgressFn] = None,
+    progress: Optional[Callable[[str], None]] = None,
     retries: int = 0,
     task_timeout_s: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
@@ -423,6 +339,11 @@ def run_all(
         evaluation entirely. Evaluation is pure observation — it never
         changes results, hashes, or the run's exit status.
     """
+    # Imported here, not at module level: the campaign package imports
+    # repro.runner, and code that only executes tasks (the DES benchmark
+    # workloads import repro.runner.tasks) should not pay for loading it.
+    from repro.campaign import manager
+
     started = time.perf_counter()
     ordered_ids = resolve_ids(ids)
     fingerprint = code_fingerprint()
@@ -431,7 +352,6 @@ def run_all(
     spans = obs_runtime.get_spans()
     emit = progress or (lambda line: None)
     retries = max(0, int(retries))
-    max_attempts = retries + 1
 
     # Everything this invocation records nests under one root span; spans
     # already present on the recorder (earlier runs in this process) are
@@ -462,22 +382,14 @@ def run_all(
     # Bind fault directives to task labels before the cache probe: the
     # cache.corrupt point must damage entries ahead of their probe, and
     # worker-directive targets skip the cache so their faults actually fire.
-    fault_events: List[Dict[str, Any]] = []
-    assignment: Dict[str, Tuple[FaultDirective, ...]] = {}
-    if fault_plan is not None:
-        all_labels = [t.label for plan in planned for t in plan.tasks]
-        assignment = fault_plan.assign(all_labels)
-        for label in sorted(assignment):
-            for directive in assignment[label]:
-                fault_events.append(
-                    {"point": directive.point, "task": label, "param": directive.param}
-                )
+    assignment, fault_events = manager.bind_faults(
+        fault_plan, [t.label for plan in planned for t in plan.tasks]
+    )
 
     # Cache probe: hits load immediately, misses queue for execution.
     results: Dict[str, Tuple[Any, float]] = {}  # key -> (result, wall_s)
-    errors: Dict[str, str] = {}  # key -> error text
     hits: Dict[str, bool] = {}
-    pending: List[_TaskState] = []
+    pending: List[manager.Dispatch] = []
     quarantined_before = 0
 
     def _drain_quarantine(label: str) -> None:
@@ -489,7 +401,6 @@ def run_all(
         quarantined_before = len(cache.quarantine_events)
 
     for plan in planned:
-        rank = _runtime_rank(plan.spec)
         for task, key in zip(plan.tasks, plan.keys):
             directives = assignment.get(task.label, ())
             worker_directives = tuple(
@@ -513,15 +424,19 @@ def run_all(
             if not hit:
                 registry.counter("runner.cache.misses").inc()
                 pending.append(
-                    _TaskState(task=task, key=key, rank=rank, faults=worker_directives)
+                    manager.Dispatch(
+                        task=task,
+                        key=key,
+                        part_label=task.part,
+                        faults=worker_directives,
+                    )
                 )
 
     # Longest-processing-time-first: slow experiments enter the pool first
     # so the run's tail is not one straggler on an otherwise idle pool.
-    pending.sort(key=lambda state: -state.rank)
-    total_tasks = len(pending)
-    effective_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    effective_jobs = max(1, min(effective_jobs, max(total_tasks, 1)))
+    rank = {plan.spec.id: RUNTIME_CLASSES.index(plan.spec.runtime) for plan in planned}
+    pending.sort(key=lambda state: -rank[state.task.experiment_id])
+    effective_jobs = manager.worker_count(jobs, len(pending))
 
     # Stream the opening roster: the run header, every cache hit, every
     # queued task, and the bound fault directives. From here on the sink
@@ -531,7 +446,7 @@ def run_all(
             "run.start",
             ids=list(ordered_ids),
             experiments=len(planned),
-            tasks=total_tasks,
+            tasks=len(pending),
             jobs=effective_jobs,
             seed=seed,
             retries=retries,
@@ -546,36 +461,19 @@ def run_all(
             live_sink.emit("fault", **event)
 
     outcomes: Dict[str, TaskOutcome] = {}  # key -> executed-task telemetry
-    completed = 0
     worker_spans_dropped = 0
     live_dropped = 0
 
-    def _record(state: _TaskState, outcome: TaskOutcome) -> None:
-        nonlocal completed, worker_spans_dropped, live_dropped
-        completed += 1
+    def _record(state: manager.Dispatch, outcome: TaskOutcome) -> None:
+        nonlocal worker_spans_dropped, live_dropped
         worker_spans_dropped += outcome.spans_dropped
         live_dropped += outcome.live_dropped
-        state.failure_kind = None
-        state.error = None
         results[state.key] = (outcome.result, outcome.wall_s)
         outcomes[state.key] = outcome
-        if live_sink is not None:
-            live_sink.part_state(
-                state.task.experiment_id,
-                state.task.part,
-                "done",
-                wall_s=round(outcome.wall_s, 3),
-                attempt=state.attempts,
-            )
         registry.histogram(
             "runner.part.wall_s", experiment=state.task.experiment_id
         ).observe(outcome.wall_s)
         registry.counter("runner.parts.executed").inc()
-        emit(
-            f"[task {completed}/{total_tasks}] {state.label} "
-            f"{outcome.wall_s:.2f}s"
-            + (f" (attempt {state.attempts})" if state.attempts > 1 else "")
-        )
         if cache is not None:
             cache.put(
                 state.key,
@@ -589,350 +487,55 @@ def run_all(
                 },
             )
 
-    def _fail_or_retry(
-        state: _TaskState,
-        kind: str,
-        message: str,
-        queue: Deque[_TaskState],
-        synthesize_span: bool,
-    ) -> None:
-        """Route one failed attempt: requeue it clean, or record the loss.
-
-        Pool workers that die take their span records with them, so the
-        parent synthesizes an error-status ``runner.task`` span here —
-        failures must be at least as observable as successes.
-        """
-        if synthesize_span:
-            synth = spans.begin(
-                "runner.task",
-                parent_id=root_span.span_id if spans.enabled else None,
-                experiment=state.task.experiment_id,
-                part=state.task.part,
-                attempt=state.attempts,
-                synthesized=True,
-            )
-            spans.end(synth, status="error", failure=kind)
-        if state.attempts < max_attempts:
-            delay_s = backoff_s(seed, state.label, state.attempts)
-            state.ready_at = time.perf_counter() + delay_s
-            if live_sink is not None:
-                live_sink.part_state(
-                    state.task.experiment_id,
-                    state.task.part,
-                    "retrying",
-                    attempt=state.attempts,
-                    kind=kind,
-                    backoff_s=round(delay_s, 4),
-                )
-            registry.counter(
-                "runner.parts.retried", experiment=state.task.experiment_id
-            ).inc()
-            registry.histogram(
-                "runner.retry.backoff_s", experiment=state.task.experiment_id
-            ).observe(delay_s)
-            emit(
-                f"[retry] {state.label} attempt {state.attempts}/{max_attempts} "
-                f"failed ({kind}: {message}); requeueing in {delay_s:.3f}s"
-            )
-            # Directives are one-shot: the retried attempt runs clean.
-            state.faults = ()
-            queue.append(state)
-            return
-        state.failure_kind = kind
-        state.error = message
-        errors[state.key] = message
+    def _failed(state: manager.Dispatch) -> None:
         if live_sink is not None:
             live_sink.part_state(
                 state.task.experiment_id,
                 state.task.part,
                 "failed",
                 attempt=state.attempts,
-                kind=kind,
-                error=message,
+                kind=state.failure_kind,
+                error=state.error,
             )
-        registry.counter(
-            "runner.parts.failed", experiment=state.task.experiment_id
-        ).inc()
         emit(
             f"[task] {state.label} FAILED after "
-            f"{state.attempts} attempt(s) ({kind}): {message}"
+            f"{state.attempts} attempt(s) ({state.failure_kind}): {state.error}"
         )
 
-    queue: Deque[_TaskState] = deque(pending)
-    interrupted = False
+    def _reclaim(state: manager.Dispatch, kind: str) -> str:
+        emit(
+            f"[watchdog] {state.label} exceeded "
+            f"{task_timeout_s:.1f}s; terminating its pool"
+        )
+        return f"exceeded task timeout {task_timeout_s:.1f}s"
 
-    with _InterruptGuard() as guard:
-        if effective_jobs == 1:
-            # In-process: the ambient recorders capture everything directly;
-            # the task span lives on the parent recorder and engine work is
-            # attributed per-task by diffing the tracked-simulator list.
-            # Process-killing faults degrade to raises (the "worker" here is
-            # the orchestrator itself) and the watchdog is inert — a single
-            # thread cannot preempt its own driver call.
-            while queue and not guard.triggered:
-                state = queue.popleft()
-                wait_s = state.ready_at - time.perf_counter()
-                if wait_s > 0:
-                    time.sleep(wait_s)
-                state.attempts += 1
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.task.experiment_id,
-                        state.task.part,
-                        "running",
-                        attempt=state.attempts,
-                    )
-                sims_before = len(obs_runtime.simulator_stats())
-                task_span = spans.begin(
-                    "runner.task",
-                    parent_id=root_span.span_id if spans.enabled else None,
-                    experiment=state.task.experiment_id,
-                    part=state.task.part,
-                    attempt=state.attempts,
-                )
-                spec = replace(
-                    state.task, faults=state.faults, attempt=state.attempts
-                )
-                try:
-                    outcome = execute_task(spec)
-                except Exception as exc:
-                    spans.end(task_span, status="error")
-                    _fail_or_retry(
-                        state,
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        queue,
-                        synthesize_span=False,
-                    )
-                    continue
-                spans.end(task_span)
-                outcome.engine = obs_runtime.aggregate_engine_stats(
-                    obs_runtime.simulator_stats()[sims_before:]
-                )
-                _record(state, outcome)
-        elif queue:
-            # Pool fan-out: each task ships a SpanContext so the worker
-            # process mirrors the parent's observability mode (workers
-            # re-import repro with default runtime state — --no-obs must
-            # propagate) and mints span ids under a collision-free per-task
-            # prefix. Submission is bounded to the worker count so a task's
-            # submit time approximates its start time — that is what the
-            # watchdog deadline is measured from.
-            pool = ProcessPoolExecutor(max_workers=effective_jobs)
-            in_flight: Dict[Any, _TaskState] = {}  # future -> state
-            deadlines: Dict[Any, float] = {}  # future -> submit time
-            task_index = 0
+    live_channel = None
+    if live_sink is not None and effective_jobs > 1 and pending:
+        from repro.obs.live import LiveChannel
+
+        # Best-effort: a sandbox that cannot spawn the manager process
+        # costs the `running` transitions, nothing else.
+        try:
+            live_channel = LiveChannel()
+        except Exception:
             live_channel = None
-            if live_sink is not None:
-                from repro.obs.live import LiveChannel
 
-                # Best-effort: a sandbox that cannot spawn the manager
-                # process costs the `running` transitions, nothing else.
-                try:
-                    live_channel = LiveChannel()
-                except Exception:
-                    live_channel = None
-
-            def _rebuild_pool(requeued: int) -> None:
-                nonlocal pool
-                registry.counter("runner.pool.rebuilds").inc()
-                emit(f"[pool] rebuilding worker pool ({requeued} task(s) requeued)")
-                stale = list((getattr(pool, "_processes", None) or {}).values())
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                for proc in stale:
-                    # Private attr, hence best-effort: without it a hung
-                    # worker lingers until process exit, which is survivable.
-                    try:
-                        proc.terminate()
-                    except Exception:
-                        pass
-                pool = ProcessPoolExecutor(max_workers=effective_jobs)
-
-            def _submit(state: _TaskState) -> None:
-                nonlocal task_index
-                task_index += 1
-                state.attempts += 1
-                ctx = SpanContext(
-                    root_id=root_span.span_id if spans.enabled else None,
-                    prefix=f"t{task_index:02d}.",
-                    obs_enabled=obs_runtime.enabled(),
-                    span_detail=spans.detail,
-                )
-                spec = replace(
-                    state.task,
-                    obs=ctx,
-                    faults=state.faults,
-                    live=(
-                        live_channel.publisher()
-                        if live_channel is not None
-                        else None
-                    ),
-                    attempt=state.attempts,
-                )
-                try:
-                    future = pool.submit(execute_task, spec)
-                except BrokenProcessPool:
-                    _rebuild_pool(requeued=0)
-                    future = pool.submit(execute_task, spec)
-                in_flight[future] = state
-                deadlines[future] = time.perf_counter()
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.task.experiment_id,
-                        state.task.part,
-                        "submitted",
-                        attempt=state.attempts,
-                    )
-
-            def _pop_ready() -> Optional[_TaskState]:
-                # FIFO among eligible tasks; a backing-off retry parks in
-                # place without blocking fresh work behind it. ``wait``
-                # below ticks every poll interval, so a queue of
-                # not-yet-ready retries paces itself instead of spinning.
-                now = time.perf_counter()
-                for index, state in enumerate(queue):
-                    if state.ready_at <= now:
-                        del queue[index]
-                        return state
-                return None
-
-            try:
-                while (queue or in_flight) and not guard.triggered:
-                    while (
-                        queue
-                        and len(in_flight) < effective_jobs
-                        and not guard.triggered
-                    ):
-                        state = _pop_ready()
-                        if state is None:
-                            break
-                        _submit(state)
-                    if not in_flight:
-                        # Everything pending is backing off; wait() would
-                        # return instantly on an empty set and spin.
-                        time.sleep(_POLL_INTERVAL_S)
-                        continue
-                    done, _ = wait(
-                        set(in_flight),
-                        timeout=_POLL_INTERVAL_S,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if live_channel is not None:
-                        for record in live_channel.drain():
-                            live_sink.ingest(record)
-                    broken = False
-                    for future in done:
-                        state = in_flight.pop(future)
-                        deadlines.pop(future, None)
-                        try:
-                            outcome = future.result()
-                        except BrokenProcessPool as exc:
-                            broken = True
-                            _fail_or_retry(
-                                state,
-                                "pool_broken",
-                                "worker process died mid-task "
-                                f"({type(exc).__name__})",
-                                queue,
-                                synthesize_span=True,
-                            )
-                        except Exception as exc:
-                            _fail_or_retry(
-                                state,
-                                "error",
-                                f"{type(exc).__name__}: {exc}",
-                                queue,
-                                synthesize_span=True,
-                            )
-                        else:
-                            spans.adopt(outcome.spans)
-                            _record(state, outcome)
-                    overdue: List[Any] = []
-                    if task_timeout_s is not None:
-                        now = time.perf_counter()
-                        overdue = [
-                            future
-                            for future, submitted in deadlines.items()
-                            if now - submitted > task_timeout_s
-                        ]
-                    if broken or overdue:
-                        # The pool is unusable (broken) or harbouring a hung
-                        # worker (overdue): charge the culprits, requeue the
-                        # innocents uncharged, and start a fresh pool.
-                        for future in overdue:
-                            state = in_flight.pop(future)
-                            deadlines.pop(future, None)
-                            state.timed_out = True
-                            emit(
-                                f"[watchdog] {state.label} exceeded "
-                                f"{task_timeout_s:.1f}s; terminating its pool"
-                            )
-                            _fail_or_retry(
-                                state,
-                                "timeout",
-                                f"exceeded task timeout {task_timeout_s:.1f}s",
-                                queue,
-                                synthesize_span=True,
-                            )
-                        for future, state in list(in_flight.items()):
-                            if broken:
-                                # A broken pool reports the same exception
-                                # for every in-flight future; charge them all
-                                # rather than guess the culprit.
-                                _fail_or_retry(
-                                    state,
-                                    "pool_broken",
-                                    "worker pool broke while task was in flight",
-                                    queue,
-                                    synthesize_span=True,
-                                )
-                            else:
-                                # Innocent victim of a watchdog rebuild: the
-                                # attempt never ran to completion through no
-                                # fault of its own, so it is not charged.
-                                state.attempts -= 1
-                                queue.append(state)
-                        requeued = len(in_flight)
-                        in_flight.clear()
-                        deadlines.clear()
-                        _rebuild_pool(requeued)
-            finally:
-                if live_channel is not None:
-                    for record in live_channel.drain():
-                        live_sink.ingest(record)
-                    live_channel.close()
-                # Snapshot the worker processes BEFORE shutdown: the
-                # executor nulls out ``_processes`` as part of shutdown,
-                # and an unterminated hung worker would block interpreter
-                # exit (atexit joins the pool's management thread).
-                stale = list((getattr(pool, "_processes", None) or {}).values())
-                try:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-                if guard.triggered:
-                    for proc in stale:
-                        try:
-                            proc.terminate()
-                        except Exception:
-                            pass
-
-        interrupted = guard.triggered
-
+    interrupted = manager.dispatch(
+        pending,
+        manager.DispatchHooks(
+            noun="task", done=_record, failed=_failed, reclaim=_reclaim
+        ),
+        jobs=effective_jobs,
+        seed=seed,
+        retries=retries,
+        task_timeout_s=task_timeout_s,
+        root_span=root_span,
+        emit=emit,
+        live_sink=live_sink,
+        live_channel=live_channel,
+    )
     if interrupted:
         emit("[interrupt] signal received; flushing partial results")
-        for state in pending:
-            if state.key not in results and state.key not in errors:
-                state.failure_kind = "interrupted"
-                state.error = "interrupted before completion"
-                errors[state.key] = state.error
-                if live_sink is not None:
-                    live_sink.part_state(
-                        state.task.experiment_id, state.task.part, "interrupted"
-                    )
 
     # Merge parts, shape-check, and assemble the per-experiment records.
     states_by_key = {state.key: state for state in pending}
@@ -964,9 +567,9 @@ def run_all(
             cache_hit=bool(parts) and all(p.cache_hit for p in parts),
         )
         failed = [
-            (task.part, errors[key])
+            (task.part, states_by_key[key].error)
             for task, key in zip(plan.tasks, plan.keys)
-            if key in errors
+            if key in states_by_key and states_by_key[key].error is not None
         ]
         if plan.error is not None:
             run.error = plan.error

@@ -16,8 +16,10 @@ The SIGKILL case runs a real subprocess and delivers a real ``SIGKILL``
 mid-campaign — no mocking of the crash itself.
 """
 
+import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -40,6 +42,7 @@ from repro.campaign import (
 from repro.campaign.journal import load_journal
 from repro.campaign.manager import build_manifest, write_manifest
 from repro.errors import ConfigurationError
+from repro.experiments.registry import resolve_target
 from repro.faults import FaultPlan, FaultSpec
 from repro.obs import runtime as obs_runtime
 from repro.runner.backoff import backoff_s
@@ -258,11 +261,12 @@ class TestRunCampaign:
         totals = result.manifest["totals"]
         assert totals == {"points": 3, "ok": 3, "quarantined": 0}
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_poisoned_point_is_quarantined_and_campaign_completes(
-        self, spec, workdir
+        self, spec, workdir, jobs
     ):
         plan = _plan(FaultSpec("campaign.point.poison", scope="fig9:*"))
-        result = _run(spec, workdir, retries=1, fault_plan=plan)
+        result = _run(spec, workdir, jobs=jobs, retries=1, fault_plan=plan)
         assert result.ok  # the acceptance contract: completes, not fails
         (quarantined,) = result.quarantined
         assert quarantined.point.experiment == "fig9"
@@ -288,9 +292,10 @@ class TestRunCampaign:
         assert replayed.replayed
         assert resumed.manifest["totals"]["quarantined"] == 1
 
-    def test_expired_lease_is_retried_to_success(self, spec, workdir):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_expired_lease_is_retried_to_success(self, spec, workdir, jobs):
         plan = _plan(FaultSpec("campaign.lease.expire", scope="fig9:*"))
-        result = _run(spec, workdir, retries=1, fault_plan=plan)
+        result = _run(spec, workdir, jobs=jobs, retries=1, fault_plan=plan)
         assert result.ok and not result.quarantined
         fig9 = next(
             o for o in result.outcomes if o.point.experiment == "fig9"
@@ -328,6 +333,17 @@ class TestRunCampaign:
         assert (workdir / "quarantine" / "campaign.jsonl.0").exists()
         # Fresh generation, but the cache still made every point free.
         assert result.executed == 0
+
+    def test_point_hash_is_the_driver_result_hash(self, spec, workdir):
+        # In-process points round-trip through pickle like pool points; a
+        # single result keeps its own sharing, so no point hash moves.
+        result = _run(spec, workdir)
+        for outcome in result.outcomes:
+            point = outcome.point
+            direct = resolve_target(point.target)(**point.kwargs)
+            assert outcome.result_sha256 == hashlib.sha256(
+                pickle.dumps(direct, protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest(), point.label
 
     def test_pool_mode_matches_in_process_manifest(self, spec, workdir):
         solo = _run(spec, workdir, journal_path=workdir / "solo.jsonl")

@@ -26,7 +26,7 @@ from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
 from repro.obs.ioutil import append_line, write_atomic
 from repro.runner import ResultCache, run_all, write_manifest
-from repro.runner.core import _InterruptGuard
+from repro.campaign.manager import _InterruptGuard
 from repro.runner.manifest import build_manifest
 
 #: Two fast single-task experiments: enough to show containment (one

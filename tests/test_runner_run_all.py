@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.registry import SPECS, resolve_target
+from repro.experiments.registry import SPECS, ExperimentSpec, resolve_target
 from repro.experiments import sweeps
 from repro.runner import run_all, write_manifest
 from repro.runner.manifest import (
@@ -57,6 +57,61 @@ class TestParallelSequentialEquality:
         for run in result.runs:
             assert run.shape_ok is True, f"{run.id}: {run.shape_detail}"
         assert result.ok
+
+
+#: One list object every part of the synthetic sweeps below can share.
+_SITES = [f"site-{index}" for index in range(4)]
+
+
+def _sites_part(index, shared):
+    # Ints and floats are never memoized; the fresh list shares nothing.
+    return (index, _SITES if shared else [float(n) for n in range(4)])
+
+
+def _sites_sweep(shared):
+    parts = tuple(
+        sweeps.SweepPart(
+            name=f"part={index}",
+            target=f"{__name__}:_sites_part",
+            kwargs={"index": index, "shared": shared},
+        )
+        for index in range(2)
+    )
+    return sweeps.SweepPlan(parts=parts, merge=list)
+
+
+def _shared_sweep(seed):
+    return _sites_sweep(shared=True)
+
+
+def _fresh_sweep(seed):
+    return _sites_sweep(shared=False)
+
+
+class TestHashByValue:
+    """``result_sha256`` hashes pickle bytes, and pickle writes a second
+    reference to one object as a back-reference. Pool parts arrive
+    unpickled one by one and share nothing, so in-process parts must hash
+    the same way even when their results share objects."""
+
+    @pytest.mark.parametrize("sweep", ["_shared_sweep", "_fresh_sweep"])
+    def test_in_process_merge_hashes_like_the_pool(self, monkeypatch, sweep):
+        monkeypatch.setitem(
+            SPECS,
+            "fig9",
+            ExperimentSpec(
+                id="fig9",
+                target=f"{__name__}:_sites_part",
+                sweep=f"{__name__}:{sweep}",
+            ),
+        )
+        solo = run_all(ids=["fig9"], jobs=1, use_cache=False, slo_specs=[])
+        pooled = run_all(ids=["fig9"], jobs=2, use_cache=False, slo_specs=[])
+        assert solo.run_for("fig9").result == pooled.run_for("fig9").result
+        assert (
+            solo.run_for("fig9").result_sha256
+            == pooled.run_for("fig9").result_sha256
+        )
 
 
 class TestSweepMergeFidelity:
