@@ -1,11 +1,10 @@
 """The campaign journal: an append-only, kill -9-tolerant progress log.
 
 Every campaign state transition — opens, leases, heartbeats, retries,
-completions, quarantines — is one JSONL record appended via
-:func:`repro.obs.ioutil.append_line` (single ``O_APPEND`` write, no
-in-place mutation ever). Crash recovery is therefore a *fold* over the
-file, and the fold is hardened against exactly the damage a hard kill can
-inflict:
+completions, quarantines — is one JSONL record appended with a single
+``write`` on the journal's one ``O_APPEND`` descriptor (no in-place
+mutation ever). Crash recovery is therefore a *fold* over the file, and the
+fold is hardened against exactly the damage a hard kill can inflict:
 
 * **Torn trailing line** — a ``kill -9`` mid-append leaves a final line
   without its newline (or with truncated JSON). The fold drops it and
@@ -32,13 +31,14 @@ function of spec + seed + cached results. That separation is what makes
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs_runtime
-from repro.obs.ioutil import append_line
+from repro.obs.ioutil import open_append
 
 #: Bump on any breaking change to the journal record layout.
 JOURNAL_SCHEMA_VERSION = 1
@@ -57,6 +57,11 @@ CORRUPT_FAULT_POINT = "campaign.journal.corrupt"
 class CampaignJournal:
     """Appender for one campaign's journal (sequential seqs, crash-safe).
 
+    The file is opened once, with ``O_APPEND``, and every record is one
+    ``os.write`` on that descriptor, so a kill leaves whole lines plus at
+    most one torn tail. :meth:`close` releases the descriptor; the journal
+    is also a context manager.
+
     ``start_seq`` continues a resumed campaign's numbering — the fold
     treats a restarted-from-1 generation's records as duplicates, so a
     resuming manager must pass the folded ``last_seq``.
@@ -65,11 +70,24 @@ class CampaignJournal:
     def __init__(self, path: Union[str, Path], start_seq: int = 0) -> None:
         self.path = Path(path)
         self._seq = int(start_seq)
+        self._fd = open_append(self.path)
 
     @property
     def seq(self) -> int:
         """The last sequence number appended (or inherited)."""
         return self._seq
+
+    def close(self) -> None:
+        """Close the descriptor; further appends raise ``OSError``."""
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self) -> "CampaignJournal":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     def append(self, event_type: str, **fields: Any) -> Dict[str, Any]:
         """Append one record; returns it (including its ``seq``).
@@ -90,13 +108,10 @@ class CampaignJournal:
         record.update(fields)
         line = json.dumps(record, sort_keys=True)
         if faults_runtime.consume(CORRUPT_FAULT_POINT):
-            torn = line[: max(1, len(line) // 2)]
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "ab") as handle:
-                handle.write(torn.encode("utf-8"))
+            os.write(self._fd, line[: max(1, len(line) // 2)].encode("utf-8"))
             obs_runtime.get_registry().counter("campaign.journal.torn").inc()
             return record
-        append_line(self.path, line)
+        os.write(self._fd, (line + "\n").encode("utf-8"))
         return record
 
 
@@ -240,8 +255,6 @@ def quarantine_journal(path: Union[str, Path]) -> Optional[Path]:
     journal. Returns the new location (``None`` when the file vanished
     first — nothing to preserve).
     """
-    import os
-
     path = Path(path)
     quarantine_dir = path.parent / "quarantine"
     quarantine_dir.mkdir(parents=True, exist_ok=True)

@@ -3,9 +3,10 @@
 :func:`dispatch` is the one scheduler behind both entry points that
 produce numbers: :func:`run_campaign` below and
 :func:`repro.runner.core.run_all`. It owns the interrupt guard, the
-ready-time queue, submission bounded to the worker count, the deadline
-watchdog, seeded-backoff retries and the pool rebuild; each caller supplies
-only its policy as :class:`DispatchHooks`.
+ready-time queue, submission bounded to one running and one queued task
+per worker, the deadline watchdog (a queued task's deadline starts when a
+worker frees up for it), seeded-backoff retries and the pool rebuild; each
+caller supplies only its policy as :class:`DispatchHooks`.
 
 :func:`run_campaign` drives it over a campaign grid:
 
@@ -297,8 +298,12 @@ def dispatch(
 
     Pool tasks ship a :class:`SpanContext`, so a worker mirrors this
     process's observability mode and mints span ids under a per-task
-    prefix. Submission is bounded to the worker count, so a task's submit
-    time approximates its start time; the watchdog deadline runs from it.
+    prefix. Up to two tasks per worker are in flight, one running and one
+    queued, so a freed worker starts its next task without waiting for
+    this loop. A queued task's watchdog deadline starts when a running task
+    finishes and frees a worker for it, oldest first (the executor's
+    order), so it never times out before it runs; a lease born expired
+    stays expired from submit.
     A pool task that fails gets a synthesized error-status ``runner.task``
     span: the worker's own spans died with it. ``live_channel`` carries
     pool workers' ``running`` transitions into ``live_sink``; the loop
@@ -310,7 +315,10 @@ def dispatch(
     max_attempts = retries + 1
     queue: Deque[Dispatch] = deque(states)
     in_flight: Dict[Future, Dispatch] = {}
-    deadlines: Dict[Future, float] = {}  # future -> submit time
+    # future -> start time; None while queued, _EXPIRED if born expired
+    deadlines: Dict[Future, Optional[float]] = {}
+    waiting: Deque[Future] = deque()  # submitted, not yet given a worker
+    capacity = 1 if jobs == 1 else 2 * jobs
     pool: Optional[Any] = None
     submitted = 0
     completed = 0
@@ -367,8 +375,23 @@ def dispatch(
                 future = _pool().submit(execute_task, spec)
             _live(state, "submitted", attempt=state.attempts)
         in_flight[future] = state
-        deadlines[future] = _EXPIRED if state.expire_lease else time.perf_counter()
+        deadlines[future] = _EXPIRED if state.expire_lease else None
+        waiting.append(future)
         state.expire_lease = False
+
+    def _promote() -> None:
+        """Start the deadlines of queued tasks that a free worker now runs."""
+        now = time.perf_counter()
+        while waiting and len(in_flight) - len(waiting) < jobs:
+            future = waiting.popleft()
+            if deadlines[future] is None:
+                deadlines[future] = now
+
+    def _release(future: Future) -> Tuple[Dispatch, Optional[float]]:
+        """Forget a finished or reclaimed future: its state and deadline."""
+        if future in waiting:
+            waiting.remove(future)
+        return in_flight.pop(future), deadlines.pop(future)
 
     def _fail(state: Dispatch, kind: str, message: str) -> None:
         """Route one failed attempt: requeue it after backoff, or give up."""
@@ -418,11 +441,12 @@ def dispatch(
     with _InterruptGuard() as guard:
         try:
             while (queue or in_flight) and not guard.triggered:
-                while queue and len(in_flight) < jobs and not guard.triggered:
+                while queue and len(in_flight) < capacity and not guard.triggered:
                     state = _pop_ready(queue)
                     if state is None:
                         break
                     _submit(state)
+                _promote()
                 if not in_flight:
                     # Everything pending is backing off; wait() would
                     # return instantly on an empty set and spin.
@@ -437,8 +461,8 @@ def dispatch(
                 _drain_live()
                 broken = False
                 for future in done:
-                    state = in_flight.pop(future)
-                    if deadlines.pop(future) == _EXPIRED:
+                    state, deadline = _release(future)
+                    if deadline == _EXPIRED:
                         # The lease was reclaimed before the result landed:
                         # the attempt is charged and retried even though it
                         # finished — a zombie lease-holder racing its
@@ -476,15 +500,17 @@ def dispatch(
                                 else ""
                             )
                         )
+                _promote()
                 hooks.tick(list(in_flight.values()))
                 now = time.perf_counter()
                 overdue = [
                     future
-                    for future, submitted_at in deadlines.items()
-                    if submitted_at == _EXPIRED
+                    for future, started_at in deadlines.items()
+                    if started_at == _EXPIRED
                     or (
-                        task_timeout_s is not None
-                        and now - submitted_at > task_timeout_s
+                        started_at is not None
+                        and task_timeout_s is not None
+                        and now - started_at > task_timeout_s
                     )
                 ]
                 if broken or overdue:
@@ -492,8 +518,8 @@ def dispatch(
                     # worker (overdue): charge the culprits, requeue the
                     # innocents uncharged, and start a fresh pool.
                     for future in overdue:
-                        state = in_flight.pop(future)
-                        if deadlines.pop(future) == _EXPIRED:
+                        state, deadline = _release(future)
+                        if deadline == _EXPIRED:
                             kind = "lease_expired"
                         else:
                             kind = "timeout"
@@ -519,6 +545,7 @@ def dispatch(
                     requeued = len(in_flight)
                     in_flight.clear()
                     deadlines.clear()
+                    waiting.clear()
                     _rebuild(requeued)
         finally:
             _drain_live()
@@ -714,374 +741,364 @@ def run_campaign(
     campaign_span = spans.begin(
         "campaign.run", campaign=spec.name, points=len(points), seed=seed
     )
-    journal = CampaignJournal(journal_path, start_seq=prior.last_seq)
-    cache = ResultCache(cache_dir) if use_cache else None
+    # One descriptor for the whole generation, closed however it ends.
+    with CampaignJournal(journal_path, start_seq=prior.last_seq) as journal:
+        cache = ResultCache(cache_dir) if use_cache else None
 
-    # Bind fault directives to point labels (seed-qualified, so a count=1
-    # spec poisons exactly one replicate). Campaign-infra points configure
-    # the manager; worker points ride into execute_task as usual.
-    assignment, fault_events = bind_faults(fault_plan, [p.label for p in points])
+        # Bind fault directives to point labels (seed-qualified, so a count=1
+        # spec poisons exactly one replicate). Campaign-infra points configure
+        # the manager; worker points ride into execute_task as usual.
+        assignment, fault_events = bind_faults(fault_plan, [p.label for p in points])
 
-    journal.append(
-        "campaign.open",
-        campaign=spec.name,
-        spec_digest=spec.digest(),
-        code_fingerprint=fingerprint,
-        points=len(points),
-        seed=seed,
-        generation=prior.generations + 1,
-        resume=bool(prior.records),
-    )
-
-    # Default SLO specs, evaluated per point at merge time (pure).
-    slo_specs_by_experiment: Dict[str, List[Any]] = {}
-    try:
-        experiment_ids = sorted({p.experiment for p in points})
-        for slo_spec in slo_mod.load_default_specs(experiment_ids):
-            slo_specs_by_experiment.setdefault(
-                slo_spec.experiment, []
-            ).append(slo_spec)
-    except Exception as exc:
-        emit(f"[slo] skipping default specs: {exc}")
-
-    outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
-    pending: List[Dispatch] = []
-    point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
-    torn: Set[str] = set()  # keys whose next lease append is torn
-
-    def _finish(
-        point: CampaignPoint,
-        result: Any,
-        *,
-        cached: bool,
-        replayed: bool,
-        wall_s: float,
-        attempts: int,
-    ) -> None:
-        sha = hashlib.sha256(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
-        domain = slo_mod.domain_metrics(point.experiment, result)
-        slo_rows = slo_mod.evaluate_specs(
-            slo_specs_by_experiment.get(point.experiment, []),
-            {point.experiment: domain},
-        )
-        outcomes[point.key] = PointOutcome(
-            point=point,
-            status="ok",
-            cached=cached,
-            replayed=replayed,
-            result_sha256=sha,
-            wall_s=wall_s,
-            attempts=attempts,
-            domain=domain,
-            slo_rows=slo_rows,
+        journal.append(
+            "campaign.open",
+            campaign=spec.name,
+            spec_digest=spec.digest(),
+            code_fingerprint=fingerprint,
+            points=len(points),
+            seed=seed,
+            generation=prior.generations + 1,
+            resume=bool(prior.records),
         )
 
-    def _quarantine_point(point: CampaignPoint, attempts: int, error: str,
-                          replayed: bool = False) -> None:
-        outcomes[point.key] = PointOutcome(
-            point=point,
-            status="quarantined",
-            replayed=replayed,
-            attempts=attempts,
-            error=error,
-        )
-        if not replayed:
-            journal.append(
-                "point.quarantined",
-                point=point.point_id,
-                key=point.key,
+        # Default SLO specs, evaluated per point at merge time (pure).
+        slo_specs_by_experiment: Dict[str, List[Any]] = {}
+        try:
+            experiment_ids = sorted({p.experiment for p in points})
+            for slo_spec in slo_mod.load_default_specs(experiment_ids):
+                slo_specs_by_experiment.setdefault(
+                    slo_spec.experiment, []
+                ).append(slo_spec)
+        except Exception as exc:
+            emit(f"[slo] skipping default specs: {exc}")
+
+        outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
+        pending: List[Dispatch] = []
+        point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
+        torn: Set[str] = set()  # keys whose next lease append is torn
+
+        def _finish(
+            point: CampaignPoint,
+            result: Any,
+            *,
+            cached: bool,
+            replayed: bool,
+            wall_s: float,
+            attempts: int,
+        ) -> None:
+            sha = hashlib.sha256(
+                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            ).hexdigest()
+            domain = slo_mod.domain_metrics(point.experiment, result)
+            slo_rows = slo_mod.evaluate_specs(
+                slo_specs_by_experiment.get(point.experiment, []),
+                {point.experiment: domain},
+            )
+            outcomes[point.key] = PointOutcome(
+                point=point,
+                status="ok",
+                cached=cached,
+                replayed=replayed,
+                result_sha256=sha,
+                wall_s=wall_s,
+                attempts=attempts,
+                domain=domain,
+                slo_rows=slo_rows,
+            )
+
+        def _quarantine_point(point: CampaignPoint, attempts: int, error: str,
+                              replayed: bool = False) -> None:
+            outcomes[point.key] = PointOutcome(
+                point=point,
+                status="quarantined",
+                replayed=replayed,
                 attempts=attempts,
                 error=error,
             )
-            emit(
-                f"[quarantine] {point.label} after {attempts} attempt(s): "
-                f"{error}"
-            )
-        if live_sink is not None:
-            live_sink.part_state(
-                point.experiment,
-                point.part_label,
-                "quarantined",
-                error=error,
-            )
-
-    # ---------------------------------------------------------------- probe
-    for point in points:
-        directives = assignment.get(point.label, ())
-        worker_faults = tuple(
-            d for d in directives if d.point in WORKER_FAULT_POINTS
-        )
-        poisoned = any(d.point == "campaign.point.poison" for d in directives)
-        if cache is not None and any(
-            d.point == "cache.corrupt" for d in directives
-        ):
-            fired = cache.corrupt_entry(point.key)
-            fault_events.append(
-                {"point": "cache.corrupt", "task": point.label, "fired": fired}
-            )
-        if point.key in prior.quarantined:
-            record = prior.quarantined[point.key]
-            _quarantine_point(
-                point,
-                attempts=int(record.get("attempts", 0) or 0),
-                error=str(record.get("error", "quarantined")),
-                replayed=True,
-            )
-            continue
-        expire_lease = any(
-            d.point == "campaign.lease.expire" for d in directives
-        )
-        corrupt_journal = any(
-            d.point == "campaign.journal.corrupt" for d in directives
-        )
-        # Any injected fault bypasses the cache: lease-scoped faults only
-        # fire on a granted lease, and a hit would grant none.
-        must_execute = (
-            bool(worker_faults) or poisoned or expire_lease or corrupt_journal
-        )
-        if cache is not None and not must_execute:
-            hit, value = cache.get(point.key)
-            if hit:
-                replayed = point.key in prior.done
-                _finish(
-                    point,
-                    value,
-                    cached=True,
-                    replayed=replayed,
-                    wall_s=0.0,
-                    attempts=0,
+            if not replayed:
+                journal.append(
+                    "point.quarantined",
+                    point=point.point_id,
+                    key=point.key,
+                    attempts=attempts,
+                    error=error,
                 )
-                if not replayed:
-                    # A replayed point already has its terminal record; a
-                    # second one would only fold as a stale duplicate.
-                    journal.append(
-                        "point.done",
-                        point=point.point_id,
-                        key=point.key,
-                        cached=True,
-                        wall_s=0.0,
-                        attempt=0,
-                    )
-                continue
-        if corrupt_journal:
-            torn.add(point.key)
-        pending.append(
-            Dispatch(
-                task=TaskSpec(
-                    experiment_id=point.experiment,
-                    part=point.part,
-                    target=point.target,
-                    kwargs=dict(point.kwargs),
-                    seed=point.seed,
-                ),
-                key=point.key,
-                part_label=point.part_label,
-                faults=worker_faults,
-                sticky_faults=(
-                    (FaultDirective(point="campaign.point.poison"),)
-                    if poisoned
-                    else ()
-                ),
-                expire_lease=expire_lease,
-            )
-        )
+                emit(
+                    f"[quarantine] {point.label} after {attempts} attempt(s): "
+                    f"{error}"
+                )
+            if live_sink is not None:
+                live_sink.part_state(
+                    point.experiment,
+                    point.part_label,
+                    "quarantined",
+                    error=error,
+                )
 
-    effective_jobs = worker_count(jobs, len(pending))
-
-    if live_sink is not None:
-        live_sink.emit(
-            "run.start",
-            ids=sorted({p.experiment for p in points}),
-            campaign=spec.name,
-            experiments=len({p.experiment for p in points}),
-            tasks=len(pending),
-            jobs=effective_jobs,
-            seed=seed,
-            retries=retries,
-        )
+        # ---------------------------------------------------------------- probe
         for point in points:
-            outcome = outcomes.get(point.key)
-            if outcome is not None and outcome.status == "ok":
-                live_sink.part_state(point.experiment, point.part_label, "cached")
-        for state in pending:
-            live_sink.part_state(
-                state.task.experiment_id, state.part_label, "queued"
+            directives = assignment.get(point.label, ())
+            worker_faults = tuple(
+                d for d in directives if d.point in WORKER_FAULT_POINTS
             )
-        for event in fault_events:
-            live_sink.emit("fault", **event)
-
-    generation = prior.generations + 1
-    leases: Dict[str, str] = {}  # key -> current lease id
-    granted = 0
-    last_heartbeat = time.perf_counter()
-
-    def _grant_lease(state: Dispatch) -> None:
-        """Journal the lease of the attempt just charged."""
-        nonlocal granted
-        granted += 1
-        lease = leases[state.key] = f"g{generation}-l{granted}"
-        if state.key in torn:
-            # One-shot: tear this lease's append exactly like a kill -9.
-            from repro.faults import runtime as faults_runtime
-
-            faults_runtime.arm("campaign.journal.corrupt")
-            torn.discard(state.key)
-        journal.append(
-            "point.lease",
-            point=point_of[state.key].point_id,
-            key=state.key,
-            lease=lease,
-            attempt=state.attempts,
-        )
-
-    def _journal_retry(state: Dispatch, kind: str, message: str,
-                       delay_s: float) -> None:
-        journal.append(
-            "point.retry",
-            point=point_of[state.key].point_id,
-            key=state.key,
-            attempt=state.attempts,
-            kind=kind,
-            error=message,
-            backoff_s=round(delay_s, 4),
-        )
-
-    def _record(state: Dispatch, outcome: TaskOutcome) -> None:
-        point = point_of[state.key]
-        if cache is not None:
-            cache.put(
-                state.key,
-                outcome.result,
-                meta={
-                    "experiment": point.experiment,
-                    "part": point.part,
-                    "target": point.target,
-                    "seed": point.seed,
-                    "campaign": spec.name,
-                    "duration_s": round(outcome.wall_s, 6),
-                },
+            poisoned = any(d.point == "campaign.point.poison" for d in directives)
+            if cache is not None and any(
+                d.point == "cache.corrupt" for d in directives
+            ):
+                fired = cache.corrupt_entry(point.key)
+                fault_events.append(
+                    {"point": "cache.corrupt", "task": point.label, "fired": fired}
+                )
+            if point.key in prior.quarantined:
+                record = prior.quarantined[point.key]
+                _quarantine_point(
+                    point,
+                    attempts=int(record.get("attempts", 0) or 0),
+                    error=str(record.get("error", "quarantined")),
+                    replayed=True,
+                )
+                continue
+            expire_lease = any(
+                d.point == "campaign.lease.expire" for d in directives
             )
-        _finish(
-            point,
-            outcome.result,
-            cached=False,
-            replayed=False,
-            wall_s=outcome.wall_s,
-            attempts=state.attempts,
-        )
-        journal.append(
-            "point.done",
-            point=point.point_id,
-            key=state.key,
-            cached=False,
-            wall_s=round(outcome.wall_s, 4),
-            attempt=state.attempts,
-        )
+            corrupt_journal = any(
+                d.point == "campaign.journal.corrupt" for d in directives
+            )
+            # Any injected fault bypasses the cache: lease-scoped faults only
+            # fire on a granted lease, and a hit would grant none.
+            must_execute = (
+                bool(worker_faults) or poisoned or expire_lease or corrupt_journal
+            )
+            if cache is not None and not must_execute:
+                hit, value = cache.get(point.key)
+                if hit:
+                    replayed = point.key in prior.done
+                    _finish(
+                        point,
+                        value,
+                        cached=True,
+                        replayed=replayed,
+                        wall_s=0.0,
+                        attempts=0,
+                    )
+                    if not replayed:
+                        # A replayed point already has its terminal record; a
+                        # second one would only fold as a stale duplicate.
+                        journal.append(
+                            "point.done",
+                            point=point.point_id,
+                            key=point.key,
+                            cached=True,
+                            wall_s=0.0,
+                            attempt=0,
+                        )
+                    continue
+            if corrupt_journal:
+                torn.add(point.key)
+            pending.append(
+                Dispatch(
+                    task=TaskSpec(
+                        experiment_id=point.experiment,
+                        part=point.part,
+                        target=point.target,
+                        kwargs=dict(point.kwargs),
+                        seed=point.seed,
+                    ),
+                    key=point.key,
+                    part_label=point.part_label,
+                    faults=worker_faults,
+                    sticky_faults=(
+                        (FaultDirective(point="campaign.point.poison"),)
+                        if poisoned
+                        else ()
+                    ),
+                    expire_lease=expire_lease,
+                )
+            )
 
-    def _quarantine(state: Dispatch) -> None:
-        _quarantine_point(
-            point_of[state.key],
-            state.attempts,
-            f"{state.failure_kind}: {state.error}",
-        )
+        effective_jobs = worker_count(jobs, len(pending))
 
-    def _reclaim(state: Dispatch, kind: str) -> str:
-        emit(
-            f"[watchdog] {state.label} ({kind}); "
-            f"reclaiming lease {leases[state.key]}"
-        )
-        if kind == "lease_expired":
-            return "injected lease expiry"
-        return f"lease exceeded {task_timeout_s:.1f}s"
+        if live_sink is not None:
+            live_sink.emit(
+                "run.start",
+                ids=sorted({p.experiment for p in points}),
+                campaign=spec.name,
+                experiments=len({p.experiment for p in points}),
+                tasks=len(pending),
+                jobs=effective_jobs,
+                seed=seed,
+                retries=retries,
+            )
+            for point in points:
+                outcome = outcomes.get(point.key)
+                if outcome is not None and outcome.status == "ok":
+                    live_sink.part_state(point.experiment, point.part_label, "cached")
+            for state in pending:
+                live_sink.part_state(
+                    state.task.experiment_id, state.part_label, "queued"
+                )
+            for event in fault_events:
+                live_sink.emit("fault", **event)
 
-    def _heartbeat(in_flight: List[Dispatch]) -> None:
-        """Journal liveness for every in-flight lease, on a fixed cadence."""
-        nonlocal last_heartbeat
-        now = time.perf_counter()
-        if now - last_heartbeat < heartbeat_s:
-            return
-        last_heartbeat = now
-        for state in in_flight:
+        generation = prior.generations + 1
+        leases: Dict[str, str] = {}  # key -> current lease id
+        granted = 0
+        last_heartbeat = time.perf_counter()
+
+        def _grant_lease(state: Dispatch) -> None:
+            """Journal the lease of the attempt just charged."""
+            nonlocal granted
+            granted += 1
+            lease = leases[state.key] = f"g{generation}-l{granted}"
+            if state.key in torn:
+                # One-shot: tear this lease's append exactly like a kill -9.
+                from repro.faults import runtime as faults_runtime
+
+                faults_runtime.arm("campaign.journal.corrupt")
+                torn.discard(state.key)
             journal.append(
-                "point.heartbeat",
+                "point.lease",
                 point=point_of[state.key].point_id,
                 key=state.key,
-                lease=leases[state.key],
+                lease=lease,
                 attempt=state.attempts,
             )
 
-    interrupted = dispatch(
-        pending,
-        DispatchHooks(
-            noun="point",
-            done=_record,
-            failed=_quarantine,
-            reclaim=_reclaim,
-            attempt=_grant_lease,
-            retry=_journal_retry,
-            tick=_heartbeat,
-        ),
-        jobs=effective_jobs,
-        seed=seed,
-        retries=retries,
-        task_timeout_s=task_timeout_s,
-        root_span=campaign_span,
-        emit=emit,
-        live_sink=live_sink,
-    )
-    if interrupted:
-        emit("[interrupt] signal received; journal preserved for --resume")
+        def _journal_retry(state: Dispatch, kind: str, message: str,
+                           delay_s: float) -> None:
+            journal.append(
+                "point.retry",
+                point=point_of[state.key].point_id,
+                key=state.key,
+                attempt=state.attempts,
+                kind=kind,
+                error=message,
+                backoff_s=round(delay_s, 4),
+            )
 
-    ordered_outcomes = [
-        outcomes[point.key] for point in points if point.key in outcomes
-    ]
-    wall_s = time.perf_counter() - started
-    ok_count = sum(1 for o in ordered_outcomes if o.ok)
-    quarantined_count = sum(
-        1 for o in ordered_outcomes if o.status == "quarantined"
-    )
-    if not interrupted:
-        journal.append(
-            "campaign.done",
-            campaign=spec.name,
+        def _record(state: Dispatch, outcome: TaskOutcome) -> None:
+            point = point_of[state.key]
+            if cache is not None:
+                cache.put(state.key, outcome.result)
+            _finish(
+                point,
+                outcome.result,
+                cached=False,
+                replayed=False,
+                wall_s=outcome.wall_s,
+                attempts=state.attempts,
+            )
+            journal.append(
+                "point.done",
+                point=point.point_id,
+                key=state.key,
+                cached=False,
+                wall_s=round(outcome.wall_s, 4),
+                attempt=state.attempts,
+            )
+
+        def _quarantine(state: Dispatch) -> None:
+            _quarantine_point(
+                point_of[state.key],
+                state.attempts,
+                f"{state.failure_kind}: {state.error}",
+            )
+
+        def _reclaim(state: Dispatch, kind: str) -> str:
+            emit(
+                f"[watchdog] {state.label} ({kind}); "
+                f"reclaiming lease {leases[state.key]}"
+            )
+            if kind == "lease_expired":
+                return "injected lease expiry"
+            return f"lease exceeded {task_timeout_s:.1f}s"
+
+        def _heartbeat(in_flight: List[Dispatch]) -> None:
+            """Journal liveness for every in-flight lease, on a fixed cadence."""
+            nonlocal last_heartbeat
+            now = time.perf_counter()
+            if now - last_heartbeat < heartbeat_s:
+                return
+            last_heartbeat = now
+            for state in in_flight:
+                journal.append(
+                    "point.heartbeat",
+                    point=point_of[state.key].point_id,
+                    key=state.key,
+                    lease=leases[state.key],
+                    attempt=state.attempts,
+                )
+
+        interrupted = dispatch(
+            pending,
+            DispatchHooks(
+                noun="point",
+                done=_record,
+                failed=_quarantine,
+                reclaim=_reclaim,
+                attempt=_grant_lease,
+                retry=_journal_retry,
+                tick=_heartbeat,
+            ),
+            jobs=effective_jobs,
+            seed=seed,
+            retries=retries,
+            task_timeout_s=task_timeout_s,
+            root_span=campaign_span,
+            emit=emit,
+            live_sink=live_sink,
+        )
+        if interrupted:
+            emit("[interrupt] signal received; journal preserved for --resume")
+
+        ordered_outcomes = [
+            outcomes[point.key] for point in points if point.key in outcomes
+        ]
+        wall_s = time.perf_counter() - started
+        ok_count = sum(1 for o in ordered_outcomes if o.ok)
+        quarantined_count = sum(
+            1 for o in ordered_outcomes if o.status == "quarantined"
+        )
+        if not interrupted:
+            journal.append(
+                "campaign.done",
+                campaign=spec.name,
+                ok=ok_count,
+                quarantined=quarantined_count,
+                wall_s=round(wall_s, 3),
+            )
+        spans.end(
+            campaign_span,
             ok=ok_count,
             quarantined=quarantined_count,
-            wall_s=round(wall_s, 3),
-        )
-    spans.end(
-        campaign_span,
-        ok=ok_count,
-        quarantined=quarantined_count,
-        interrupted=interrupted,
-    )
-    if live_sink is not None:
-        live_sink.emit(
-            "run.done",
-            campaign=spec.name,
-            ok=ok_count,
-            failed=quarantined_count,
-            cache_hits=sum(1 for o in ordered_outcomes if o.cached),
-            wall_s=round(wall_s, 3),
             interrupted=interrupted,
         )
+        if live_sink is not None:
+            live_sink.emit(
+                "run.done",
+                campaign=spec.name,
+                ok=ok_count,
+                failed=quarantined_count,
+                cache_hits=sum(1 for o in ordered_outcomes if o.cached),
+                wall_s=round(wall_s, 3),
+                interrupted=interrupted,
+            )
 
-    manifest: Dict[str, Any] = {}
-    if not interrupted:
-        manifest = build_manifest(spec, fingerprint, ordered_outcomes)
+        manifest: Dict[str, Any] = {}
+        if not interrupted:
+            manifest = build_manifest(spec, fingerprint, ordered_outcomes)
 
-    return CampaignResult(
-        spec=spec,
-        seed=seed,
-        code_fingerprint=fingerprint,
-        outcomes=ordered_outcomes,
-        journal_path=str(journal_path),
-        manifest=manifest,
-        wall_s=wall_s,
-        interrupted=interrupted,
-        generations=generation,
-        journal_dropped=prior.dropped,
-        journal_quarantined=journal_quarantined,
-        fault_events=fault_events,
-    )
+        return CampaignResult(
+            spec=spec,
+            seed=seed,
+            code_fingerprint=fingerprint,
+            outcomes=ordered_outcomes,
+            journal_path=str(journal_path),
+            manifest=manifest,
+            wall_s=wall_s,
+            interrupted=interrupted,
+            generations=generation,
+            journal_dropped=prior.dropped,
+            journal_quarantined=journal_quarantined,
+            fault_events=fault_events,
+        )

@@ -12,7 +12,12 @@ all, and a torn ``perf_history.jsonl`` line would poison every later
 * :func:`append_line` — append one newline-terminated record with a single
   ``write`` on an ``O_APPEND`` descriptor, which POSIX guarantees is not
   interleaved with concurrent appenders for ordinary files. Used by the
-  perf-history stream.
+  perf-history stream. A writer that appends many records (the campaign
+  journal) keeps one :func:`open_append` descriptor and makes the same
+  single ``write`` per record on it.
+
+Both create a missing parent directory, but only after the first attempt
+reports it missing: the common case costs no ``mkdir``.
 """
 
 from __future__ import annotations
@@ -44,11 +49,16 @@ def write_atomic(
     exercised end to end.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     data = payload.encode(encoding) if isinstance(payload, str) else payload
-    descriptor, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
+    try:
+        descriptor, temp_name = tempfile.mkstemp(
+            dir=str(path.parent), prefix=path.name, suffix=".tmp"
+        )
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor, temp_name = tempfile.mkstemp(
+            dir=str(path.parent), prefix=path.name, suffix=".tmp"
+        )
     try:
         with os.fdopen(descriptor, "wb") as handle:
             handle.write(data)
@@ -66,6 +76,17 @@ def write_atomic(
     return path
 
 
+def open_append(path: Union[str, Path]) -> int:
+    """An ``O_APPEND`` write descriptor on ``path`` (created along with
+    parents); the caller closes it."""
+    flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+    try:
+        return os.open(str(path), flags, 0o644)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        return os.open(str(path), flags, 0o644)
+
+
 def append_line(
     path: Union[str, Path], line: str, encoding: str = "utf-8"
 ) -> Path:
@@ -79,12 +100,9 @@ def append_line(
     final line by skipping blanks).
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if not line.endswith("\n"):
         line += "\n"
-    descriptor = os.open(
-        str(path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-    )
+    descriptor = open_append(path)
     try:
         os.write(descriptor, line.encode(encoding))
     finally:

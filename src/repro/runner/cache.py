@@ -14,8 +14,8 @@ Identical inputs therefore replay instantly from ``.repro_cache/`` while
 invalidates exactly the runs it could have affected (the fingerprint is
 deliberately whole-tree: cheaper and safer than per-module dependency
 tracing — a one-line kernel change invalidates everything, which is the
-conservative direction). Entries are pickled result objects with a JSON
-metadata sidecar; unreadable entries are treated as misses and *quarantined*
+conservative direction). Each entry is one file, the pickled result
+object; unreadable entries are treated as misses and *quarantined*
 (moved aside, counted, reported — never silently destroyed), so a corrupted
 cache degrades to observable re-execution, never to wrong results and never
 to an evidence-free disappearance.
@@ -25,7 +25,6 @@ Cache layout::
     .repro_cache/
       objects/
         <key>.pkl    # pickled result object
-        <key>.json   # metadata: experiment, part, seed, duration, size
       quarantine/
         <key>.pkl    # unreadable entries moved here by get() for autopsy
 
@@ -156,9 +155,6 @@ class ResultCache:
     def _object_path(self, key: str) -> Path:
         return self.objects / f"{key}.pkl"
 
-    def _meta_path(self, key: str) -> Path:
-        return self.objects / f"{key}.json"
-
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(hit, result)``; corrupt or unreadable entries count as misses
         and are quarantined (see :meth:`quarantine`)."""
@@ -175,13 +171,13 @@ class ResultCache:
             return False, None
 
     def quarantine(self, key: str) -> None:
-        """Move one entry (object + sidecar) into ``quarantine/``."""
+        """Move one entry into ``quarantine/``."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        for path in (self._object_path(key), self._meta_path(key)):
-            try:
-                os.replace(path, self.quarantine_dir / path.name)
-            except OSError:
-                pass
+        path = self._object_path(key)
+        try:
+            os.replace(path, self.quarantine_dir / path.name)
+        except OSError:
+            pass
         self.quarantine_events.append(key)
         obs_runtime.get_registry().counter("runner.cache.corrupt").inc()
 
@@ -200,35 +196,25 @@ class ResultCache:
         return True
 
     def put(self, key: str, result: Any, meta: Optional[Dict[str, Any]] = None) -> None:
-        """Store one result and its metadata sidecar atomically."""
-        self.objects.mkdir(parents=True, exist_ok=True)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._write_atomic(self._object_path(key), payload)
-        record = dict(meta or {})
-        record["size_bytes"] = len(payload)
-        record["schema"] = CACHE_SCHEMA_VERSION
-        self._write_atomic(
-            self._meta_path(key),
-            (json.dumps(record, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        """Store one result atomically, as the entry's single file.
 
-    def _write_atomic(self, path: Path, payload: bytes) -> None:
-        # Thin wrapper kept for API stability; the shared implementation
-        # lives in repro.obs.ioutil so every artifact writer agrees on the
-        # crash-safety contract.
-        write_atomic(path, payload)
+        ``meta`` is accepted and ignored: nothing reads per-entry metadata.
+        """
+        write_atomic(
+            self._object_path(key),
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists (without loading it)."""
         return self._object_path(key).exists()
 
     def discard(self, key: str) -> None:
-        """Remove one entry (both object and sidecar), if present."""
-        for path in (self._object_path(key), self._meta_path(key)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        """Remove one entry, if present."""
+        try:
+            self._object_path(key).unlink()
+        except OSError:
+            pass
 
     def keys(self) -> Iterator[str]:
         """All stored entry keys."""

@@ -475,17 +475,7 @@ def run_all(
         ).observe(outcome.wall_s)
         registry.counter("runner.parts.executed").inc()
         if cache is not None:
-            cache.put(
-                state.key,
-                outcome.result,
-                meta={
-                    "experiment": state.task.experiment_id,
-                    "part": state.task.part,
-                    "target": state.task.target,
-                    "seed": state.task.seed,
-                    "duration_s": round(outcome.wall_s, 6),
-                },
-            )
+            cache.put(state.key, outcome.result)
 
     def _failed(state: manager.Dispatch) -> None:
         if live_sink is not None:

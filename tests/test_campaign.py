@@ -235,6 +235,89 @@ class TestJournalFold:
         assert names == ["campaign.jsonl.0", "campaign.jsonl.1"]
 
 
+#: Records of every shape the manager appends, for the byte comparisons.
+_RECORDS = [
+    ("campaign.open", {"campaign": "j", "generation": 1, "resume": False}),
+    ("point.lease", {"key": "a", "lease": "g1-l1", "attempt": 1}),
+    ("point.heartbeat", {"key": "a", "lease": "g1-l1", "attempt": 1}),
+    ("point.retry", {"key": "a", "attempt": 1, "error": "caf\u00e9 \u2014 x"}),
+    ("point.done", {"key": "a", "cached": False, "wall_s": 0.25}),
+    ("campaign.done", {"campaign": "j", "ok": 1, "quarantined": 0}),
+]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestJournalDescriptor:
+    def test_appends_open_the_file_once(self, workdir, monkeypatch):
+        path = workdir / "nested" / "campaign.jsonl"
+        opened = []
+        real_open = os.open
+
+        def counting_open(target, *args, **kwargs):
+            descriptor = real_open(target, *args, **kwargs)
+            if Path(target) == path:
+                opened.append(descriptor)
+            return descriptor
+
+        monkeypatch.setattr(os, "open", counting_open)
+        with CampaignJournal(path) as journal:
+            for event_type, fields in _RECORDS * 5:
+                journal.append(event_type, **fields)
+        assert len(opened) == 1
+        assert fold_journal(path).records == len(_RECORDS) * 5
+
+    def test_bytes_match_one_append_line_per_record(self, workdir):
+        from repro.obs.ioutil import append_line
+
+        reference = workdir / "reference.jsonl"
+        with CampaignJournal(workdir / "campaign.jsonl", start_seq=7) as journal:
+            for seq, (event_type, fields) in enumerate(_RECORDS, start=8):
+                record = journal.append(event_type, **fields)
+                assert record["seq"] == seq
+                append_line(reference, json.dumps(record, sort_keys=True))
+        assert journal.path.read_bytes() == reference.read_bytes()
+
+    def test_torn_append_leaves_the_line_prefix(self, workdir):
+        from repro.faults import runtime as faults_runtime
+
+        with CampaignJournal(workdir / "campaign.jsonl") as journal:
+            first = journal.append("campaign.open", campaign="j", generation=1)
+            faults_runtime.arm("campaign.journal.corrupt")
+            torn = journal.append("point.lease", key="a", attempt=1)
+        whole = json.dumps(first, sort_keys=True) + "\n"
+        line = json.dumps(torn, sort_keys=True)
+        assert journal.path.read_bytes() == (
+            whole + line[: len(line) // 2]
+        ).encode("utf-8")
+        assert fold_journal(journal.path).torn_tail
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_run_campaign_closes_the_journal(self, spec, workdir):
+        _run(spec, workdir)  # warm imports and lazy state first
+        before = _open_fds()
+        _run(spec, workdir, journal_path=workdir / "returns.jsonl")
+        assert _open_fds() == before
+
+        def boom(line):
+            if line.startswith("[point"):
+                raise RuntimeError("progress sink failed")
+
+        with pytest.raises(RuntimeError, match="progress sink failed"):
+            _run(
+                spec,
+                workdir,
+                use_cache=False,
+                journal_path=workdir / "raises.jsonl",
+                progress=boom,
+            )
+        assert _open_fds() == before
+
+
 class TestRunCampaign:
     def test_completes_and_second_run_replays_from_cache(self, spec, workdir):
         first = _run(spec, workdir)
@@ -303,6 +386,32 @@ class TestRunCampaign:
         assert fig9.attempts == 2
         state = fold_journal(workdir / "campaign.jsonl")
         assert state.attempts[fig9.point.key] == 2
+
+    def test_watchdog_spares_a_point_queued_behind_hung_workers(
+        self, spec, workdir
+    ):
+        # Both fig12 points hang on the two workers while fig9 waits in the
+        # pool's queue past the timeout: its lease is requeued uncharged.
+        plan = _plan(
+            FaultSpec("worker.hang", count=2, param=30.0, scope="fig12:*")
+        )
+        result = _run(
+            spec, workdir, jobs=2, retries=1, task_timeout_s=1.0,
+            fault_plan=plan,
+        )
+        assert result.ok and not result.quarantined
+        attempts = {o.point.label: o.attempts for o in result.outcomes}
+        assert attempts == {
+            "fig12:occupancy=0.4": 2,
+            "fig12:occupancy=0.8": 2,
+            "fig9:all": 1,
+        }
+        state = fold_journal(workdir / "campaign.jsonl")
+        fig9 = next(
+            o.point.key for o in result.outcomes if o.point.experiment == "fig9"
+        )
+        assert state.attempts[fig9] == 1
+        assert result.wall_s < 25.0
 
     def test_torn_journal_fault_then_resume_recovers_from_cache(
         self, spec, workdir

@@ -1,7 +1,5 @@
 """Runner cache layer: key construction, store semantics, fingerprinting."""
 
-import pickle
-
 import pytest
 
 from repro.runner.cache import (
@@ -135,17 +133,40 @@ class TestResultCache:
         assert not hit and value is None
         assert not cache.contains(key)  # discarded, not left to rot
 
-    def test_meta_sidecar_written(self, tmp_path):
-        import json
+    def test_entry_is_one_pkl_file(self, tmp_path):
+        root = tmp_path / "cache"
+        cache = ResultCache(str(root))
+        kept, quarantined, discarded = (_key(part=f"p{i}") for i in range(3))
 
-        cache = ResultCache(str(tmp_path / "cache"))
-        key = _key()
-        cache.put(key, "payload", meta={"experiment": "fig5", "part": "all"})
-        meta = json.loads(cache._meta_path(key).read_text())
-        assert meta["experiment"] == "fig5"
-        assert meta["size_bytes"] == len(
-            pickle.dumps("payload", protocol=pickle.HIGHEST_PROTOCOL)
+        def files():
+            return sorted(
+                str(path.relative_to(root))
+                for path in root.rglob("*")
+                if path.is_file()
+            )
+
+        for key in (kept, quarantined, discarded):
+            cache.put(key, key, meta={"experiment": "fig5"})
+        assert files() == sorted(
+            f"objects/{key}.pkl" for key in (kept, quarantined, discarded)
         )
+        cache.quarantine(quarantined)
+        cache.discard(discarded)
+        assert files() == sorted(
+            [f"objects/{kept}.pkl", f"quarantine/{quarantined}.pkl"]
+        )
+        assert cache.clear() == 1
+        assert files() == [f"quarantine/{quarantined}.pkl"]
+
+    def test_put_and_append_create_missing_directories(self, tmp_path):
+        from repro.obs.ioutil import append_line
+
+        cache = ResultCache(str(tmp_path / "not" / "yet" / "cache"))
+        cache.put(_key(), "payload")
+        assert cache.get(_key()) == (True, "payload")
+        target = tmp_path / "also" / "missing" / "log.jsonl"
+        append_line(target, "one")
+        assert target.read_text() == "one\n"
 
     def test_clear_and_len(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))

@@ -145,6 +145,31 @@ class TestPoolRecovery:
         assert part.attempts == 2
         assert result.wall_s < 25.0  # reclaimed, not slept through
 
+    def test_watchdog_spares_a_task_queued_behind_hung_workers(self, cache_dir):
+        # Both workers hang, so table1 waits in the pool's queue past the
+        # timeout; its deadline has not started, so the watchdog requeues
+        # it uncharged instead of timing it out.
+        plan = _plan(
+            FaultSpec("worker.hang", param=30.0, scope="fig9:*"),
+            FaultSpec("worker.hang", param=30.0, scope="fig13:*"),
+        )
+        result = run_all(
+            ids=["fig9", "fig13", "table1"],
+            jobs=2,
+            cache_dir=cache_dir,
+            retries=1,
+            task_timeout_s=1.0,
+            fault_plan=plan,
+        )
+        assert result.ok
+        for hung in ("fig9", "fig13"):
+            (part,) = result.run_for(hung).parts
+            assert part.timed_out and part.attempts == 2, hung
+        (queued,) = result.run_for("table1").parts
+        assert not queued.timed_out
+        assert queued.attempts == 1
+        assert result.wall_s < 25.0
+
     def test_timeout_without_retries_fails_the_part(self, cache_dir):
         plan = _plan(FaultSpec("worker.hang", param=30.0, scope="fig9:*"))
         result = run_all(
