@@ -2,7 +2,8 @@
 
 Usage::
 
-    python -m repro list                 # show experiment ids
+    python -m repro list                 # experiment ids and subcommands
+    python -m repro --help               # the same roster, from argparse
     python -m repro fig5                 # run one experiment, print a report
     python -m repro fig14 --seed 3
     python -m repro run-all --jobs 4     # every paper artifact, in parallel
@@ -11,6 +12,9 @@ Usage::
         --fault-plan worker.crash:1,worker.hang:1@20   # chaos drill
     python -m repro run-all --live       # stream run_live.jsonl while running
     python -m repro run-all --slo-spec slos/fig7.json --ids fig7
+    python -m repro campaign run --spec campaigns/demo.json --jobs 2
+    python -m repro campaign status --spec campaigns/demo.json
+    python -m repro campaign results --format csv
     python -m repro watch                # tail + render a --live event stream
     python -m repro watch --once --json  # one machine-readable snapshot
     python -m repro slo --input run_manifest.json --strict   # SLO gate
@@ -27,6 +31,8 @@ Usage::
     python -m repro fig5 --no-obs        # instrumentation off
     python -m repro lint src/repro       # determinism/unit static analysis
 
+Every subcommand comes from one argparse tree (:func:`build_parser`);
+flags that several subcommands take are defined once in :data:`_FLAGS`.
 Reports mirror the benchmark outputs; heavy experiments accept reduced
 scales through the driver defaults. Experiment ids tolerate zero padding
 (``fig07`` == ``fig7``).
@@ -37,25 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, InjectedFault
-from repro.experiments.registry import EXPERIMENTS, get_spec
+from repro.experiments.registry import EXPERIMENTS, get_spec, normalize_experiment_id
 from repro.obs import runtime as obs_runtime
-
-#: Zero-padded experiment ids (``fig07``) normalise to registry keys
-#: (``fig7``); already-canonical ids like ``fig10`` pass through.
-_PADDED_ID_RE = re.compile(r"^(fig|sec|table)0+(\d\w*)$")
-
-
-def normalize_experiment_id(experiment: str) -> str:
-    """Map ``fig07``/``fig06a``-style ids onto the registry's ``fig7``/``fig6a``."""
-    match = _PADDED_ID_RE.match(experiment.lower())
-    if match:
-        return match.group(1) + match.group(2)
-    return experiment
 
 
 def _run_driver(experiment: str, seed: int):
@@ -197,24 +190,41 @@ _REPORTERS: Dict[str, Callable] = {
 }
 
 
-def _cmd_list() -> int:
+def _experiment_id(experiment: str) -> str:
+    """The registry key of an experiment argument (its argparse ``type``)."""
+    key = normalize_experiment_id(experiment)
+    if key not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"unknown experiment {experiment!r}; try 'list'"
+        )
+    return key
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    """``repro list``: the roster of the command tree, experiments first."""
+    experiments: List[str] = []
+    commands: List[str] = []
+    for path, help_text, _ in walk_commands(build_parser()):
+        roster = experiments if path in EXPERIMENTS else commands
+        roster.append(f"  {path:<16} {help_text}")
     print("available experiments:")
-    for key in sorted(EXPERIMENTS):
-        print(f"  {key:<8} -> {EXPERIMENTS[key]}")
-    print("  quickstart (built-in demo)")
-    print("  report     (run everything, emit markdown)")
-    print("  run-all    (every experiment, parallel + cached; see docs/running.md)")
-    print("  profile    (per-kind attribution + flame output; see docs/observability.md)")
-    print("  watch      (render a run-all --live event stream)")
-    print("  slo        (evaluate SLO specs against a run manifest; CI gate)")
-    print("  dash       (render a static HTML observatory for a run)")
+    print("\n".join(experiments))
+    print("commands:")
+    print("\n".join(commands))
     return 0
 
 
-def _cmd_quickstart(duration: float, seed: int) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.experiments.report import generate_report
+
+    print(generate_report())
+    return 0
+
+
+def _cmd_quickstart(args: argparse.Namespace) -> int:
     from repro import quickstart_powifi
 
-    result = quickstart_powifi(duration_s=duration, seed=seed)
+    result = quickstart_powifi(duration_s=args.duration, seed=args.seed)
     for channel, occupancy in sorted(result.occupancy_by_channel.items()):
         print(f"channel {channel:>2}: {100 * occupancy:5.1f} %")
     print(f"cumulative: {100 * result.cumulative_occupancy:5.1f} %")
@@ -222,148 +232,58 @@ def _cmd_quickstart(duration: float, seed: int) -> int:
     return 0
 
 
-def _resolve_experiment(experiment: str) -> Optional[str]:
-    """Canonical registry key for ``experiment``, or None with a stderr note."""
-    key = normalize_experiment_id(experiment)
-    if key not in EXPERIMENTS:
-        print(f"unknown experiment {experiment!r}; try 'list'", file=sys.stderr)
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    """``repro <experiment>``: run one driver and print its report."""
+    result = _run_driver(args.command, args.seed)
+    reporter = _REPORTERS.get(args.command, _report_generic)
+    print(f"== {args.command} ==")
+    for line in reporter(result):
+        print(line)
+    return 0
+
+
+def _fault_plan(args: argparse.Namespace):
+    """Parse ``--fault-plan`` (None without one) and reset the fault runtime."""
+    if args.fault_plan is None:
         return None
-    return key
+    from repro.faults import parse_fault_plan
+    from repro.faults import runtime as faults_runtime
+
+    plan = parse_fault_plan(
+        args.fault_plan,
+        seed=args.seed if args.fault_seed is None else args.fault_seed,
+    )
+    faults_runtime.reset()
+    print(f"fault plan: {plan.describe()} (seed={plan.seed})")
+    return plan
 
 
-def _cmd_run_all(argv: List[str], no_obs: bool) -> int:
+def _live_sink(report: str, expected_walls: Optional[Dict[str, float]] = None):
+    """A ``--live`` event sink writing ``run_live.jsonl`` next to ``report``."""
+    from repro.obs.live import LIVE_FILENAME, LiveSink
+
+    path = os.path.join(os.path.dirname(os.path.abspath(report)), LIVE_FILENAME)
+    sink = LiveSink(path, expected_walls=expected_walls)
+    print(f"live: streaming events to {path}")
+    return sink
+
+
+def _cmd_run_all(args: argparse.Namespace) -> int:
     """``repro run-all``: regenerate every paper artifact, parallel + cached.
 
     The full workflow (cache semantics, ``--jobs`` guidance, manifest
     layout) is documented in ``docs/running.md``.
     """
-    from repro.obs.history import (
-        DEFAULT_HISTORY_DIR,
-        append_history,
-        build_history_record,
-        write_bench_snapshot,
-    )
-    from repro.runner import DEFAULT_CACHE_DIR, ResultCache, run_all, write_manifest
+    from repro.obs.history import append_history, build_history_record, write_bench_snapshot
+    from repro.runner import ResultCache, run_all, write_manifest
 
-    parser = argparse.ArgumentParser(
-        prog="repro run-all",
-        description="Run all (or selected) experiments in parallel with "
-        "content-addressed result caching.",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: cpu count; 1 = in-process)",
-    )
-    parser.add_argument(
-        "--ids",
-        default=None,
-        help="comma-separated experiment ids (default: all 17)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--clear-cache",
-        action="store_true",
-        help="drop every cache entry before running",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
-    parser.add_argument(
-        "--report",
-        default="run_manifest.json",
-        help="manifest output path (default: run_manifest.json)",
-    )
-    parser.add_argument(
-        "--span-detail",
-        action="store_true",
-        help="also record hot-path spans (per-transmission mac80211)",
-    )
-    parser.add_argument(
-        "--history-dir",
-        default=DEFAULT_HISTORY_DIR,
-        help=f"perf-history directory (default: {DEFAULT_HISTORY_DIR})",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the perf_history.jsonl append and BENCH snapshot",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
-        help="extra attempts per task after a crash/raise/timeout (default: 0)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="watchdog limit per task; a hung worker is terminated and the "
-        "task retried (default: no timeout; ignored at --jobs 1)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic faults: a spec string like "
-        "'worker.crash:1,worker.hang:1@20' or a .json plan file "
-        "(see docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="seed for fault target selection (default: --seed)",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="stream lifecycle events to run_live.jsonl next to the "
-        "manifest ('python -m repro watch' renders them live)",
-    )
-    parser.add_argument(
-        "--slo-spec",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help="SLO spec file to evaluate (repeatable; replaces the "
-        "registry defaults — see docs/observability.md)",
-    )
-    parser.add_argument(
-        "--no-slo",
-        action="store_true",
-        help="skip SLO evaluation entirely (no registry defaults)",
-    )
-    args = parser.parse_args(argv)
-    obs_runtime.configure(enabled=not no_obs, span_detail=args.span_detail)
+    obs_runtime.configure(enabled=not args.no_obs, span_detail=args.span_detail)
 
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.faults import parse_fault_plan
+    fault_plan = _fault_plan(args)
+    if fault_plan is not None and fault_plan.wants("manifest.interrupt"):
         from repro.faults import runtime as faults_runtime
 
-        try:
-            fault_plan = parse_fault_plan(
-                args.fault_plan,
-                seed=args.seed if args.fault_seed is None else args.fault_seed,
-            )
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        faults_runtime.reset()
-        if fault_plan.wants("manifest.interrupt"):
-            faults_runtime.arm("manifest.interrupt")
-        print(f"fault plan: {fault_plan.describe()} (seed={fault_plan.seed})")
+        faults_runtime.arm("manifest.interrupt")
 
     # SLO specs: None lets run_all load the registry defaults; an explicit
     # --slo-spec list replaces them and must parse (a spec the operator
@@ -393,34 +313,24 @@ def _cmd_run_all(argv: List[str], no_obs: bool) -> int:
         print(f"cleared {removed} cache entries from {args.cache_dir}")
 
     live_sink = None
-    live_path = None
     if args.live:
-        from repro.obs.live import LIVE_FILENAME, LiveSink, expected_walls
+        from repro.obs.live import expected_walls
 
-        report_dir = os.path.dirname(os.path.abspath(args.report))
-        live_path = os.path.join(report_dir, LIVE_FILENAME)
-        history_file = os.path.join(
-            args.history_dir, "perf_history.jsonl"
-        )
-        live_sink = LiveSink(live_path, expected_walls=expected_walls(history_file))
-        print(f"live: streaming events to {live_path}")
-    try:
-        result = run_all(
-            ids=ids,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            seed=args.seed,
-            progress=print,
-            retries=args.retries,
-            task_timeout_s=args.task_timeout,
-            fault_plan=fault_plan,
-            live_sink=live_sink,
-            slo_specs=slo_specs,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        history_file = os.path.join(args.history_dir, "perf_history.jsonl")
+        live_sink = _live_sink(args.report, expected_walls(history_file))
+    result = run_all(
+        ids=ids,
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        seed=args.seed,
+        progress=print,
+        retries=args.retries,
+        task_timeout_s=args.task_timeout,
+        fault_plan=fault_plan,
+        live_sink=live_sink,
+        slo_specs=slo_specs,
+    )
     try:
         manifest = write_manifest(result, args.report)
     except InjectedFault as exc:
@@ -451,8 +361,8 @@ def _cmd_run_all(argv: List[str], no_obs: bool) -> int:
             f"dropped telemetry: {result.spans_dropped} span(s), "
             f"{result.live_dropped} live event(s) (see manifest totals)"
         )
-    if live_path is not None:
-        print(f"live: {live_path}")
+    if live_sink is not None:
+        print(f"live: {live_sink.path}")
 
     # Sidecar telemetry next to the manifest: the span tree and the
     # parent-process metrics snapshot (worker snapshots are summarised
@@ -460,7 +370,7 @@ def _cmd_run_all(argv: List[str], no_obs: bool) -> int:
     report_dir = os.path.dirname(os.path.abspath(args.report))
     spans_path = os.path.join(report_dir, "run_spans.jsonl")
     metrics_path = os.path.join(report_dir, "run_metrics.jsonl")
-    if not no_obs:
+    if not args.no_obs:
         with open(spans_path, "w", encoding="utf-8") as handle:
             for record in result.spans:
                 handle.write(json.dumps(record) + "\n")
@@ -476,191 +386,40 @@ def _cmd_run_all(argv: List[str], no_obs: bool) -> int:
     return 0 if result.ok else 1
 
 
-def _cmd_campaign(argv: List[str], no_obs: bool) -> int:
-    """``repro campaign run|status|results``: journaled parameter sweeps.
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    """``repro campaign run``: execute (or resume) one campaign spec.
 
     Spec schema, journal format and resume/quarantine semantics are
     documented in ``docs/campaigns.md``.
     """
-    if not argv or argv[0] not in ("run", "status", "results"):
-        print(
-            "usage: repro campaign {run|status|results} ... "
-            "(see docs/campaigns.md)",
-            file=sys.stderr,
-        )
-        return 2
-    verb, rest = argv[0], argv[1:]
-    if verb == "run":
-        return _cmd_campaign_run(rest, no_obs)
-    if verb == "status":
-        return _cmd_campaign_status(rest)
-    return _cmd_campaign_results(rest)
-
-
-def _cmd_campaign_run(argv: List[str], no_obs: bool) -> int:
-    """``repro campaign run``: execute (or resume) one campaign spec."""
     from repro.campaign import load_campaign_spec, run_campaign
-    from repro.campaign.manager import MANIFEST_FILENAME, write_manifest as write_campaign_manifest
-    from repro.runner import DEFAULT_CACHE_DIR
+    from repro.campaign.manager import write_manifest as write_campaign_manifest
 
-    parser = argparse.ArgumentParser(
-        prog="repro campaign run",
-        description="Expand a campaign spec into content-addressed points "
-        "and run them to completion under a crash-safe journal.",
-    )
-    parser.add_argument(
-        "--spec",
-        required=True,
-        metavar="PATH",
-        help="campaign spec JSON (see docs/campaigns.md for the schema)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: cpu count; 1 = in-process)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="campaign master seed (fault selection and retry backoff; "
-        "point seeds come from the spec's 'seeds' list)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=1,
-        help="extra attempts per point before quarantine (default: 1)",
-    )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="watchdog limit per point lease; an overdue lease is "
-        "reclaimed and the point retried (default: no timeout)",
-    )
-    parser.add_argument(
-        "--heartbeat",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="cadence of journal heartbeats for in-flight leases "
-        "(default: 2.0)",
-    )
-    parser.add_argument(
-        "--report",
-        default=MANIFEST_FILENAME,
-        metavar="PATH",
-        help=f"campaign manifest output path (default: {MANIFEST_FILENAME})",
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help="journal path (default: campaign.jsonl next to --report)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="fold an existing journal and only run missing points "
-        "(the default; spelled out for scripts that mean it)",
-    )
-    parser.add_argument(
-        "--fresh",
-        action="store_true",
-        help="move any existing journal aside and start generation 1 "
-        "(the result cache still applies unless --no-cache)",
-    )
-    parser.add_argument(
-        "--fault-plan",
-        default=None,
-        metavar="SPEC",
-        help="inject deterministic faults, e.g. "
-        "'campaign.point.poison:1,worker.crash:1' (see docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--fault-seed",
-        type=int,
-        default=None,
-        help="seed for fault target selection (default: --seed)",
-    )
-    parser.add_argument(
-        "--live",
-        action="store_true",
-        help="stream lifecycle events to run_live.jsonl next to the "
-        "manifest ('python -m repro watch' renders them live)",
-    )
-    args = parser.parse_args(argv)
-    obs_runtime.configure(enabled=not no_obs)
     if args.resume and args.fresh:
         print("campaign run: --resume and --fresh conflict", file=sys.stderr)
         return 2
 
-    try:
-        spec = load_campaign_spec(args.spec)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    fault_plan = None
-    if args.fault_plan is not None:
-        from repro.faults import parse_fault_plan
-        from repro.faults import runtime as faults_runtime
-
-        try:
-            fault_plan = parse_fault_plan(
-                args.fault_plan,
-                seed=args.seed if args.fault_seed is None else args.fault_seed,
-            )
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        faults_runtime.reset()
-        print(f"fault plan: {fault_plan.describe()} (seed={fault_plan.seed})")
-
+    spec = load_campaign_spec(args.spec)
+    fault_plan = _fault_plan(args)
     report_dir = os.path.dirname(os.path.abspath(args.report))
     journal_path = args.journal or os.path.join(report_dir, "campaign.jsonl")
+    live_sink = _live_sink(args.report) if args.live else None
 
-    live_sink = None
-    live_path = None
-    if args.live:
-        from repro.obs.live import LIVE_FILENAME, LiveSink
-
-        live_path = os.path.join(report_dir, LIVE_FILENAME)
-        live_sink = LiveSink(live_path)
-        print(f"live: streaming events to {live_path}")
-
-    try:
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            seed=args.seed,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            retries=args.retries,
-            task_timeout_s=args.task_timeout,
-            heartbeat_s=args.heartbeat,
-            fault_plan=fault_plan,
-            live_sink=live_sink,
-            journal_path=journal_path,
-            resume=not args.fresh,
-            progress=print,
-        )
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run_campaign(
+        spec,
+        jobs=args.jobs,
+        seed=args.seed,
+        use_cache=not args.no_cache,
+        cache_dir=args.cache_dir,
+        retries=args.retries,
+        task_timeout_s=args.task_timeout,
+        heartbeat_s=args.heartbeat,
+        fault_plan=fault_plan,
+        live_sink=live_sink,
+        journal_path=journal_path,
+        resume=not args.fresh,
+        progress=print,
+    )
 
     if result.interrupted:
         print(
@@ -685,40 +444,17 @@ def _cmd_campaign_run(argv: List[str], no_obs: bool) -> int:
         )
     print(f"manifest: {args.report}")
     print(f"journal: {journal_path}")
-    if live_path is not None:
-        print(f"live: {live_path}")
+    if live_sink is not None:
+        print(f"live: {live_sink.path}")
     # Quarantined points degrade the campaign, they do not fail it: the
     # sweep completed and reported them, which is the contract.
     return 0
 
 
-def _cmd_campaign_status(argv: List[str]) -> int:
+def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """``repro campaign status``: fold the journal into a progress report."""
     from repro.campaign import fold_journal, load_campaign_spec
 
-    parser = argparse.ArgumentParser(
-        prog="repro campaign status",
-        description="Reconstruct campaign progress from its journal "
-        "(read-only; safe while a campaign runs).",
-    )
-    parser.add_argument(
-        "--journal",
-        default="campaign.jsonl",
-        metavar="PATH",
-        help="journal path (default: campaign.jsonl)",
-    )
-    parser.add_argument(
-        "--spec",
-        default=None,
-        metavar="PATH",
-        help="campaign spec, to also report not-yet-started points",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the status as JSON instead of text",
-    )
-    args = parser.parse_args(argv)
     state = fold_journal(args.journal)
     status: dict = {
         "journal": args.journal,
@@ -738,19 +474,12 @@ def _cmd_campaign_status(argv: List[str]) -> int:
         status["campaign"] = state.campaign.get("campaign")
         status["seed"] = state.campaign.get("seed")
     if args.spec:
-        try:
-            from repro.runner.cache import code_fingerprint
+        from repro.runner.cache import code_fingerprint
 
-            spec = load_campaign_spec(args.spec)
-            points = spec.expand(code_fingerprint())
-            terminal = state.terminal_keys()
-            status["points"] = len(points)
-            status["pending"] = sum(
-                1 for point in points if point.key not in terminal
-            )
-        except ConfigurationError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        points = load_campaign_spec(args.spec).expand(code_fingerprint())
+        terminal = state.terminal_keys()
+        status["points"] = len(points)
+        status["pending"] = sum(1 for point in points if point.key not in terminal)
     if args.json:
         print(json.dumps(status, sort_keys=True))
         return 0
@@ -780,41 +509,12 @@ def _cmd_campaign_status(argv: List[str]) -> int:
     return 0
 
 
-def _cmd_campaign_results(argv: List[str]) -> int:
+def _cmd_campaign_results(args: argparse.Namespace) -> int:
     """``repro campaign results``: flatten a campaign manifest into rows."""
     from repro.campaign import point_rows, render_rows, rows_to_csv
     from repro.campaign.results import load_campaign_manifest
 
-    parser = argparse.ArgumentParser(
-        prog="repro campaign results",
-        description="Flatten a campaign manifest's per-point results "
-        "(axes, domain metrics, SLO verdicts) into row-oriented tables.",
-    )
-    parser.add_argument(
-        "--input",
-        default="campaign_manifest.json",
-        metavar="PATH",
-        help="campaign manifest to read (default: campaign_manifest.json)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument(
-        "--experiment",
-        default=None,
-        metavar="ID",
-        help="only rows for one experiment id",
-    )
-    args = parser.parse_args(argv)
-    try:
-        manifest = load_campaign_manifest(args.input)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    rows = point_rows(manifest, experiment=args.experiment)
+    rows = point_rows(load_campaign_manifest(args.input), experiment=args.experiment)
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     elif args.format == "csv":
@@ -824,7 +524,7 @@ def _cmd_campaign_results(argv: List[str]) -> int:
     return 0
 
 
-def _cmd_metrics(argv: List[str], no_obs: bool) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> int:
     """``repro metrics``: run + export metrics, or triage an existing export.
 
     Two modes: ``metrics <experiment>`` runs the driver and writes the
@@ -839,33 +539,6 @@ def _cmd_metrics(argv: List[str], no_obs: bool) -> int:
         sort_rows,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro metrics",
-        description="Run one experiment and export its metrics as JSONL, "
-        "or triage the hot event kinds of an existing export.",
-    )
-    parser.add_argument(
-        "experiment", nargs="?", default=None, help="experiment id (see 'list')"
-    )
-    parser.add_argument(
-        "--input",
-        default=None,
-        help="triage an existing metrics JSONL instead of running",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--output", default=None, help="JSONL path (default: metrics_<id>.jsonl)"
-    )
-    parser.add_argument(
-        "--top", type=int, default=5, help="hot callbacks to print (0 disables)"
-    )
-    parser.add_argument(
-        "--sort",
-        choices=("wall", "count"),
-        default="wall",
-        help="hot-kind ordering (default: wall)",
-    )
-    args = parser.parse_args(argv)
     if (args.experiment is None) == (args.input is None):
         print("metrics: give exactly one of <experiment> or --input", file=sys.stderr)
         return 2
@@ -886,10 +559,7 @@ def _cmd_metrics(argv: List[str], no_obs: bool) -> int:
         )
         return 0
 
-    key = _resolve_experiment(args.experiment)
-    if key is None:
-        return 2
-    obs_runtime.configure(enabled=not no_obs)
+    key = args.experiment
     _run_driver(key, args.seed)
 
     output = args.output or f"metrics_{key}.jsonl"
@@ -912,7 +582,7 @@ def _cmd_metrics(argv: List[str], no_obs: bool) -> int:
     return 0
 
 
-def _cmd_profile(argv: List[str], no_obs: bool) -> int:
+def _cmd_profile(args: argparse.Namespace) -> int:
     """``repro profile``: per-kind attribution table + collapsed stacks.
 
     Either runs one experiment under the ambient profiler or re-reads a v4+
@@ -930,40 +600,6 @@ def _cmd_profile(argv: List[str], no_obs: bool) -> int:
         write_flame,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Attribute wall-clock and dispatch counts to "
-        "(event kind, component, experiment part); optionally emit "
-        "collapsed stacks for flamegraph.pl / speedscope.",
-    )
-    parser.add_argument(
-        "experiment", nargs="?", default=None, help="experiment id (see 'list')"
-    )
-    parser.add_argument(
-        "--input",
-        default=None,
-        help="profile an existing run_manifest.json instead of running",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--top", type=int, default=None, help="kinds to print (default: all)"
-    )
-    parser.add_argument(
-        "--sort",
-        choices=("wall", "count"),
-        default="wall",
-        help="table ordering (default: wall)",
-    )
-    parser.add_argument(
-        "--flame",
-        default=None,
-        metavar="PATH",
-        help="write collapsed-stack output for flamegraph.pl / speedscope",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the attribution rows as JSON"
-    )
-    args = parser.parse_args(argv)
     if (args.experiment is None) == (args.input is None):
         print("profile: give exactly one of <experiment> or --input", file=sys.stderr)
         return 2
@@ -979,12 +615,10 @@ def _cmd_profile(argv: List[str], no_obs: bool) -> int:
         total_wall = float(manifest.get("totals", {}).get("wall_s", 0.0)) or None
         title = args.input
     else:
-        if no_obs:
+        if args.no_obs:
             print("profiling requires observability; drop --no-obs", file=sys.stderr)
             return 2
-        key = _resolve_experiment(args.experiment)
-        if key is None:
-            return 2
+        key = args.experiment
         obs_runtime.configure(enabled=True)
         started = _time.perf_counter()
         _run_driver(key, args.seed)
@@ -1001,14 +635,9 @@ def _cmd_profile(argv: List[str], no_obs: bool) -> int:
             file=sys.stderr,
         )
         return 2
+    by_part = aggregate_rows(rows, by_part=True)
     if args.json:
-        print(
-            json.dumps(
-                [row.to_record() for row in aggregate_rows(rows, by_part=True)],
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        print(json.dumps([row.to_record() for row in by_part], indent=2, sort_keys=True))
     else:
         print(f"== profile: {title} ==")
         print(
@@ -1020,13 +649,13 @@ def _cmd_profile(argv: List[str], no_obs: bool) -> int:
             )
         )
     if args.flame is not None:
-        count = write_flame(aggregate_rows(rows, by_part=True), args.flame)
+        count = write_flame(by_part, args.flame)
         print(f"flame: wrote {count} stacks to {args.flame}")
     return 0
 
 
-def _cmd_watch(argv: List[str]) -> int:
-    """``repro watch``: tail and render a ``run-all --live`` event stream."""
+def _cmd_watch(args: argparse.Namespace) -> int:
+    """``repro watch``: tail and render a ``--live`` event stream."""
     import time as _time
 
     from repro.obs.live import (
@@ -1038,37 +667,6 @@ def _cmd_watch(argv: List[str]) -> int:
         tail_jsonl,
     )
 
-    parser = argparse.ArgumentParser(
-        prog="repro watch",
-        description="Render the live event stream a 'run-all --live' "
-        "invocation writes, refreshing until the run completes.",
-    )
-    parser.add_argument(
-        "--dir",
-        default=".",
-        help="directory holding run_live.jsonl and its sidecars (default: .)",
-    )
-    parser.add_argument(
-        "--file", default=None, help=f"explicit event-log path (overrides --dir/{LIVE_FILENAME})"
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        default=0.5,
-        metavar="SECONDS",
-        help="refresh period (default: 0.5)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="render the current snapshot once and exit",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="with --once: emit the snapshot as JSON instead of the board",
-    )
-    args = parser.parse_args(argv)
     if args.json and not args.once:
         print("watch: --json requires --once", file=sys.stderr)
         return 2
@@ -1101,51 +699,20 @@ def _cmd_watch(argv: List[str]) -> int:
         spans_seen += len(span_records)
         metric_records, metrics_offset = tail_jsonl(metrics_path, metrics_offset)
         metrics_seen += len(metric_records)
+        seen = dict(spans_seen=spans_seen or None, metrics_seen=metrics_seen or None)
         if args.json:
-            print(
-                json.dumps(
-                    snapshot(
-                        state,
-                        spans_seen=spans_seen or None,
-                        metrics_seen=metrics_seen or None,
-                    ),
-                    sort_keys=True,
-                )
-            )
+            print(json.dumps(snapshot(state, **seen), sort_keys=True))
         else:
-            print(
-                render_board(
-                    state,
-                    spans_seen=spans_seen or None,
-                    metrics_seen=metrics_seen or None,
-                )
-            )
+            print(render_board(state, **seen))
         if state.finished or args.once:
             return 0
         _time.sleep(max(0.05, args.interval))
 
 
-def _cmd_trace(argv: List[str], no_obs: bool) -> int:
+def _cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace <experiment> --kinds ...``: export the event trace."""
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="Run one experiment and export its trace as JSONL.",
-    )
-    parser.add_argument("experiment", help="experiment id (see 'list')")
-    parser.add_argument(
-        "--kinds",
-        default="all",
-        help="comma-separated trace kinds (e.g. mac.tx,core.gate_drop) or 'all'",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--output", default=None, help="JSONL path (default: trace_<id>.jsonl)"
-    )
-    args = parser.parse_args(argv)
-    key = _resolve_experiment(args.experiment)
-    if key is None:
-        return 2
-    if no_obs:
+    key = args.experiment
+    if args.no_obs:
         print("trace export requires observability; drop --no-obs", file=sys.stderr)
         return 2
     kinds = (
@@ -1166,36 +733,12 @@ def _cmd_trace(argv: List[str], no_obs: bool) -> int:
     return 0
 
 
-def _cmd_spans(argv: List[str], no_obs: bool) -> int:
+def _cmd_spans(args: argparse.Namespace) -> int:
     """``repro spans``: run an experiment (or load a JSONL export) and
     render the span tree; see ``docs/observability.md`` for the schema."""
     from repro.obs.metrics import Histogram
     from repro.obs.spans import render_span_tree
 
-    parser = argparse.ArgumentParser(
-        prog="repro spans",
-        description="Run one experiment and render its hierarchical span "
-        "trace as a flame-style tree (or render an existing spans JSONL).",
-    )
-    parser.add_argument(
-        "experiment", nargs="?", default=None, help="experiment id (see 'list')"
-    )
-    parser.add_argument(
-        "--input", default=None, help="render an existing spans JSONL instead"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--output", default=None, help="JSONL path (default: spans_<id>.jsonl)"
-    )
-    parser.add_argument(
-        "--max-depth", type=int, default=None, help="truncate the tree below this depth"
-    )
-    parser.add_argument(
-        "--detail",
-        action="store_true",
-        help="also record hot-path spans (per-transmission mac80211)",
-    )
-    args = parser.parse_args(argv)
     if (args.experiment is None) == (args.input is None):
         print("spans: give exactly one of <experiment> or --input", file=sys.stderr)
         return 2
@@ -1208,12 +751,10 @@ def _cmd_spans(argv: List[str], no_obs: bool) -> int:
             print(f"spans: cannot read {args.input}: {exc}", file=sys.stderr)
             return 2
     else:
-        if no_obs:
+        if args.no_obs:
             print("span tracing requires observability; drop --no-obs", file=sys.stderr)
             return 2
-        key = _resolve_experiment(args.experiment)
-        if key is None:
-            return 2
+        key = args.experiment
         obs_runtime.configure(enabled=True, span_detail=args.detail)
         with obs_runtime.span("cli.spans.run", experiment=key, seed=args.seed):
             _run_driver(key, args.seed)
@@ -1239,44 +780,15 @@ def _cmd_spans(argv: List[str], no_obs: bool) -> int:
     return 0
 
 
-def _cmd_compare(argv: List[str]) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare a b``: diff two manifests/history records.
 
     Exit codes: 0 clean, 1 regression or determinism drift, 2 bad input —
     designed to gate CI (see ``docs/observability.md``).
     """
     from repro.errors import ObservabilityError
-    from repro.obs.compare import (
-        DEFAULT_MIN_WALL_S,
-        DEFAULT_WALL_THRESHOLD,
-        compare_runs,
-        load_run,
-        render_compare,
-    )
+    from repro.obs.compare import compare_runs, load_run, render_compare
 
-    parser = argparse.ArgumentParser(
-        prog="repro compare",
-        description="Diff two run manifests / perf-history records: "
-        "wall-clock regressions, metric deltas, determinism drift.",
-    )
-    parser.add_argument("base", help="baseline manifest/BENCH json or history jsonl")
-    parser.add_argument("new", help="candidate manifest/BENCH json or history jsonl")
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_WALL_THRESHOLD,
-        help=f"relative wall-clock regression threshold (default {DEFAULT_WALL_THRESHOLD})",
-    )
-    parser.add_argument(
-        "--min-wall",
-        type=float,
-        default=DEFAULT_MIN_WALL_S,
-        help=f"ignore wall deltas when both runs are under this (default {DEFAULT_MIN_WALL_S}s)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the raw report as JSON"
-    )
-    args = parser.parse_args(argv)
     try:
         base = load_run(args.base)
         new = load_run(args.new)
@@ -1293,7 +805,7 @@ def _cmd_compare(argv: List[str]) -> int:
     return 1 if report["regressed"] else 0
 
 
-def _cmd_slo(argv: List[str]) -> int:
+def _cmd_slo(args: argparse.Namespace) -> int:
     """``repro slo``: evaluate SLO specs against a run manifest (the gate).
 
     Re-evaluates post-hoc from the manifest's per-experiment ``domain``
@@ -1304,43 +816,6 @@ def _cmd_slo(argv: List[str]) -> int:
     """
     from repro.errors import ObservabilityError
     from repro.obs import slo as slo_mod
-    from repro.runner.manifest import MANIFEST_FILENAME
-
-    parser = argparse.ArgumentParser(
-        prog="repro slo",
-        description="Evaluate SLO specs against a run manifest's domain "
-        "metric streams; exit nonzero on violation.",
-    )
-    parser.add_argument(
-        "--input",
-        default=MANIFEST_FILENAME,
-        help=f"run manifest to evaluate (default: {MANIFEST_FILENAME})",
-    )
-    parser.add_argument(
-        "--spec",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help="SLO spec file (repeatable; default: the registry defaults "
-        "of every experiment in the manifest)",
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="run_metrics.jsonl for registry:... metric references "
-        "(default: next to the manifest when present)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat skipped objectives (missing metrics, failed "
-        "experiments) as failures",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the slo section as JSON"
-    )
-    args = parser.parse_args(argv)
 
     try:
         with open(args.input, encoding="utf-8") as handle:
@@ -1396,41 +871,10 @@ def _cmd_slo(argv: List[str]) -> int:
     return slo_mod.exit_code(section, strict=args.strict)
 
 
-def _cmd_dash(argv: List[str]) -> int:
+def _cmd_dash(args: argparse.Namespace) -> int:
     """``repro dash``: render the static HTML observatory for one run."""
-    from repro.obs.dash import DASH_FILENAME, write_dash
-    from repro.runner.manifest import MANIFEST_FILENAME
+    from repro.obs.dash import write_dash
 
-    parser = argparse.ArgumentParser(
-        prog="repro dash",
-        description="Render a run manifest (plus perf-history and metrics "
-        "sidecars) as one dependency-free static HTML dashboard.",
-    )
-    parser.add_argument(
-        "--input",
-        default=MANIFEST_FILENAME,
-        help=f"run manifest to render (default: {MANIFEST_FILENAME})",
-    )
-    parser.add_argument(
-        "--out",
-        default=DASH_FILENAME,
-        help=f"output HTML path (default: {DASH_FILENAME})",
-    )
-    parser.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="perf_history.jsonl for the trend section "
-        "(default: benchmarks/results/perf_history.jsonl)",
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="run_metrics.jsonl for the energy-ledger section "
-        "(default: next to the manifest)",
-    )
-    args = parser.parse_args(argv)
     try:
         out = write_dash(
             args.input,
@@ -1445,75 +889,486 @@ def _cmd_dash(argv: List[str]) -> int:
     return 0
 
 
-def main(argv: List[str] = None) -> int:
-    """Entry point for ``python -m repro``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    no_obs = "--no-obs" in argv
-    if no_obs:
-        argv = [arg for arg in argv if arg != "--no-obs"]
-    if argv and argv[0] == "run-all":
-        # Dispatched before experiment parsing, like the other subcommands
-        # whose names can never collide with an experiment id.
-        return _cmd_run_all(argv[1:], no_obs)
-    if argv and argv[0] == "campaign":
-        return _cmd_campaign(argv[1:], no_obs)
-    if argv and argv[0] == "metrics":
-        return _cmd_metrics(argv[1:], no_obs)
-    if argv and argv[0] == "profile":
-        return _cmd_profile(argv[1:], no_obs)
-    if argv and argv[0] == "watch":
-        return _cmd_watch(argv[1:])
-    if argv and argv[0] == "trace":
-        return _cmd_trace(argv[1:], no_obs)
-    if argv and argv[0] == "spans":
-        return _cmd_spans(argv[1:], no_obs)
-    if argv and argv[0] == "compare":
-        return _cmd_compare(argv[1:])
-    if argv and argv[0] == "slo":
-        return _cmd_slo(argv[1:])
-    if argv and argv[0] == "dash":
-        return _cmd_dash(argv[1:])
-    if argv and argv[0] == "lint":
-        # Dispatched before experiment parsing so the subcommand name can
-        # never collide with an experiment id (see docs/lint.md).
-        from repro.lint.cli import main as lint_main
+#: File defaults that ``repro.runner``, ``repro.campaign`` and
+#: ``repro.obs.dash`` also define (tests/test_cli_tree.py checks they
+#: agree). Importing those packages to build the parser would add about
+#: 0.1 s to every command.
+_RUN_MANIFEST = "run_manifest.json"
+_CAMPAIGN_MANIFEST = "campaign_manifest.json"
+_CACHE_DIR = ".repro_cache"
+_DASH_HTML = "dash.html"
 
-        return lint_main(argv[1:])
+#: Flags (and the experiment positional) that more than one subcommand
+#: takes, each defined once. A subcommand that needs another default sets
+#: it with ``set_defaults``; help strings read it back via ``%(default)s``.
+_FLAGS: Dict[str, Dict[str, Any]] = {
+    "experiment": dict(
+        nargs="?", default=None, type=_experiment_id, help="experiment id (see 'list')"
+    ),
+    "--no-obs": dict(action="store_true", help="run with instrumentation off"),
+    "--seed": dict(
+        type=int,
+        default=0,
+        help="master random seed (default: 0); campaign run seeds only fault "
+        "selection and retry backoff with it, point seeds come from the spec",
+    ),
+    "--duration": dict(type=float, default=2.0, help="quickstart duration (s)"),
+    "--json": dict(action="store_true", help="emit JSON instead of text"),
+    "--input": dict(
+        default=None,
+        metavar="PATH",
+        help="manifest or JSONL export to read (default: %(default)s); "
+        "metrics, profile and spans read it instead of running an experiment",
+    ),
+    "--output": dict(
+        default=None, help="JSONL path (default: <subcommand>_<id>.jsonl)"
+    ),
+    "--top": dict(
+        type=int,
+        default=None,
+        help="hot event kinds to print (default: %(default)s; profile prints "
+        "all when unset, metrics none at 0)",
+    ),
+    "--sort": dict(
+        choices=("wall", "count"),
+        default="wall",
+        help="hot-kind ordering (default: wall)",
+    ),
+    "--spec": dict(
+        default=None,
+        metavar="PATH",
+        help="campaign spec JSON (see docs/campaigns.md); status counts its "
+        "not-yet-started points",
+    ),
+    "--journal": dict(
+        default=None,
+        metavar="PATH",
+        help="journal path (default: campaign.jsonl, next to --report for "
+        "campaign run)",
+    ),
+    "--metrics": dict(
+        default=None,
+        metavar="PATH",
+        help="run_metrics.jsonl to read with the manifest (default: next to "
+        "the manifest, when present)",
+    ),
+    # The run options of run-all and campaign run (_RUN_FLAGS).
+    "--jobs": dict(
+        type=int,
+        default=None,
+        help="worker processes (default: cpu count; 1 = in-process)",
+    ),
+    "--no-cache": dict(
+        action="store_true", help="neither read nor write the result cache"
+    ),
+    "--cache-dir": dict(
+        default=_CACHE_DIR, help="cache directory (default: %(default)s)"
+    ),
+    "--report": dict(
+        default=None,
+        metavar="PATH",
+        help="manifest output path (default: %(default)s)",
+    ),
+    "--retries": dict(
+        type=int,
+        default=0,
+        help="extra attempts per task after a crash/raise/timeout; a campaign "
+        "point still failing is quarantined (default: %(default)s)",
+    ),
+    "--task-timeout": dict(
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="watchdog limit per task; an overdue pool worker is terminated "
+        "and the task retried (default: no timeout; ignored at --jobs 1)",
+    ),
+    "--fault-plan": dict(
+        default=None,
+        metavar="SPEC",
+        help="inject deterministic faults: a spec string like "
+        "'worker.crash:1,worker.hang:1@20' or a .json plan file "
+        "(see docs/robustness.md)",
+    ),
+    "--fault-seed": dict(
+        type=int,
+        default=None,
+        help="seed for fault target selection (default: --seed)",
+    ),
+    "--live": dict(
+        action="store_true",
+        help="stream lifecycle events to run_live.jsonl next to the "
+        "manifest ('python -m repro watch' renders them live)",
+    ),
+}
+
+#: The run options ``run-all`` and ``campaign run`` share.
+_RUN_FLAGS = (
+    "--jobs",
+    "--no-cache",
+    "--cache-dir",
+    "--report",
+    "--retries",
+    "--task-timeout",
+    "--fault-plan",
+    "--fault-seed",
+    "--live",
+)
+
+
+def _add_flags(parser: Any, *names: str, **override: Any) -> None:
+    """Add the shared ``names`` from :data:`_FLAGS` to ``parser``.
+
+    ``override`` replaces parts of their definition for this subcommand
+    (``required=True``, say).
+    """
+    for name in names:
+        parser.add_argument(name, **{**_FLAGS[name], **override})
+
+
+def walk_commands(
+    parser: argparse.ArgumentParser,
+) -> Iterator[Tuple[str, str, argparse.ArgumentParser]]:
+    """``(path, help, parser)`` for every subcommand below ``parser``.
+
+    Depth first in tree order; ``path`` is space-joined (``"campaign run"``).
+    """
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for choice in action._choices_actions:
+            sub = action.choices[choice.dest]
+            yield choice.dest, choice.help, sub
+            for path, help_text, nested in walk_commands(sub):
+                yield f"{choice.dest} {path}", help_text, nested
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` command tree; every leaf sets ``func``."""
+    from repro.lint import cli as lint_cli
+    from repro.obs.compare import DEFAULT_MIN_WALL_S, DEFAULT_WALL_THRESHOLD
+    from repro.obs.history import DEFAULT_HISTORY_DIR
+    from repro.obs.live import LIVE_FILENAME
 
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PoWiFi reproduction: run the paper's experiments.",
     )
-    parser.add_argument(
-        "experiment",
-        help="experiment id (see 'list'), 'quickstart', 'report', or 'list'",
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="<command>"
     )
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument(
-        "--duration", type=float, default=2.0, help="quickstart duration (s)"
+
+    def command(
+        subparsers: Any,
+        name: str,
+        help_text: str,
+        func: Callable[[argparse.Namespace], int],
+        *flags: str,
+        description: Optional[str] = None,
+    ) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(
+            name, help=help_text, description=description or help_text
+        )
+        _add_flags(sub, "--no-obs", *flags)
+        sub.set_defaults(func=func)
+        return sub
+
+    bare = [(key, EXPERIMENTS[key], _cmd_experiment) for key in sorted(EXPERIMENTS)]
+    bare += [
+        ("list", "show experiment ids and subcommands", _cmd_list),
+        ("quickstart", "built-in demo", _cmd_quickstart),
+        ("report", "run everything, emit markdown", _cmd_report),
+    ]
+    for name, help_text, func in bare:
+        command(commands, name, help_text, func, "--seed", "--duration")
+
+    run_all = command(
+        commands, "run-all",
+        "every experiment, parallel + cached; see docs/running.md",
+        _cmd_run_all, "--seed",
+        description="Run all (or selected) experiments in parallel with "
+        "content-addressed result caching.",
     )
-    args = parser.parse_args(argv)
-    obs_runtime.configure(enabled=not no_obs)
+    _add_flags(run_all.add_argument_group("run options"), *_RUN_FLAGS)
+    run_all.set_defaults(report=_RUN_MANIFEST, retries=0)
+    run_all.add_argument(
+        "--ids", default=None, help="comma-separated experiment ids (default: all 17)"
+    )
+    run_all.add_argument(
+        "--clear-cache",
+        action="store_true",
+        help="drop every cache entry before running",
+    )
+    run_all.add_argument(
+        "--span-detail",
+        action="store_true",
+        help="also record hot-path spans (per-transmission mac80211)",
+    )
+    run_all.add_argument(
+        "--history-dir",
+        default=DEFAULT_HISTORY_DIR,
+        help=f"perf-history directory (default: {DEFAULT_HISTORY_DIR})",
+    )
+    run_all.add_argument(
+        "--no-history",
+        action="store_true",
+        help="skip the perf_history.jsonl append and BENCH snapshot",
+    )
+    run_all.add_argument(
+        "--slo-spec",
+        action="append",
+        default=None,
+        metavar="PATH",
+        help="SLO spec file to evaluate (repeatable; replaces the "
+        "registry defaults — see docs/observability.md)",
+    )
+    run_all.add_argument(
+        "--no-slo",
+        action="store_true",
+        help="skip SLO evaluation entirely (no registry defaults)",
+    )
 
-    if args.experiment == "list":
-        return _cmd_list()
-    if args.experiment == "report":
-        from repro.experiments.report import generate_report
+    campaign = commands.add_parser(
+        "campaign",
+        help="journaled parameter sweeps; see docs/campaigns.md",
+        description="Run, inspect and tabulate journaled parameter sweeps "
+        "(see docs/campaigns.md).",
+    )
+    verbs = campaign.add_subparsers(dest="verb", required=True)
+    campaign_run = command(
+        verbs, "run", "run (or resume) one campaign spec", _cmd_campaign_run,
+        "--seed",
+        description="Expand a campaign spec into content-addressed points "
+        "and run them to completion under a crash-safe journal.",
+    )
+    _add_flags(campaign_run, "--spec", required=True)
+    _add_flags(campaign_run.add_argument_group("run options"), *_RUN_FLAGS)
+    campaign_run.set_defaults(report=_CAMPAIGN_MANIFEST, retries=1)
+    campaign_run.add_argument(
+        "--heartbeat",
+        type=float,
+        default=2.0,
+        metavar="SECONDS",
+        help="cadence of journal heartbeats for in-flight leases "
+        "(default: 2.0)",
+    )
+    _add_flags(campaign_run, "--journal")
+    campaign_run.add_argument(
+        "--resume",
+        action="store_true",
+        help="fold an existing journal and only run missing points "
+        "(the default; spelled out for scripts that mean it)",
+    )
+    campaign_run.add_argument(
+        "--fresh",
+        action="store_true",
+        help="move any existing journal aside and start generation 1 "
+        "(the result cache still applies unless --no-cache)",
+    )
+    campaign_status = command(
+        verbs, "status", "fold the journal into a progress report",
+        _cmd_campaign_status, "--journal", "--spec", "--json",
+        description="Reconstruct campaign progress from its journal "
+        "(read-only; safe while a campaign runs).",
+    )
+    campaign_status.set_defaults(journal="campaign.jsonl")
+    campaign_results = command(
+        verbs, "results", "flatten a campaign manifest into rows",
+        _cmd_campaign_results, "--input",
+        description="Flatten a campaign manifest's per-point results "
+        "(axes, domain metrics, SLO verdicts) into row-oriented tables.",
+    )
+    campaign_results.set_defaults(input=_CAMPAIGN_MANIFEST)
+    campaign_results.add_argument(
+        "--format",
+        choices=("table", "csv", "json"),
+        default="table",
+        help="output format (default: table)",
+    )
+    campaign_results.add_argument(
+        "--experiment",
+        default=None,
+        metavar="ID",
+        help="only rows for one experiment id",
+    )
 
-        print(generate_report())
-        return 0
-    if args.experiment == "quickstart":
-        return _cmd_quickstart(args.duration, args.seed)
-    key = _resolve_experiment(args.experiment)
-    if key is None:
+    metrics = command(
+        commands, "metrics", "run + export metrics JSONL, or triage an export",
+        _cmd_metrics, "experiment", "--input", "--seed", "--output", "--top", "--sort",
+        description="Run one experiment and export its metrics as JSONL, "
+        "or triage the hot event kinds of an existing export.",
+    )
+    metrics.set_defaults(top=5)
+    profile = command(
+        commands, "profile",
+        "per-kind attribution + flame output; see docs/observability.md",
+        _cmd_profile, "experiment", "--input", "--seed", "--top", "--sort",
+        description="Attribute wall-clock and dispatch counts to "
+        "(event kind, component, experiment part); optionally emit "
+        "collapsed stacks for flamegraph.pl / speedscope.",
+    )
+    profile.add_argument(
+        "--flame",
+        default=None,
+        metavar="PATH",
+        help="write collapsed-stack output for flamegraph.pl / speedscope",
+    )
+    _add_flags(profile, "--json")
+
+    watch = command(
+        commands, "watch",
+        "render a 'run-all --live' or 'campaign run --live' event stream",
+        _cmd_watch,
+        description="Render the live event stream a 'run-all --live' or "
+        "'campaign run --live' invocation writes, refreshing until the run "
+        "completes.",
+    )
+    watch.add_argument(
+        "--dir",
+        default=".",
+        help="directory holding run_live.jsonl and its sidecars (default: .)",
+    )
+    watch.add_argument(
+        "--file",
+        default=None,
+        help=f"explicit event-log path (overrides --dir/{LIVE_FILENAME})",
+    )
+    watch.add_argument(
+        "--interval",
+        type=float,
+        default=0.5,
+        metavar="SECONDS",
+        help="refresh period (default: 0.5)",
+    )
+    watch.add_argument(
+        "--once",
+        action="store_true",
+        help="render the current snapshot once and exit",
+    )
+    _add_flags(watch, "--json")
+
+    trace = command(
+        commands, "trace", "run + export the event trace as JSONL", _cmd_trace,
+        description="Run one experiment and export its trace as JSONL.",
+    )
+    _add_flags(trace, "experiment", nargs=None)
+    trace.add_argument(
+        "--kinds",
+        default="all",
+        help="comma-separated trace kinds (e.g. mac.tx,core.gate_drop) or 'all'",
+    )
+    _add_flags(trace, "--seed", "--output")
+
+    spans = command(
+        commands, "spans", "run + span JSONL + flame-style tree", _cmd_spans,
+        "experiment", "--input", "--seed", "--output",
+        description="Run one experiment and render its hierarchical span "
+        "trace as a flame-style tree (or render an existing spans JSONL).",
+    )
+    spans.add_argument(
+        "--max-depth", type=int, default=None, help="truncate the tree below this depth"
+    )
+    spans.add_argument(
+        "--detail",
+        action="store_true",
+        help="also record hot-path spans (per-transmission mac80211)",
+    )
+
+    compare = command(
+        commands, "compare", "diff two manifests or perf-history records; CI gate",
+        _cmd_compare,
+        description="Diff two run manifests / perf-history records: "
+        "wall-clock regressions, metric deltas, determinism drift.",
+    )
+    compare.add_argument("base", help="baseline manifest/BENCH json or history jsonl")
+    compare.add_argument("new", help="candidate manifest/BENCH json or history jsonl")
+    compare.add_argument(
+        "--threshold",
+        type=float,
+        default=DEFAULT_WALL_THRESHOLD,
+        help=f"relative wall-clock regression threshold (default {DEFAULT_WALL_THRESHOLD})",
+    )
+    compare.add_argument(
+        "--min-wall",
+        type=float,
+        default=DEFAULT_MIN_WALL_S,
+        help=f"ignore wall deltas when both runs are under this (default {DEFAULT_MIN_WALL_S}s)",
+    )
+    _add_flags(compare, "--json")
+
+    slo = command(
+        commands, "slo", "evaluate SLO specs against a run manifest; CI gate",
+        _cmd_slo, "--input",
+        description="Evaluate SLO specs against a run manifest's domain "
+        "metric streams; exit nonzero on violation.",
+    )
+    slo.set_defaults(input=_RUN_MANIFEST)
+    _add_flags(
+        slo, "--spec",
+        action="append",
+        help="SLO spec file (repeatable; default: the registry defaults "
+        "of every experiment in the manifest)",
+    )
+    _add_flags(slo, "--metrics")
+    slo.add_argument(
+        "--strict",
+        action="store_true",
+        help="treat skipped objectives (missing metrics, failed "
+        "experiments) as failures",
+    )
+    _add_flags(slo, "--json")
+
+    dash = command(
+        commands, "dash", "render a static HTML observatory for a run", _cmd_dash,
+        "--input",
+        description="Render a run manifest (plus perf-history and metrics "
+        "sidecars) as one dependency-free static HTML dashboard.",
+    )
+    dash.set_defaults(input=_RUN_MANIFEST)
+    dash.add_argument(
+        "--out",
+        default=_DASH_HTML,
+        help="output HTML path (default: %(default)s)",
+    )
+    dash.add_argument(
+        "--history",
+        default=None,
+        metavar="PATH",
+        help="perf_history.jsonl for the trend section "
+        "(default: benchmarks/results/perf_history.jsonl)",
+    )
+    _add_flags(dash, "--metrics")
+
+    lint = command(
+        commands, "lint", "determinism/unit static analysis; see docs/lint.md",
+        lint_cli.run, description=lint_cli.DESCRIPTION,
+    )
+    lint_cli.add_arguments(lint)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point for ``python -m repro``."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    if argv and not argv[0].startswith("-"):
+        # Experiment ids are subcommands; zero padding normalises onto them.
+        key = normalize_experiment_id(argv[0])
+        if key not in {path for path, _, _ in walk_commands(parser)}:
+            print(f"unknown experiment {argv[0]!r}; try 'list'", file=sys.stderr)
+            return 2
+        argv[0] = key
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return exc.code
+    # A fresh observability state in the mode --no-obs asks for; commands
+    # that need another mode (profile, trace, spans) configure their own.
+    obs_runtime.configure(enabled=not args.no_obs)
+    try:
+        return args.func(args)
+    except ConfigurationError as exc:  # bad spec, plan, ids or manifest
+        print(str(exc), file=sys.stderr)
         return 2
-
-    result = _run_driver(key, args.seed)
-    reporter = _REPORTERS.get(key, _report_generic)
-    print(f"== {key} ==")
-    for line in reporter(result):
-        print(line)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

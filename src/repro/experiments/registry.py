@@ -20,6 +20,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import keyword
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -180,6 +181,19 @@ SPECS: Dict[str, ExperimentSpec] = {
 #: Experiment id -> "module:callable" within repro.experiments (the
 #: historical view; derived from :data:`SPECS`).
 EXPERIMENTS: Dict[str, str] = {key: spec.target for key, spec in SPECS.items()}
+
+
+#: Zero-padded experiment ids (``fig07``) normalise to registry keys
+#: (``fig7``); already-canonical ids like ``fig10`` pass through.
+_PADDED_ID_RE = re.compile(r"^(fig|sec|table)0+(\d\w*)$")
+
+
+def normalize_experiment_id(experiment: str) -> str:
+    """Map ``fig07``/``fig06a``-style ids onto the registry's ``fig7``/``fig6a``."""
+    match = _PADDED_ID_RE.match(experiment.lower())
+    if match:
+        return match.group(1) + match.group(2)
+    return experiment
 
 
 def _validate_target(target: str) -> Tuple[str, str]:

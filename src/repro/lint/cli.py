@@ -25,14 +25,15 @@ from repro.lint.findings import render_json, render_text
 from repro.lint.sarif import render_sarif
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description=(
-            "Static analysis enforcing the simulator's determinism, "
-            "seeded-RNG and unit-discipline invariants (see docs/lint.md)."
-        ),
-    )
+#: The ``repro lint --help`` description.
+DESCRIPTION = (
+    "Static analysis enforcing the simulator's determinism, "
+    "seeded-RNG and unit-discipline invariants (see docs/lint.md)."
+)
+
+
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """Add every ``repro lint`` argument to ``parser``."""
     parser.add_argument(
         "paths",
         nargs="*",
@@ -108,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PYPROJECT",
         help="explicit pyproject.toml (default: discovered from cwd)",
     )
-    return parser
 
 
 def _covered_paths(paths: List[str], config) -> set:
@@ -122,7 +122,14 @@ def _covered_paths(paths: List[str], config) -> set:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse ``argv`` as ``repro lint`` arguments and run the linter."""
+    parser = argparse.ArgumentParser(prog="repro lint", description=DESCRIPTION)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run the linter on parsed ``repro lint`` arguments; the exit code."""
     if args.changed and not args.flow:
         print("--changed requires --flow", file=sys.stderr)
         return 2

@@ -55,6 +55,7 @@ from repro.experiments.registry import (
     SPECS,
     ExperimentSpec,
     get_spec,
+    normalize_experiment_id,
     resolve_target,
 )
 from repro.faults.plan import FaultPlan, WORKER_FAULT_POINTS
@@ -249,8 +250,6 @@ def resolve_ids(ids: Optional[Sequence[str]]) -> List[str]:
     ``None`` selects every registered experiment. Unknown ids raise
     :class:`~repro.errors.ConfigurationError`; duplicates collapse.
     """
-    from repro.cli import normalize_experiment_id
-
     if ids is None:
         return list(SPECS)
     requested = []

@@ -46,3 +46,12 @@ def test_external_tool_flags_are_allowlisted(tmp_path):
     page.write_text("pytest benchmarks/ --benchmark-only\n")
     flags = check_cli_docs.known_flags(ROOT)
     assert check_cli_docs.stale_flags([page], flags) == []
+
+
+def test_checker_catches_a_flag_of_another_subcommand(tmp_path):
+    page = tmp_path / "page.md"
+    page.write_text("tail the stream with `repro watch --heartbeat 2`\n")
+    flags = check_cli_docs.known_flags(ROOT)
+    problems = check_cli_docs.stale_flags([page], flags)
+    assert len(problems) == 1 and "--heartbeat" in problems[0]
+    assert "'repro watch'" in problems[0]

@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
-"""Check that every CLI flag the docs mention actually exists.
+"""Check that every CLI flag the docs mention exists where it is quoted.
 
 The markdown under the repo root and ``docs/`` quotes ``repro`` command
-lines and flag tables extensively; when a flag is renamed or removed the
-docs silently rot. This checker extracts every ``--flag`` token from the
-given markdown files and validates it against the set of flags the CLI
-parsers actually define — the same information ``python -m repro <sub>
---help`` prints, collected statically (via ``ast``) from the parser
-modules so the check needs no subprocesses and stays fast enough for CI
-and a pre-commit hook.
+lines and flag tables extensively; when a flag is renamed, removed or
+only exists on another subcommand, the docs silently rot. This checker
+takes the flag sets from the CLI's own parser tree —
+``repro.cli.build_parser()``, one set per subcommand path such as
+``run-all``, ``campaign run`` or ``fig7`` — which is exactly what
+``python -m repro <sub> --help`` prints, without running a subprocess.
+Each ``--flag`` token in the given markdown files is then checked:
 
-Known-flag sources:
-
-* ``src/repro/cli.py`` — the base parser and every subcommand parser
-  (``run-all``, ``metrics``, ``profile``, ``watch``, ``trace``, ``spans``,
-  ``compare``), plus the pre-parse ``--no-obs`` escape hatch;
-* ``src/repro/lint/cli.py`` — the ``lint`` subcommand.
+* a flag quoted after ``repro <sub>`` on the same line, up to the end of
+  that code span, table cell or line, must be one of ``<sub>``'s flags;
+* any other flag must belong to some subcommand.
 
 Flags that belong to other tools quoted in the docs (pytest plugins and
 the like) are allowlisted explicitly in :data:`EXTERNAL_FLAGS` so a typo
@@ -29,31 +26,26 @@ Used by the CI ``docs`` job and ``tests/test_docs_cli.py``::
 
 from __future__ import annotations
 
-import ast
 import re
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: A long-option token as the docs write them: --jobs, --no-cache, ...
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
-#: Fenced code block delimiter (flags inside fences are still checked —
-#: quoted command lines are exactly what rots).
+#: ``repro <sub> [<verb>]`` as quoted in a command line.
+COMMAND_RE = re.compile(r"\brepro\s+([a-z][\w-]*)(?:\s+([a-z][\w-]*))?")
+
+#: Where a quoted command ends: its code span, its table cell, or the line.
+COMMAND_END_RE = re.compile(r"[`|]")
+
+#: Flags of other tools quoted in the docs (flags inside code fences are
+#: checked too — quoted command lines are exactly what rots).
 EXTERNAL_FLAGS = {
     # pytest-benchmark, quoted in README/EXPERIMENTS for regenerating rows.
     "--benchmark-only",
 }
-
-#: CLI modules that define parsers, relative to the repo root.
-PARSER_SOURCES = (
-    Path("src") / "repro" / "cli.py",
-    Path("src") / "repro" / "lint" / "cli.py",
-)
-
-#: Flags handled outside argparse (stripped before dispatch in cli.main),
-#: plus the option argparse adds to every parser on its own.
-PREPARSE_FLAGS = {"--no-obs", "--help"}
 
 #: Root-level scaffolding that quotes *other* projects' command lines
 #: (exemplar snippets, the working issue, review notes, which also quote
@@ -76,32 +68,27 @@ def default_files(root: Path) -> List[Path]:
     ]
 
 
-def known_flags(root: Path) -> Set[str]:
-    """Every ``--flag`` the CLI parsers register, plus pre-parse flags.
+def command_flags(root: Path) -> Dict[str, Set[str]]:
+    """Each subcommand path of ``repro.cli.build_parser()`` -> its flags."""
+    source = str(root / "src")
+    if source not in sys.path:
+        sys.path.insert(0, source)
+    from repro.cli import build_parser, walk_commands
 
-    Walks the parser modules' ASTs for ``*.add_argument("--flag", ...)``
-    calls; string positional arguments starting with ``--`` are option
-    names by argparse's contract.
-    """
-    flags: Set[str] = set(PREPARSE_FLAGS)
-    for relative in PARSER_SOURCES:
-        source = (root / relative).read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(relative))
-        for node in ast.walk(tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "add_argument"
-            ):
-                continue
-            for arg in node.args:
-                if (
-                    isinstance(arg, ast.Constant)
-                    and isinstance(arg.value, str)
-                    and arg.value.startswith("--")
-                ):
-                    flags.add(arg.value)
-    return flags
+    return {
+        path: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        for path, _, parser in walk_commands(build_parser())
+    }
+
+
+def known_flags(root: Path) -> Set[str]:
+    """Every ``--flag`` some subcommand of the CLI defines."""
+    return set().union(*command_flags(root).values())
 
 
 def doc_flags(files: Iterable[Path]) -> Dict[str, List[Tuple[Path, int]]]:
@@ -116,14 +103,53 @@ def doc_flags(files: Iterable[Path]) -> Dict[str, List[Tuple[Path, int]]]:
     return sites
 
 
-def stale_flags(files: Iterable[Path], flags: Set[str]) -> List[str]:
-    """``"file:line: flag"`` for every doc flag the CLI does not define."""
+def quoted_commands(line: str, commands: Iterable[str]) -> Iterable[Tuple[str, str]]:
+    """``(subcommand path, text quoted after it)`` for each ``repro <sub>``."""
+    from repro.experiments.registry import normalize_experiment_id
+
+    mentions = list(COMMAND_RE.finditer(line))
+    for index, match in enumerate(mentions):
+        sub, verb = normalize_experiment_id(match.group(1)), match.group(2)
+        path = f"{sub} {verb}" if f"{sub} {verb}" in commands else sub
+        if path not in commands:
+            continue
+        stop = mentions[index + 1].start() if index + 1 < len(mentions) else len(line)
+        end = COMMAND_END_RE.search(line, match.end(), stop)
+        yield path, line[match.end():end.start() if end else stop]
+
+
+def stale_flags(
+    files: Iterable[Path],
+    flags: Set[str],
+    commands: Optional[Dict[str, Set[str]]] = None,
+) -> List[str]:
+    """``"file:line: ..."`` for every doc flag the CLI does not define.
+
+    ``flags`` is every known flag; ``commands`` (default: the CLI's own
+    tree) maps subcommand paths to their flags, and a known flag quoted
+    after ``repro <sub>`` is reported when ``<sub>`` does not take it.
+    """
+    files = list(files)
+    if commands is None:
+        commands = command_flags(repo_root())
     problems = []
     for flag, locations in sorted(doc_flags(files).items()):
         if flag in flags or flag in EXTERNAL_FLAGS:
             continue
         for path, number in locations:
             problems.append(f"{path}:{number}: unknown CLI flag {flag}")
+    for path in files:
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for command, quoted in quoted_commands(line, commands):
+                for match in FLAG_RE.finditer(quoted):
+                    flag = match.group(0)
+                    if flag in flags and flag not in commands[command]:
+                        problems.append(
+                            f"{path}:{number}: {flag} is not a flag of "
+                            f"'repro {command}'"
+                        )
     return problems
 
 
@@ -134,15 +160,17 @@ def main(argv: List[str]) -> int:
     if missing:
         print("no such file(s): " + ", ".join(missing), file=sys.stderr)
         return 2
-    flags = known_flags(root)
-    problems = stale_flags(files, flags)
+    commands = command_flags(root)
+    flags = set().union(*commands.values())
+    problems = stale_flags(files, flags, commands)
     for problem in problems:
         print(problem, file=sys.stderr)
     referenced = doc_flags(files)
     print(
         f"checked {sum(len(v) for v in referenced.values())} flag references "
-        f"({len(referenced)} distinct) across {len(list(files))} files "
-        f"against {len(flags)} CLI flags: {len(problems)} unknown"
+        f"({len(referenced)} distinct) across {len(files)} files "
+        f"against {len(flags)} CLI flags of {len(commands)} subcommands: "
+        f"{len(problems)} problems"
     )
     return 1 if problems else 0
 
