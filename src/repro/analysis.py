@@ -2,8 +2,9 @@
 
 The paper's evaluation speaks in CDFs, percentiles and per-window series;
 this module centralises that arithmetic (used by the occupancy analyzer,
-the latency tracker and the figure benchmarks) plus small text-table and
-CSV utilities for the regenerated reports.
+the latency tracker and the figure benchmarks), the grid bisection behind
+the range and sensitivity searches, and small text-table and CSV utilities
+for the regenerated reports.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -54,6 +55,26 @@ def mean(samples: Sequence[float]) -> float:
     if not samples:
         raise ConfigurationError("cannot take the mean of no samples")
     return sum(samples) / len(samples)
+
+
+def first_true(predicate: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest index ``i`` in ``[lo, hi]`` with ``predicate(i)``, else ``hi + 1``.
+
+    Bisects, evaluating at most ``ceil(log2(hi - lo + 2))`` grid points.
+    Precondition: ``predicate`` is monotone on the grid (false, then true),
+    so the answer is the one a linear scan up from ``lo`` finds.
+
+    >>> first_true(lambda i: i * 0.5 >= 3.2, 0, 20)
+    7
+    """
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

@@ -671,11 +671,15 @@ def build_manifest(
 
 
 def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> Path:
-    """Atomically write the campaign manifest (sorted keys, stable bytes)."""
+    """Atomically write the campaign manifest (sorted keys, stable bytes).
+
+    An armed ``manifest.interrupt`` fault fires between the temp-file write
+    and the rename, leaving any previous manifest intact.
+    """
     from repro.obs.ioutil import write_atomic
 
     payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    return write_atomic(path, payload)
+    return write_atomic(path, payload, fault_point="manifest.interrupt")
 
 
 def run_campaign(

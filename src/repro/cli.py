@@ -243,7 +243,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _fault_plan(args: argparse.Namespace):
-    """Parse ``--fault-plan`` (None without one) and reset the fault runtime."""
+    """Parse ``--fault-plan`` (None without one), reset the fault runtime and
+    arm a process-scoped ``manifest.interrupt``."""
     if args.fault_plan is None:
         return None
     from repro.faults import parse_fault_plan
@@ -254,8 +255,22 @@ def _fault_plan(args: argparse.Namespace):
         seed=args.seed if args.fault_seed is None else args.fault_seed,
     )
     faults_runtime.reset()
+    if plan.wants("manifest.interrupt"):
+        faults_runtime.arm("manifest.interrupt")
     print(f"fault plan: {plan.describe()} (seed={plan.seed})")
     return plan
+
+
+def _write_manifest(write: Callable[[], Any]) -> Any:
+    """Call ``write``; when ``manifest.interrupt`` fires in it, say so and retry.
+
+    The write is atomic, so the previous manifest survived the fault.
+    """
+    try:
+        return write()
+    except InjectedFault as exc:
+        print(f"manifest write interrupted ({exc}); retrying", file=sys.stderr)
+        return write()
 
 
 def _live_sink(report: str, expected_walls: Optional[Dict[str, float]] = None):
@@ -280,10 +295,6 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     obs_runtime.configure(enabled=not args.no_obs, span_detail=args.span_detail)
 
     fault_plan = _fault_plan(args)
-    if fault_plan is not None and fault_plan.wants("manifest.interrupt"):
-        from repro.faults import runtime as faults_runtime
-
-        faults_runtime.arm("manifest.interrupt")
 
     # SLO specs: None lets run_all load the registry defaults; an explicit
     # --slo-spec list replaces them and must parse (a spec the operator
@@ -331,15 +342,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         live_sink=live_sink,
         slo_specs=slo_specs,
     )
-    try:
-        manifest = write_manifest(result, args.report)
-    except InjectedFault as exc:
-        # The manifest.interrupt fault point fired between temp write and
-        # rename: the previous manifest (if any) is guaranteed intact.
-        # Retrying completes the write — exactly the recovery an operator
-        # performs after a mid-write kill.
-        print(f"manifest write interrupted ({exc}); retrying", file=sys.stderr)
-        manifest = write_manifest(result, args.report)
+    manifest = _write_manifest(lambda: write_manifest(result, args.report))
     if result.interrupted:
         print("run interrupted; manifest records partial results", file=sys.stderr)
     totals = manifest["totals"]
@@ -429,7 +432,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
         return 130
 
-    write_campaign_manifest(args.report, result.manifest)
+    _write_manifest(lambda: write_campaign_manifest(args.report, result.manifest))
     totals = result.manifest["totals"]
     cached = sum(1 for o in result.outcomes if o.cached)
     print(
@@ -552,11 +555,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             print(f"metrics: cannot read {args.input}: {exc}", file=sys.stderr)
             return 2
         print(f"== metrics triage: {args.input} ==")
-        print(
-            render_attribution(
-                rows, sort=args.sort, top=args.top if args.top > 0 else None
-            )
-        )
+        print(render_attribution(rows, sort=args.sort, top=args.top))
         return 0
 
     key = args.experiment

@@ -76,6 +76,27 @@ def generate_bursty_schedule(
     return bursts
 
 
+def _reservoir_waveform(
+    transmitter: Transmitter, schedule: List[Burst], duration_s: float, occupancy: float
+) -> LeakageResult:
+    """Drive the reservoir ten feet from ``transmitter`` with ``schedule``."""
+    link = LinkBudget(transmitter)
+    rx_dbm = link.received_power_dbm(feet_to_meters(SENSOR_DISTANCE_FEET))
+    simulator = RectifierWaveformSimulator(
+        battery_free_harvester(),
+        Capacitor(capacitance_f=1.0e-6, leakage_resistance_ohm=3.0e5),
+        incident_power_dbm=rx_dbm,
+    )
+    samples = simulator.run(schedule, duration_s)
+    return LeakageResult(
+        received_power_dbm=rx_dbm,
+        occupancy=occupancy,
+        peak_voltage_v=max(s.voltage_v for s in samples),
+        mean_voltage_v=sum(s.voltage_v for s in samples) / len(samples),
+        samples=samples,
+    )
+
+
 def run_fig01(
     duration_s: float = 0.05,
     occupancy: float = 0.25,
@@ -91,24 +112,11 @@ def run_fig01(
     occupancy:
         The stock router's channel occupancy (§2: 10–40 %).
     """
-    transmitter = Transmitter(tx_power_dbm=23.0, antenna=ASUS_ROUTER_ANTENNA)
-    link = LinkBudget(transmitter)
-    rx_dbm = link.received_power_dbm(feet_to_meters(SENSOR_DISTANCE_FEET))
-    harvester = battery_free_harvester()
-    reservoir = Capacitor(capacitance_f=1.0e-6, leakage_resistance_ohm=3.0e5)
-    simulator = RectifierWaveformSimulator(
-        harvester, reservoir, incident_power_dbm=rx_dbm
-    )
-    schedule = generate_bursty_schedule(duration_s, occupancy, seed)
-    samples = simulator.run(schedule, duration_s)
-    peak = max(s.voltage_v for s in samples)
-    mean = sum(s.voltage_v for s in samples) / len(samples)
-    return LeakageResult(
-        received_power_dbm=rx_dbm,
-        occupancy=occupancy,
-        peak_voltage_v=peak,
-        mean_voltage_v=mean,
-        samples=samples,
+    return _reservoir_waveform(
+        Transmitter(tx_power_dbm=23.0, antenna=ASUS_ROUTER_ANTENNA),
+        generate_bursty_schedule(duration_s, occupancy, seed),
+        duration_s,
+        occupancy,
     )
 
 
@@ -120,26 +128,10 @@ def run_fig01_powifi_contrast(
     With ~continuous cumulative transmissions and 30 dBm / 6 dBi, the same
     sensor's reservoir sails past 300 mV — the paper's whole point.
     """
-    link = LinkBudget(Transmitter(tx_power_dbm=30.0))
-    rx_dbm = link.received_power_dbm(feet_to_meters(SENSOR_DISTANCE_FEET))
-    harvester = battery_free_harvester()
-    reservoir = Capacitor(capacitance_f=1.0e-6, leakage_resistance_ohm=3.0e5)
-    simulator = RectifierWaveformSimulator(
-        harvester, reservoir, incident_power_dbm=rx_dbm
-    )
     # Near-continuous transmission: 95 % occupancy in large chunks.
-    schedule = generate_bursty_schedule(
-        duration_s, 0.95, seed, mean_burst_s=5e-3
-    )
-    samples = simulator.run(schedule, duration_s)
-    peak = max(s.voltage_v for s in samples)
-    mean = sum(s.voltage_v for s in samples) / len(samples)
-    return LeakageResult(
-        received_power_dbm=rx_dbm,
-        occupancy=0.95,
-        peak_voltage_v=peak,
-        mean_voltage_v=mean,
-        samples=samples,
+    schedule = generate_bursty_schedule(duration_s, 0.95, seed, mean_burst_s=5e-3)
+    return _reservoir_waveform(
+        Transmitter(tx_power_dbm=30.0), schedule, duration_s, 0.95
     )
 
 
@@ -175,21 +167,9 @@ def run_fig01_mac_driven(
     source.start()
     sim.run(until=duration_s)
 
-    transmitter = Transmitter(tx_power_dbm=23.0, antenna=ASUS_ROUTER_ANTENNA)
-    link = LinkBudget(transmitter)
-    rx_dbm = link.received_power_dbm(feet_to_meters(SENSOR_DISTANCE_FEET))
-    harvester = battery_free_harvester()
-    reservoir = Capacitor(capacitance_f=1.0e-6, leakage_resistance_ohm=3.0e5)
-    simulator = RectifierWaveformSimulator(
-        harvester, reservoir, incident_power_dbm=rx_dbm
-    )
-    samples = simulator.run(bursts_from_records(records), duration_s)
-    peak = max(s.voltage_v for s in samples)
-    mean = sum(s.voltage_v for s in samples) / len(samples)
-    return LeakageResult(
-        received_power_dbm=rx_dbm,
-        occupancy=medium.occupancy(),
-        peak_voltage_v=peak,
-        mean_voltage_v=mean,
-        samples=samples,
+    return _reservoir_waveform(
+        Transmitter(tx_power_dbm=23.0, antenna=ASUS_ROUTER_ANTENNA),
+        bursts_from_records(records),
+        duration_s,
+        medium.occupancy(),
     )

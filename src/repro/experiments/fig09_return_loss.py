@@ -6,6 +6,7 @@ over 2.401–2.473 GHz, which bounds the reflected-power penalty under 0.5 dB.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -34,8 +35,6 @@ class ReturnLossResult:
     @property
     def worst_power_penalty_db(self) -> float:
         """Power lost to reflection at the worst point (paper: < 0.5 dB)."""
-        import math
-
         gamma_sq = 10.0 ** (self.worst_in_band_db / 10.0)
         return -10.0 * math.log10(1.0 - gamma_sq)
 

@@ -48,8 +48,8 @@ INFRA_FAULT_POINTS: Dict[str, str] = {
     "pool cannot pickle back to the parent",
     "cache.corrupt": "the task's on-disk cache entry is truncated before "
     "the probe, exercising the quarantine path (no-op on a cold cache)",
-    "manifest.interrupt": "the first run_manifest.json write dies between "
-    "temp-file write and atomic rename",
+    "manifest.interrupt": "the first run-all or campaign manifest write dies "
+    "between temp-file write and atomic rename",
     "campaign.journal.corrupt": "the campaign journal append for the "
     "point's first lease is torn mid-line (a simulated kill -9 mid-write), "
     "exercising the recovery fold and journal quarantine on resume",

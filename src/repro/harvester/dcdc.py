@@ -17,16 +17,20 @@ from __future__ import annotations
 import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import CircuitError
 
 
-def _interp(points: Sequence[Tuple[float, float]], x: float) -> float:
-    """Piecewise-linear interpolation with flat extrapolation."""
+def _interp(
+    points: Sequence[Tuple[float, float]], x: float, xs: Sequence[float]
+) -> float:
+    """Piecewise-linear interpolation with flat extrapolation.
+
+    ``xs`` is the x column of ``points``, split off once by the caller.
+    """
     if not points:
         raise CircuitError("empty interpolation table")
-    xs = [p[0] for p in points]
     if x <= xs[0]:
         return points[0][1]
     if x >= xs[-1]:
@@ -60,6 +64,10 @@ class DcDcConverter(ABC):
     @abstractmethod
     def efficiency(self, input_voltage_v: float) -> float:
         """Transfer efficiency at ``input_voltage_v``."""
+
+    def __post_init__(self) -> None:
+        # Concrete converters are frozen dataclasses with an efficiency table.
+        object.__setattr__(self, "_xs", tuple(x for x, _y in self.efficiency_table))
 
     def transfer(self, input_power_w: float, input_voltage_v: float) -> float:
         """Output power for ``input_power_w`` at ``input_voltage_v``."""
@@ -111,7 +119,7 @@ class SeikoSz882(DcDcConverter):
         """Datasheet-style interpolated charge-pump efficiency."""
         if input_voltage_v < self.cold_start_v:
             return 0.0
-        return _interp(self.efficiency_table, input_voltage_v)
+        return _interp(self.efficiency_table, input_voltage_v, self._xs)
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ class TiBq25570(DcDcConverter):
         """Interpolated boost efficiency."""
         if input_voltage_v < self.minimum_input_v:
             return 0.0
-        return _interp(self.efficiency_table, input_voltage_v)
+        return _interp(self.efficiency_table, input_voltage_v, self._xs)
 
     def mppt_operating_voltage(self, open_circuit_v: float) -> float:
         """Input voltage the MPPT regulates to, floored at the reference."""

@@ -28,9 +28,10 @@ reproducing the measured flattening of Fig 10 toward ~150 µW at +4 dBm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
+from repro.analysis import first_true
 from repro.errors import CircuitError
 from repro.obs import runtime as obs_runtime
 from repro.obs.metrics import MetricsRegistry
@@ -46,7 +47,7 @@ from repro.harvester.matching import (
     battery_recharging_matching,
 )
 from repro.harvester.rectifier import VoltageDoubler
-from repro.units import dbm_to_watts, watts_to_dbm
+from repro.units import dbm_to_watts
 
 #: RF parasitic power-loss factor at 2.4 GHz (junction-capacitance bypass,
 #: substrate and capacitor losses) applied to the conversion path.
@@ -110,6 +111,12 @@ class Harvester:
             for regime in ("off", "trickle", "bulk")
         }
         self._m_dc_out = registry.gauge("harvester.chain.dc_output_uw", chain=name)
+        # Chain constants: the parts are never reassigned and the converters
+        # are frozen. Matching constants are cached per (frequency, loaded).
+        self._v_need = self._threshold_voltage()
+        self._frac = dcdc.operating_input_voltage_fraction
+        self._v_min = dcdc.minimum_operating_voltage_v
+        self._match: Dict[Tuple[float, bool], Tuple[float, float]] = {}
 
     # --------------------------------------------------------------- internals
 
@@ -130,13 +137,15 @@ class Harvester:
         self, incident_power_w: float, frequency_hz: float, loaded: bool
     ) -> Tuple[float, float, float]:
         """(delivered, amplitude, open-circuit voltage) for one regime."""
-        df = self.matching.delivered_fraction(frequency_hz, loaded=loaded)
+        match = self._match.get((frequency_hz, loaded))
+        if match is None:
+            rect = self.matching.rectifier
+            match = self._match[frequency_hz, loaded] = (
+                self.matching.delivered_fraction(frequency_hz, loaded=loaded),
+                rect.loaded_resistance_ohm if loaded else rect.unloaded_resistance_ohm,
+            )
+        df, r_in = match
         delivered = incident_power_w * df
-        r_in = (
-            self.matching.rectifier.loaded_resistance_ohm
-            if loaded
-            else self.matching.rectifier.unloaded_resistance_ohm
-        )
         va = self.rectifier.amplitude_at_rectifier(delivered, r_in)
         voc = self.rectifier.open_circuit_voltage(va)
         return delivered, va, voc
@@ -159,46 +168,34 @@ class Harvester:
     ) -> HarvesterOperatingPoint:
         """Full chain evaluation at one incident RF power."""
         p_in = dbm_to_watts(incident_power_dbm)
-        v_need = self._threshold_voltage()
-
-        # Trickle regime: unloaded rectifier. Once past the cold-start
-        # threshold the converter regulates its input to its preferred
-        # fraction of Voc (floored at its minimum operating voltage).
-        d_t, va_t, voc_t = self._regime(p_in, frequency_hz, loaded=False)
-        frac = self.dcdc.operating_input_voltage_fraction
-        v_trickle = max(frac * voc_t, self.dcdc.minimum_operating_voltage_v)
-        p_trickle = self._rectifier_power(d_t, va_t, voc_t, v_trickle)
-
-        # Bulk regime: DC-DC loads the rectifier at its preferred fraction
-        # of Voc, floored at the converter's minimum input.
-        d_b, va_b, voc_b = self._regime(p_in, frequency_hz, loaded=True)
-        v_bulk = max(frac * voc_b, self.dcdc.minimum_operating_voltage_v)
-        p_bulk = self._rectifier_power(d_b, va_b, voc_b, v_bulk)
-
         # The chain runs only if the unloaded doubler can reach threshold
         # (cold start for Seiko; MPPT reference for the battery build).
-        if voc_t < v_need:
-            self._m_regimes["off"].inc()
-            self._m_dc_out.set(0.0)
-            return HarvesterOperatingPoint(
-                incident_power_w=p_in,
-                regime="off",
-                delivered_power_w=0.0,
-                rf_amplitude_v=va_t,
-                open_circuit_v=voc_t,
-                operating_voltage_v=0.0,
-                rectifier_output_w=0.0,
-                dc_output_w=0.0,
-            )
-        if p_bulk >= p_trickle:
-            regime, delivered, va, voc, v_op, p_rect = (
-                "bulk", d_b, va_b, voc_b, v_bulk, p_bulk,
+        d_t, va_t, voc_t = self._regime(p_in, frequency_hz, loaded=False)
+        if voc_t < self._v_need:
+            regime, delivered, va, voc, v_op, p_rect, dc_out = (
+                "off", 0.0, va_t, voc_t, 0.0, 0.0, 0.0,
             )
         else:
-            regime, delivered, va, voc, v_op, p_rect = (
-                "trickle", d_t, va_t, voc_t, v_trickle, p_trickle,
-            )
-        dc_out = self.dcdc.transfer(p_rect, v_op)
+            # Trickle regime: unloaded rectifier. Once past the cold-start
+            # threshold the converter regulates its input to its preferred
+            # fraction of Voc (floored at its minimum operating voltage).
+            frac = self._frac
+            v_trickle = max(frac * voc_t, self._v_min)
+            p_trickle = self._rectifier_power(d_t, va_t, voc_t, v_trickle)
+            # Bulk regime: DC-DC loads the rectifier at its preferred
+            # fraction of Voc, floored at the converter's minimum input.
+            d_b, va_b, voc_b = self._regime(p_in, frequency_hz, loaded=True)
+            v_bulk = max(frac * voc_b, self._v_min)
+            p_bulk = self._rectifier_power(d_b, va_b, voc_b, v_bulk)
+            if p_bulk >= p_trickle:
+                regime, delivered, va, voc, v_op, p_rect = (
+                    "bulk", d_b, va_b, voc_b, v_bulk, p_bulk,
+                )
+            else:
+                regime, delivered, va, voc, v_op, p_rect = (
+                    "trickle", d_t, va_t, voc_t, v_trickle, p_trickle,
+                )
+            dc_out = self.dcdc.transfer(p_rect, v_op)
         self._m_regimes[regime].inc()
         self._m_dc_out.set(dc_out * 1e6)
         return HarvesterOperatingPoint(
@@ -240,13 +237,17 @@ class Harvester:
         """Lowest incident power at which the harvester operates.
 
         The §4.2(b) metric: −17.8 dBm (battery-free), −19.3 dBm
-        (battery-recharging) in the paper's measurements.
+        (battery-recharging) in the paper's measurements. The chain operates
+        once the unloaded doubler's open-circuit voltage, which rises with
+        incident power, reaches threshold; so the grid is bisected.
         """
         steps = int((ceiling_dbm - floor_dbm) / resolution_db)
-        for i in range(steps + 1):
-            dbm = floor_dbm + i * resolution_db
-            if self.is_operational(dbm, frequency_hz):
-                return dbm
+        i = first_true(
+            lambda i: self.is_operational(floor_dbm + i * resolution_db, frequency_hz),
+            0, steps,
+        )
+        if i <= steps:
+            return floor_dbm + i * resolution_db
         raise CircuitError(
             f"harvester never operates below {ceiling_dbm} dBm at "
             f"{frequency_hz / 1e9:.3f} GHz"

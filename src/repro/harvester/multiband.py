@@ -13,7 +13,8 @@ of multiband rectennas, cf. the paper's reference [43]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CircuitError, ConfigurationError
@@ -25,6 +26,7 @@ from repro.harvester.matching import (
     battery_free_matching,
 )
 from repro.harvester.rectifier import VoltageDoubler
+from repro.units import dbm_to_watts, watts_to_dbm
 
 #: The 900 MHz ISM band (US allocation).
 BAND_900_START_HZ = 902e6
@@ -131,10 +133,6 @@ class MultiBandHarvester:
         outside every band are absorbed by the diplexer's stopbands and
         contribute nothing. Per-branch DC outputs add.
         """
-        import math
-
-        from repro.units import dbm_to_watts, watts_to_dbm
-
         per_branch_watts: Dict[str, float] = {label: 0.0 for label in self.branches}
         per_branch_freq: Dict[str, float] = {}
         for rf in inputs:
@@ -163,8 +161,6 @@ class MultiBandHarvester:
                 f"{frequency_hz / 1e9:.3f} GHz is outside every branch's band"
             )
         chain, _start, _stop = self.branches[label]
-        import math
-
         raw = chain.sensitivity_dbm(frequency_hz)
         # The diplexer's insertion loss shifts the threshold up.
         return raw - 10.0 * math.log10(DIPLEXER_LOSS_FRACTION)

@@ -142,11 +142,6 @@ class _BatteryBase:
         """Fraction of capacity currently stored."""
         return self.stored_mah / self.capacity_mah
 
-    @property
-    def stored_energy_j(self) -> float:
-        """Stored energy at the nominal voltage."""
-        return self.stored_mah * 3.6 * self.nominal_voltage_v
-
     def charge_with_power(self, power_w: float, dt_s: float) -> None:
         """Integrate charging power over ``dt_s`` (with coulombic loss)."""
         if power_w < 0 or dt_s < 0:

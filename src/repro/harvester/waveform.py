@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.mac80211.medium import TransmissionRecord
@@ -155,10 +155,6 @@ class RectifierWaveformSimulator:
             t += step
             samples.append(VoltageSample(t, self.reservoir.voltage_v, active))
         return samples
-
-    def peak_voltage(self, samples: Iterable[VoltageSample]) -> float:
-        """Convenience: the maximum voltage in a run."""
-        return max(s.voltage_v for s in samples)
 
 
 def bursts_from_records(records: Sequence["TransmissionRecord"]) -> List[Burst]:

@@ -108,9 +108,3 @@ def ht_power_packet_advantage(mac_bytes: int = 1536) -> float:
     erp = frame_airtime_s(mac_bytes, 54.0)
     ht = ht_frame_airtime_s(mac_bytes, 7, short_gi=True)
     return erp / ht
-
-
-def ht_occupancy_metric_per_frame(mac_bytes: int, mcs: int, short_gi: bool = False) -> float:
-    """The paper's size/rate credit for one HT frame (seconds)."""
-    rate = HT_MCS_TABLE[mcs].rate_mbps(short_gi)
-    return 8 * mac_bytes / (rate * 1e6)

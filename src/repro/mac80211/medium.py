@@ -185,11 +185,6 @@ class Medium:
         """Subscribe a callback to every :class:`TransmissionRecord`."""
         self._observers.append(observer)
 
-    @property
-    def is_busy(self) -> bool:
-        """True while a transmission (plus ACK exchange) is on the air."""
-        return self.sim.now < self._busy_until
-
     def inject_outage(self, duration_s: float) -> None:
         """Hold the channel busy for ``duration_s`` from now (external
         interference — the fault-injection hook behind

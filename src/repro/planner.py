@@ -9,7 +9,8 @@ occupancy, and a placement report for a list of candidate spots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -129,8 +130,6 @@ class DeploymentPlanner:
         feasible = rate >= requirement.target_rate_hz
         # Power margin in dB between harvested and required DC power.
         if power > 0 and requirement.required_power_w > 0:
-            import math
-
             margin_db = 10.0 * math.log10(power / requirement.required_power_w)
         else:
             margin_db = float("-inf")

@@ -10,6 +10,7 @@ harvester antenna is chosen to make them negligible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -40,13 +41,14 @@ class Antenna:
             raise ConfigurationError(
                 f"antenna efficiency must be in (0, 1], got {self.efficiency!r}"
             )
+        # Frozen: the gain is computed once, through object.__setattr__.
+        gain = self.gain_dbi + 10.0 * math.log10(self.efficiency)
+        object.__setattr__(self, "_effective_gain_dbi", gain)
 
     @property
     def effective_gain_dbi(self) -> float:
         """Gain including radiation efficiency, in dBi."""
-        import math
-
-        return self.gain_dbi + 10.0 * math.log10(self.efficiency)
+        return self._effective_gain_dbi
 
 
 #: The 2 dBi Pulse Electronics whip used by every harvester prototype [2].

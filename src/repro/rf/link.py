@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.analysis import first_true
 from repro.errors import ConfigurationError
 from repro.rf.antenna import Antenna, HARVESTER_ANTENNA, POWIFI_ROUTER_ANTENNA
 from repro.rf.materials import WallMaterial
@@ -99,15 +100,16 @@ class LinkBudget:
     ) -> float:
         """Largest distance (feet) at which received power meets ``sensitivity_dbm``.
 
-        Uses a simple scan because path-loss models need not be invertible in
-        general (walls, piecewise anchors).
+        Searches a grid because path-loss models need not be invertible in
+        general (walls, piecewise anchors). It bisects the grid for the first
+        failing step, so the path loss must grow with distance, as every
+        model in :mod:`repro.rf.propagation` does.
         """
-        best = 0.0
         steps = int(max_feet / resolution_feet)
-        for i in range(1, steps + 1):
-            feet = i * resolution_feet
-            if self.received_power_dbm_at_feet(feet) >= sensitivity_dbm:
-                best = feet
-            else:
-                break
-        return best
+        last = first_true(
+            lambda i: not (
+                self.received_power_dbm_at_feet(i * resolution_feet) >= sensitivity_dbm
+            ),
+            1, steps,
+        ) - 1
+        return last * resolution_feet

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.units import wavelength
@@ -72,13 +73,19 @@ class LogDistancePathLoss(PathLossModel):
         self.exponent = float(exponent)
         self.reference_distance_m = float(reference_distance_m)
         self._free_space = FreeSpacePathLoss()
+        #: frequency -> free-space loss at ``d0``, computed when first needed.
+        self._anchors: Dict[float, float] = {}
 
     def path_loss_db(self, distance_m: float, frequency_hz: float) -> float:
         self._check_distance(distance_m)
         d0 = self.reference_distance_m
         if distance_m <= d0:
             return self._free_space.path_loss_db(distance_m, frequency_hz)
-        anchor = self._free_space.path_loss_db(d0, frequency_hz)
+        anchor = self._anchors.get(frequency_hz)
+        if anchor is None:
+            anchor = self._anchors[frequency_hz] = self._free_space.path_loss_db(
+                d0, frequency_hz
+            )
         return anchor + 10.0 * self.exponent * math.log10(distance_m / d0)
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.analysis import first_true
 from repro.errors import ConfigurationError
 from repro.harvester.harvester import (
     Harvester,
@@ -148,13 +149,10 @@ class WiFiCamera:
         max_feet: float = 60.0,
         step_feet: float = 0.5,
     ) -> float:
-        """Largest distance at which frames are still captured."""
-        best = 0.0
+        """Largest distance at which frames are still captured (bisected)."""
         steps = int(max_feet / step_feet)
-        for i in range(1, steps + 1):
-            feet = i * step_feet
-            if self.evaluate_at(link, feet, occupancy).operational:
-                best = feet
-            else:
-                break
-        return best
+        last = first_true(
+            lambda i: not self.evaluate_at(link, i * step_feet, occupancy).operational,
+            1, steps,
+        ) - 1
+        return last * step_feet

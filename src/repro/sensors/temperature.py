@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.analysis import first_true
 from repro.errors import ConfigurationError
 from repro.harvester.harvester import (
     Harvester,
@@ -139,13 +140,14 @@ class TemperatureSensor:
         max_feet: float = 60.0,
         step_feet: float = 0.5,
     ) -> float:
-        """Largest distance at which the sensor still operates."""
-        best = 0.0
+        """Largest distance at which the sensor still operates.
+
+        Operation (any harvested power) is monotone in distance, so the
+        grid is bisected for the first failing step.
+        """
         steps = int(max_feet / step_feet)
-        for i in range(1, steps + 1):
-            feet = i * step_feet
-            if self.evaluate_at(link, feet, occupancy).operational:
-                best = feet
-            else:
-                break
-        return best
+        last = first_true(
+            lambda i: not self.evaluate_at(link, i * step_feet, occupancy).operational,
+            1, steps,
+        ) - 1
+        return last * step_feet

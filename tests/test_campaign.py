@@ -645,6 +645,62 @@ class TestCampaignCli:
         assert code == 0
         assert out.startswith("campaign,point,experiment")
 
+    def test_manifest_interrupt_fault_retries_to_identical_bytes(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.campaign.manager as manager
+        from repro.cli import main
+        from repro.errors import InjectedFault
+
+        spec_path = self._write_spec(tmp_path)
+
+        def run(tag, *extra):
+            report = tmp_path / tag / "campaign_manifest.json"
+            report.parent.mkdir(exist_ok=True)
+            if extra:
+                report.write_text("previous manifest\n")
+            code = main(
+                [
+                    "campaign", "run",
+                    "--spec", str(spec_path),
+                    "--jobs", "1",
+                    "--report", str(report),
+                    "--journal", str(report.parent / "campaign.jsonl"),
+                    "--cache-dir", str(report.parent / "cache"),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            return report
+
+        clean = run("clean")
+        capsys.readouterr()
+
+        # At the moment the fault fires, the old manifest must be intact and
+        # no temp file left next to it.
+        seen = []
+        original = manager.write_manifest
+
+        def spy(path, manifest):
+            try:
+                return original(path, manifest)
+            except InjectedFault:
+                seen.append(
+                    (
+                        Path(path).read_text(),
+                        sorted(p.name for p in Path(path).parent.glob("*.tmp")),
+                    )
+                )
+                raise
+
+        monkeypatch.setattr(manager, "write_manifest", spy)
+        faulted = run("faulted", "--fault-plan", "manifest.interrupt:1")
+        err = capsys.readouterr().err
+        assert seen == [("previous manifest\n", [])]
+        assert "manifest write interrupted" in err and "retrying" in err
+        assert faulted.read_bytes() == clean.read_bytes()
+        assert not list(faulted.parent.glob("*.tmp"))
+
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -176,16 +176,16 @@ class TestVoltageDoubler:
 class TestDcDc:
     def test_interp_endpoints_flat(self):
         table = [(0.0, 0.1), (1.0, 0.5)]
-        assert _interp(table, -1.0) == 0.1
-        assert _interp(table, 2.0) == 0.5
+        assert _interp(table, -1.0, [0.0, 1.0]) == 0.1
+        assert _interp(table, 2.0, [0.0, 1.0]) == 0.5
 
     def test_interp_midpoint(self):
         table = [(0.0, 0.0), (1.0, 1.0)]
-        assert _interp(table, 0.25) == pytest.approx(0.25)
+        assert _interp(table, 0.25, [0.0, 1.0]) == pytest.approx(0.25)
 
     def test_interp_empty_rejected(self):
         with pytest.raises(CircuitError):
-            _interp([], 0.5)
+            _interp([], 0.5, [])
 
     def test_seiko_cold_start_is_300mv(self):
         assert SeikoSz882().cold_start_voltage_v == pytest.approx(0.30)

@@ -384,3 +384,38 @@ class TestProfileCli:
             == 0
         )
         assert "tick" in capsys.readouterr().out
+
+    def test_metrics_top_zero_prints_no_kinds_in_either_mode(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+
+        engine = {
+            "type": "engine",
+            "simulators": 1,
+            "dispatched": 4,
+            "cancelled": 0,
+            "heap_high_watermark": 2,
+            "callback_counts": {"tick": 3, "tock": 1},
+            "callback_wall_s": {"tick": 0.1, "tock": 0.4},
+            "callback_components": {"tick": "m.C", "tock": "m.D"},
+            "callback_sim_bounds": {},
+        }
+        path = tmp_path / "run_metrics.jsonl"
+        path.write_text(json.dumps(engine) + "\n")
+        monkeypatch.setattr(cli, "_run_driver", lambda key, seed: None)
+        monkeypatch.setattr(
+            cli.obs_runtime, "aggregate_engine_stats", lambda: dict(engine)
+        )
+
+        def kind_lines(argv):
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out.splitlines()
+            return [line for line in out if line.split()[:1] in (["tick"], ["tock"])]
+
+        triage = ["metrics", "--input", str(path), "--top"]
+        run = ["metrics", "fig7", "--output", str(tmp_path / "m.jsonl"), "--top"]
+        assert kind_lines(triage + ["0"]) == []
+        assert kind_lines(run + ["0"]) == []
+        assert len(kind_lines(triage + ["1"])) == 1
+        assert len(kind_lines(run + ["1"])) == 1
