@@ -26,6 +26,11 @@ The journal records *how* the campaign ran (attempts, leases, walls);
 nothing in it feeds the campaign manifest's result bytes, which are a pure
 function of spec + seed + cached results. That separation is what makes
 "SIGKILL, resume, byte-identical manifest" hold.
+
+``run-all`` writes the same records to ``run_journal.jsonl`` (a one-seed
+campaign at the registry defaults, plus one ``experiment.slo`` per merged
+experiment), so one fold serves ``--resume``, ``campaign status`` and
+``repro watch`` (:mod:`repro.campaign.watch`).
 """
 
 from __future__ import annotations
@@ -46,6 +51,12 @@ JOURNAL_SCHEMA_VERSION = 1
 #: Default journal filename, written next to the campaign manifest.
 JOURNAL_FILENAME = "campaign.jsonl"
 
+#: The journal ``run-all`` writes next to its manifest, started empty each run.
+RUN_JOURNAL_FILENAME = "run_journal.jsonl"
+
+#: The ``campaign`` name on every record of a ``run-all`` journal.
+RUN_ALL_CAMPAIGN = "run-all"
+
 #: Event types whose target point has reached its final state.
 _TERMINAL_EVENTS = frozenset({"point.done", "point.quarantined"})
 
@@ -64,11 +75,19 @@ class CampaignJournal:
 
     ``start_seq`` continues a resumed campaign's numbering — the fold
     treats a restarted-from-1 generation's records as duplicates, so a
-    resuming manager must pass the folded ``last_seq``.
+    resuming manager must pass the folded ``last_seq``. ``header`` fields
+    are added to every ``campaign.open`` record (``run-all`` stamps its
+    history-derived ``expected_walls`` there for ``repro watch``).
     """
 
-    def __init__(self, path: Union[str, Path], start_seq: int = 0) -> None:
+    def __init__(
+        self,
+        path: Union[str, Path],
+        start_seq: int = 0,
+        header: Optional[Dict[str, Any]] = None,
+    ) -> None:
         self.path = Path(path)
+        self.header = dict(header or {})
         self._seq = int(start_seq)
         self._fd = open_append(self.path)
 
@@ -105,6 +124,8 @@ class CampaignJournal:
             "seq": self._seq,
             "type": event_type,
         }
+        if event_type == "campaign.open":
+            record.update(self.header)
         record.update(fields)
         line = json.dumps(record, sort_keys=True)
         if faults_runtime.consume(CORRUPT_FAULT_POINT):
@@ -134,8 +155,15 @@ class JournalState:
     #: cache key → latest lease/heartbeat record for a non-terminal point
     #: (work that was in flight when the journal stopped).
     leases: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: cache key → latest record of the current generation for that key.
+    latest: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: experiment id → latest ``experiment.slo`` record (run-all only).
+    slo: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     #: Latest ``campaign.done`` of the current generation, if it finished.
     finished: Optional[Dict[str, Any]] = None
+    #: Latest ``campaign.interrupted`` of the current generation: a signal
+    #: stopped it, so it is over but not finished.
+    interrupted: Optional[Dict[str, Any]] = None
     last_seq: int = 0
     records: int = 0
     #: Duplicate-seq or stale (post-terminal) records dropped by the fold.
@@ -156,9 +184,9 @@ def fold_journal(path: Union[str, Path]) -> JournalState:
     """Reconstruct campaign progress from the journal file.
 
     Pure and total: never raises on damaged input, never mutates the file.
-    The fold is associative over stream prefixes (like the live-watch
-    replay), so the state after a crash is exactly the state the writer
-    had after its last *complete* append.
+    The fold is associative over stream prefixes, so the state after a
+    crash is exactly the state the writer had after its last *complete*
+    append.
     """
     state = JournalState(path=str(path))
     try:
@@ -210,33 +238,36 @@ def _apply(state: JournalState, record: Dict[str, Any]) -> None:
         # A new generation supersedes any earlier completion marker and
         # abandons leases that were in flight when the previous one died.
         state.finished = None
+        state.interrupted = None
         state.leases.clear()
+        state.latest.clear()
         return
     if kind == "campaign.done":
         state.finished = record
         return
+    if kind == "campaign.interrupted":
+        state.interrupted = record
+        return
+    if kind == "experiment.slo":
+        state.slo[str(record.get("experiment", ""))] = record
+        return
     key = record.get("key")
     if not isinstance(key, str):
         return
-    terminal = key in state.done or key in state.quarantined
+    if key in state.done or key in state.quarantined:
+        # A second terminal record, or a lease/heartbeat/retry for an
+        # already-finished point: stale delivery (e.g. a replayed
+        # generation); drop, never regress.
+        state.dropped += 1
+        return
+    state.latest[key] = record
     if kind == "point.done":
-        if terminal:
-            state.dropped += 1
-            return
         state.done[key] = record
         state.leases.pop(key, None)
         return
     if kind == "point.quarantined":
-        if terminal:
-            state.dropped += 1
-            return
         state.quarantined[key] = record
         state.leases.pop(key, None)
-        return
-    if terminal:
-        # Lease/heartbeat/retry for an already-finished point: stale
-        # delivery (e.g. a replayed generation); drop, never regress.
-        state.dropped += 1
         return
     if kind in ("point.lease", "point.heartbeat"):
         state.leases[key] = record

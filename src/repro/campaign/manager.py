@@ -5,8 +5,11 @@ produce numbers: :func:`run_campaign` below and
 :func:`repro.runner.core.run_all`. It owns the interrupt guard, the
 ready-time queue, submission bounded to one running and one queued task
 per worker, the deadline watchdog (a queued task's deadline starts when a
-worker frees up for it), seeded-backoff retries and the pool rebuild; each
-caller supplies only its policy as :class:`DispatchHooks`.
+worker frees up for it), seeded-backoff retries, the pool rebuild and every
+per-unit journal record (lease, heartbeat, retry, done, quarantined); each
+caller supplies only its policy as :class:`DispatchHooks`. :func:`probe`,
+shared by the same two callers, opens the journal generation, fires the
+cache faults, replays cache hits and builds the :class:`Dispatch` list.
 
 :func:`run_campaign` drives it over a campaign grid:
 
@@ -44,9 +47,10 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.campaign.journal import (
+    CORRUPT_FAULT_POINT,
     JOURNAL_FILENAME,
     CampaignJournal,
     JournalState,
@@ -54,6 +58,7 @@ from repro.campaign.journal import (
     quarantine_journal,
 )
 from repro.campaign.spec import CampaignPoint, CampaignSpec
+from repro.faults import runtime as faults_runtime
 from repro.faults.plan import FaultDirective, FaultPlan, WORKER_FAULT_POINTS
 from repro.obs import runtime as obs_runtime
 from repro.obs import slo as slo_mod
@@ -136,7 +141,7 @@ class Dispatch:
     task: TaskSpec
     #: Content-addressed cache key.
     key: str
-    #: Part name on the live board.
+    #: Part name on the watch board (seed-qualified for campaign points).
     part_label: str
     #: One-shot directives: the first attempt carries them, retries run clean.
     faults: Tuple[FaultDirective, ...] = ()
@@ -144,6 +149,10 @@ class Dispatch:
     sticky_faults: Tuple[FaultDirective, ...] = ()
     #: One-shot: the next attempt's deadline is born expired.
     expire_lease: bool = False
+    #: One-shot: the next lease append is torn like a kill -9 mid-write.
+    tear_journal: bool = False
+    #: The current attempt's lease id.
+    lease: str = ""
     attempts: int = 0
     #: Whether any attempt tripped the watchdog.
     timed_out: bool = False
@@ -157,13 +166,13 @@ class Dispatch:
 
     @property
     def label(self) -> str:
-        """``experiment:part_label``, which fault plans, backoff draws and
-        progress lines use."""
+        """``experiment:part_label``, which fault plans, backoff draws,
+        progress lines and journal ``point`` fields use."""
         return f"{self.task.experiment_id}:{self.part_label}"
 
 
-def _ignore(*args: Any) -> None:
-    return None
+#: Extra fields a caller adds to a unit's ``point.done`` record.
+DoneFields = Optional[Dict[str, Any]]
 
 
 @dataclass
@@ -172,19 +181,10 @@ class DispatchHooks:
 
     #: ``task`` or ``point``: the unit named in progress lines.
     noun: str
-    #: A successful attempt's outcome.
-    done: Callable[[Dispatch, TaskOutcome], None]
+    #: A successful attempt's outcome; returns extra ``point.done`` fields.
+    done: Callable[[Dispatch, TaskOutcome], DoneFields]
     #: The unit spent its attempt budget (``failure_kind``/``error`` set).
     failed: Callable[[Dispatch], None]
-    #: The watchdog reclaims an attempt of ``kind`` (``timeout`` or
-    #: ``lease_expired``); emits its progress line, returns the message.
-    reclaim: Callable[[Dispatch, str], str]
-    #: An attempt is charged, before it is submitted.
-    attempt: Callable[[Dispatch], None] = _ignore
-    #: A failed attempt is requeued: ``(state, kind, message, delay_s)``.
-    retry: Callable[[Dispatch, str, str, float], None] = _ignore
-    #: Once per loop pass, with the units still in flight.
-    tick: Callable[[List[Dispatch]], None] = _ignore
 
 
 def bind_faults(
@@ -206,6 +206,107 @@ def worker_count(jobs: Optional[int], pending: int) -> int:
     """Workers for ``pending`` units: ``jobs`` (default: CPUs), at most one per unit."""
     requested = jobs if jobs is not None else (os.cpu_count() or 1)
     return max(1, min(requested, max(pending, 1)))
+
+
+def slo_specs_by_experiment(
+    experiment_ids: List[str], slo_specs: Optional[List[Any]], emit: ProgressFn
+) -> Tuple[List[Any], Dict[str, List[Any]]]:
+    """``slo_specs`` (``None``: each experiment's registry default), grouped.
+
+    A malformed default spec is reported as a progress line and skipped:
+    SLOs observe a run, they never fail it.
+    """
+    if slo_specs is None:
+        try:
+            slo_specs = slo_mod.load_default_specs(experiment_ids)
+        except Exception as exc:
+            emit(f"[slo] skipping default specs: {exc}")
+            slo_specs = []
+    grouped: Dict[str, List[Any]] = {}
+    for slo_spec in slo_specs:
+        grouped.setdefault(slo_spec.experiment, []).append(slo_spec)
+    return list(slo_specs), grouped
+
+
+def probe(
+    units: List[Dispatch],
+    journal: CampaignJournal,
+    *,
+    cache: Optional[ResultCache],
+    fault_plan: Optional[FaultPlan],
+    emit: ProgressFn,
+    hit: Callable[[Dispatch, Any, bool], DoneFields],
+    prior: Optional[JournalState] = None,
+    **header: Any,
+) -> Tuple[List[Dispatch], List[Dict[str, Any]]]:
+    """Open a journal generation; return the units left to run and fault events.
+
+    Appends ``campaign.open`` (``header``, the unit roster ``units`` —
+    ``[cache key, label]`` pairs — and the bound fault events), then probes each
+    unit. A bound ``cache.corrupt`` damages its entry first. A unit the
+    ``prior`` journal quarantined is left out. Any other bound fault forces
+    execution (a directive that never fires tests nothing: worker faults
+    fire in ``execute_task``, lease-scoped ones only on a granted lease) and
+    is set on the unit. A cache hit goes to ``hit(unit, value, replayed)``
+    and is journaled ``point.done cached=True`` with the fields ``hit``
+    returns, unless ``replayed`` (the prior journal already finished it).
+    """
+    prior = prior if prior is not None else JournalState()
+    registry = obs_runtime.get_registry()
+    hits = registry.counter("runner.cache.hits")
+    misses = registry.counter("runner.cache.misses")
+    assignment, fault_events = bind_faults(fault_plan, [u.label for u in units])
+    journal.append(
+        "campaign.open",
+        **header,
+        units=[[unit.key, unit.label] for unit in units],
+        faults=list(fault_events),
+    )
+    drained = len(cache.quarantine_events) if cache is not None else 0
+    pending: List[Dispatch] = []
+    for unit in units:
+        directives = assignment.get(unit.label, ())
+        points = {directive.point for directive in directives}
+        if cache is not None and "cache.corrupt" in points:
+            fired = cache.corrupt_entry(unit.key)
+            fault_events.append(
+                {"point": "cache.corrupt", "task": unit.label, "fired": fired}
+            )
+        if unit.key in prior.quarantined:
+            continue
+        if cache is not None and not points - {"cache.corrupt"}:
+            found, value = cache.get(unit.key)
+            for key in cache.quarantine_events[drained:]:
+                emit(
+                    f"[cache] quarantined corrupt entry {key[:12]} "
+                    f"({unit.label}); re-executing"
+                )
+            drained = len(cache.quarantine_events)
+            if found:
+                hits.inc()
+                replayed = unit.key in prior.done
+                fields = hit(unit, value, replayed) or {}
+                if not replayed:
+                    # A replayed unit already has its terminal record; a
+                    # second one would only fold as a stale duplicate.
+                    journal.append(
+                        "point.done",
+                        point=unit.label,
+                        key=unit.key,
+                        cached=True,
+                        wall_s=0.0,
+                        attempt=0,
+                        **fields,
+                    )
+                continue
+        misses.inc()
+        unit.faults = tuple(d for d in directives if d.point in WORKER_FAULT_POINTS)
+        if "campaign.point.poison" in points:
+            unit.sticky_faults = (FaultDirective(point="campaign.point.poison"),)
+        unit.expire_lease = "campaign.lease.expire" in points
+        unit.tear_journal = CORRUPT_FAULT_POINT in points
+        pending.append(unit)
+    return pending, fault_events
 
 
 def _run_inline(spec: TaskSpec, root_id: Optional[str]) -> Future:
@@ -285,10 +386,10 @@ def dispatch(
     task_timeout_s: Optional[float],
     root_span: Any,
     emit: ProgressFn,
-    live_sink: Optional[Any] = None,
-    live_channel: Optional[Any] = None,
+    journal: CampaignJournal,
+    heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> bool:
-    """Run ``states`` to completion on ``jobs`` workers.
+    """Run ``states`` to completion on ``jobs`` workers, journaling each step.
 
     Returns whether SIGINT/SIGTERM cut the run short; unfinished units are
     then marked ``interrupted``. ``jobs=1`` runs each attempt in this
@@ -305,9 +406,15 @@ def dispatch(
     order), so it never times out before it runs; a lease born expired
     stays expired from submit.
     A pool task that fails gets a synthesized error-status ``runner.task``
-    span: the worker's own spans died with it. ``live_channel`` carries
-    pool workers' ``running`` transitions into ``live_sink``; the loop
-    drains it every pass and closes it on the way out.
+    span: the worker's own spans died with it.
+
+    Every charged attempt appends ``point.lease`` before it runs, with
+    ``running`` set when a free worker starts its deadline at once; every
+    ``heartbeat_s`` the loop appends ``point.heartbeat`` for each unit in
+    flight, with ``running`` set once its deadline has started. A requeued
+    attempt appends ``point.retry``, a result ``point.done`` (plus the
+    fields ``hooks.done`` returns), a spent attempt budget
+    ``point.quarantined``.
     """
     registry = obs_runtime.get_registry()
     spans = obs_runtime.get_spans()
@@ -322,12 +429,10 @@ def dispatch(
     pool: Optional[Any] = None
     submitted = 0
     completed = 0
+    last_heartbeat = time.perf_counter()
 
-    def _live(state: Dispatch, part_state: str, **fields: Any) -> None:
-        if live_sink is not None:
-            live_sink.part_state(
-                state.task.experiment_id, state.part_label, part_state, **fields
-            )
+    def _journal(event_type: str, state: Dispatch, **fields: Any) -> None:
+        journal.append(event_type, point=state.label, key=state.key, **fields)
 
     def _pool() -> Any:
         nonlocal pool
@@ -348,14 +453,25 @@ def dispatch(
         nonlocal submitted
         submitted += 1
         state.attempts += 1
-        hooks.attempt(state)
+        if state.tear_journal:
+            faults_runtime.arm(CORRUPT_FAULT_POINT)
+            state.tear_journal = False
+        state.lease = f"l{journal.seq + 1}"
+        # Submission order is promotion order, so this attempt runs at once
+        # exactly when fewer units than workers are in flight ahead of it.
+        _journal(
+            "point.lease",
+            state,
+            lease=state.lease,
+            attempt=state.attempts,
+            running=len(in_flight) < jobs,
+        )
         spec = replace(
             state.task,
             faults=state.faults + state.sticky_faults,
             attempt=state.attempts,
         )
         if jobs == 1:
-            _live(state, "running", attempt=state.attempts)
             future = _run_inline(spec, root_id)
         else:
             spec = replace(
@@ -366,14 +482,12 @@ def dispatch(
                     obs_enabled=obs_runtime.enabled(),
                     span_detail=spans.detail,
                 ),
-                live=live_channel.publisher() if live_channel is not None else None,
             )
             try:
                 future = _pool().submit(execute_task, spec)
             except BrokenProcessPool:
                 _rebuild(requeued=0)
                 future = _pool().submit(execute_task, spec)
-            _live(state, "submitted", attempt=state.attempts)
         in_flight[future] = state
         deadlines[future] = _EXPIRED if state.expire_lease else None
         waiting.append(future)
@@ -410,12 +524,12 @@ def dispatch(
             delay_s = backoff_s(seed, state.label, state.attempts)
             state.ready_at = time.perf_counter() + delay_s
             state.faults = ()
-            hooks.retry(state, kind, message, delay_s)
-            _live(
+            _journal(
+                "point.retry",
                 state,
-                "retrying",
                 attempt=state.attempts,
                 kind=kind,
+                error=message,
                 backoff_s=round(delay_s, 4),
             )
             registry.counter("runner.parts.retried", experiment=experiment).inc()
@@ -431,12 +545,29 @@ def dispatch(
         state.failure_kind = kind
         state.error = message
         registry.counter("runner.parts.failed", experiment=experiment).inc()
+        _journal(
+            "point.quarantined",
+            state,
+            attempts=state.attempts,
+            error=f"{kind}: {message}",
+        )
         hooks.failed(state)
 
-    def _drain_live() -> None:
-        if live_channel is not None:
-            for record in live_channel.drain():
-                live_sink.ingest(record)
+    def _heartbeat() -> None:
+        """Journal liveness for every unit in flight, on a fixed cadence."""
+        nonlocal last_heartbeat
+        now = time.perf_counter()
+        if now - last_heartbeat < heartbeat_s:
+            return
+        last_heartbeat = now
+        for future, state in in_flight.items():
+            _journal(
+                "point.heartbeat",
+                state,
+                lease=state.lease,
+                attempt=state.attempts,
+                running=deadlines[future] is not None,
+            )
 
     with _InterruptGuard() as guard:
         try:
@@ -458,7 +589,6 @@ def dispatch(
                     timeout=_POLL_INTERVAL_S,
                     return_when=FIRST_COMPLETED,
                 )
-                _drain_live()
                 broken = False
                 for future in done:
                     state, deadline = _release(future)
@@ -484,12 +614,14 @@ def dispatch(
                     else:
                         completed += 1
                         spans.adopt(outcome.spans)
-                        hooks.done(state, outcome)
-                        _live(
+                        fields = hooks.done(state, outcome) or {}
+                        _journal(
+                            "point.done",
                             state,
-                            "done",
-                            wall_s=round(outcome.wall_s, 3),
+                            cached=False,
+                            wall_s=round(outcome.wall_s, 4),
                             attempt=state.attempts,
+                            **fields,
                         )
                         emit(
                             f"[{hooks.noun} {completed}/{len(states)}] "
@@ -501,7 +633,7 @@ def dispatch(
                             )
                         )
                 _promote()
-                hooks.tick(list(in_flight.values()))
+                _heartbeat()
                 now = time.perf_counter()
                 overdue = [
                     future
@@ -520,11 +652,16 @@ def dispatch(
                     for future in overdue:
                         state, deadline = _release(future)
                         if deadline == _EXPIRED:
-                            kind = "lease_expired"
+                            kind, message = "lease_expired", "injected lease expiry"
                         else:
                             kind = "timeout"
+                            message = f"exceeded task timeout {task_timeout_s:.1f}s"
                             state.timed_out = True
-                        _fail(state, kind, hooks.reclaim(state, kind))
+                        emit(
+                            f"[watchdog] {state.label} ({kind}); reclaiming "
+                            f"lease {state.lease} and terminating its pool"
+                        )
+                        _fail(state, kind, message)
                     for state in in_flight.values():
                         if broken:
                             # A broken pool reports the same exception for
@@ -548,9 +685,6 @@ def dispatch(
                     waiting.clear()
                     _rebuild(requeued)
         finally:
-            _drain_live()
-            if live_channel is not None:
-                live_channel.close()
             if pool is not None:
                 _shutdown_pool(pool, terminate=guard.triggered)
         interrupted = guard.triggered
@@ -561,7 +695,6 @@ def dispatch(
             if state in unfinished:
                 state.failure_kind = "interrupted"
                 state.error = "interrupted before completion"
-                _live(state, "interrupted")
     return interrupted
 
 
@@ -692,7 +825,6 @@ def run_campaign(
     task_timeout_s: Optional[float] = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
     fault_plan: Optional[FaultPlan] = None,
-    live_sink: Optional[Any] = None,
     journal_path: Optional[Union[str, Path]] = None,
     resume: bool = True,
     progress: Optional[ProgressFn] = None,
@@ -708,8 +840,9 @@ def run_campaign(
 
     The campaign *completes* even when points fail every attempt: those
     are quarantined and reported, never fatal. Only an operator signal
-    (SIGINT/SIGTERM — and trivially SIGKILL) leaves the campaign
-    unfinished, and a later ``--resume`` picks up where the journal stops.
+    (SIGINT/SIGTERM, journaled as ``campaign.interrupted`` — and trivially
+    SIGKILL) leaves the campaign unfinished, and a later ``--resume`` picks
+    up where the journal stops.
     """
     started = time.perf_counter()
     emit = progress or (lambda line: None)
@@ -745,161 +878,87 @@ def run_campaign(
     campaign_span = spans.begin(
         "campaign.run", campaign=spec.name, points=len(points), seed=seed
     )
-    # One descriptor for the whole generation, closed however it ends.
-    with CampaignJournal(journal_path, start_seq=prior.last_seq) as journal:
-        cache = ResultCache(cache_dir) if use_cache else None
+    generation = prior.generations + 1
+    # Default SLO specs, evaluated per point at merge time (pure).
+    _, slo_specs = slo_specs_by_experiment(
+        sorted({p.experiment for p in points}), None, emit
+    )
+    cache = ResultCache(cache_dir) if use_cache else None
+    outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
+    point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
 
-        # Bind fault directives to point labels (seed-qualified, so a count=1
-        # spec poisons exactly one replicate). Campaign-infra points configure
-        # the manager; worker points ride into execute_task as usual.
-        assignment, fault_events = bind_faults(fault_plan, [p.label for p in points])
+    def _finish(
+        point: CampaignPoint, result: Any, *, cached: bool, replayed: bool,
+        wall_s: float, attempts: int,
+    ) -> DoneFields:
+        sha = hashlib.sha256(
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        ).hexdigest()
+        domain = slo_mod.domain_metrics(point.experiment, result)
+        slo_rows = slo_mod.evaluate_specs(
+            slo_specs.get(point.experiment, []), {point.experiment: domain}
+        )
+        outcomes[point.key] = PointOutcome(
+            point=point,
+            status="ok",
+            cached=cached,
+            replayed=replayed,
+            result_sha256=sha,
+            wall_s=wall_s,
+            attempts=attempts,
+            domain=domain,
+            slo_rows=slo_rows,
+        )
+        if not slo_rows:
+            return None
+        return {"slo_violated": _violated(slo_rows)}
 
-        journal.append(
-            "campaign.open",
-            campaign=spec.name,
-            spec_digest=spec.digest(),
-            code_fingerprint=fingerprint,
-            points=len(points),
-            seed=seed,
-            generation=prior.generations + 1,
-            resume=bool(prior.records),
+    def _quarantined(point: CampaignPoint, attempts: int, error: str,
+                     replayed: bool) -> None:
+        outcomes[point.key] = PointOutcome(
+            point=point,
+            status="quarantined",
+            replayed=replayed,
+            attempts=attempts,
+            error=error,
         )
 
-        # Default SLO specs, evaluated per point at merge time (pure).
-        slo_specs_by_experiment: Dict[str, List[Any]] = {}
-        try:
-            experiment_ids = sorted({p.experiment for p in points})
-            for slo_spec in slo_mod.load_default_specs(experiment_ids):
-                slo_specs_by_experiment.setdefault(
-                    slo_spec.experiment, []
-                ).append(slo_spec)
-        except Exception as exc:
-            emit(f"[slo] skipping default specs: {exc}")
-
-        outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
-        pending: List[Dispatch] = []
-        point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
-        torn: Set[str] = set()  # keys whose next lease append is torn
-
-        def _finish(
-            point: CampaignPoint,
-            result: Any,
-            *,
-            cached: bool,
-            replayed: bool,
-            wall_s: float,
-            attempts: int,
-        ) -> None:
-            sha = hashlib.sha256(
-                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-            ).hexdigest()
-            domain = slo_mod.domain_metrics(point.experiment, result)
-            slo_rows = slo_mod.evaluate_specs(
-                slo_specs_by_experiment.get(point.experiment, []),
-                {point.experiment: domain},
-            )
-            outcomes[point.key] = PointOutcome(
-                point=point,
-                status="ok",
-                cached=cached,
-                replayed=replayed,
-                result_sha256=sha,
-                wall_s=wall_s,
-                attempts=attempts,
-                domain=domain,
-                slo_rows=slo_rows,
+    for point in points:
+        record = prior.quarantined.get(point.key)
+        if record is not None:
+            _quarantined(
+                point,
+                attempts=int(record.get("attempts", 0) or 0),
+                error=str(record.get("error", "quarantined")),
+                replayed=True,
             )
 
-        def _quarantine_point(point: CampaignPoint, attempts: int, error: str,
-                              replayed: bool = False) -> None:
-            outcomes[point.key] = PointOutcome(
-                point=point,
-                status="quarantined",
-                replayed=replayed,
-                attempts=attempts,
-                error=error,
-            )
-            if not replayed:
-                journal.append(
-                    "point.quarantined",
-                    point=point.point_id,
-                    key=point.key,
-                    attempts=attempts,
-                    error=error,
-                )
-                emit(
-                    f"[quarantine] {point.label} after {attempts} attempt(s): "
-                    f"{error}"
-                )
-            if live_sink is not None:
-                live_sink.part_state(
-                    point.experiment,
-                    point.part_label,
-                    "quarantined",
-                    error=error,
-                )
+    def _hit(unit: Dispatch, value: Any, replayed: bool) -> DoneFields:
+        return _finish(
+            point_of[unit.key], value, cached=True, replayed=replayed,
+            wall_s=0.0, attempts=0,
+        )
 
-        # ---------------------------------------------------------------- probe
-        for point in points:
-            directives = assignment.get(point.label, ())
-            worker_faults = tuple(
-                d for d in directives if d.point in WORKER_FAULT_POINTS
-            )
-            poisoned = any(d.point == "campaign.point.poison" for d in directives)
-            if cache is not None and any(
-                d.point == "cache.corrupt" for d in directives
-            ):
-                fired = cache.corrupt_entry(point.key)
-                fault_events.append(
-                    {"point": "cache.corrupt", "task": point.label, "fired": fired}
-                )
-            if point.key in prior.quarantined:
-                record = prior.quarantined[point.key]
-                _quarantine_point(
-                    point,
-                    attempts=int(record.get("attempts", 0) or 0),
-                    error=str(record.get("error", "quarantined")),
-                    replayed=True,
-                )
-                continue
-            expire_lease = any(
-                d.point == "campaign.lease.expire" for d in directives
-            )
-            corrupt_journal = any(
-                d.point == "campaign.journal.corrupt" for d in directives
-            )
-            # Any injected fault bypasses the cache: lease-scoped faults only
-            # fire on a granted lease, and a hit would grant none.
-            must_execute = (
-                bool(worker_faults) or poisoned or expire_lease or corrupt_journal
-            )
-            if cache is not None and not must_execute:
-                hit, value = cache.get(point.key)
-                if hit:
-                    replayed = point.key in prior.done
-                    _finish(
-                        point,
-                        value,
-                        cached=True,
-                        replayed=replayed,
-                        wall_s=0.0,
-                        attempts=0,
-                    )
-                    if not replayed:
-                        # A replayed point already has its terminal record; a
-                        # second one would only fold as a stale duplicate.
-                        journal.append(
-                            "point.done",
-                            point=point.point_id,
-                            key=point.key,
-                            cached=True,
-                            wall_s=0.0,
-                            attempt=0,
-                        )
-                    continue
-            if corrupt_journal:
-                torn.add(point.key)
-            pending.append(
+    def _record(state: Dispatch, outcome: TaskOutcome) -> DoneFields:
+        if cache is not None:
+            cache.put(state.key, outcome.result)
+        return _finish(
+            point_of[state.key], outcome.result, cached=False, replayed=False,
+            wall_s=outcome.wall_s, attempts=state.attempts,
+        )
+
+    def _quarantine(state: Dispatch) -> None:
+        error = f"{state.failure_kind}: {state.error}"
+        point = point_of[state.key]
+        _quarantined(point, state.attempts, error, replayed=False)
+        emit(f"[quarantine] {point.label} after {state.attempts} attempt(s): {error}")
+
+    # One descriptor for the whole generation, closed however it ends.
+    with CampaignJournal(journal_path, start_seq=prior.last_seq) as journal:
+        # Fault directives bind to point labels (seed-qualified, so a
+        # count=1 spec poisons exactly one replicate).
+        pending, fault_events = probe(
+            [
                 Dispatch(
                     task=TaskSpec(
                         experiment_id=point.experiment,
@@ -910,147 +969,35 @@ def run_campaign(
                     ),
                     key=point.key,
                     part_label=point.part_label,
-                    faults=worker_faults,
-                    sticky_faults=(
-                        (FaultDirective(point="campaign.point.poison"),)
-                        if poisoned
-                        else ()
-                    ),
-                    expire_lease=expire_lease,
                 )
-            )
-
-        effective_jobs = worker_count(jobs, len(pending))
-
-        if live_sink is not None:
-            live_sink.emit(
-                "run.start",
-                ids=sorted({p.experiment for p in points}),
-                campaign=spec.name,
-                experiments=len({p.experiment for p in points}),
-                tasks=len(pending),
-                jobs=effective_jobs,
-                seed=seed,
-                retries=retries,
-            )
-            for point in points:
-                outcome = outcomes.get(point.key)
-                if outcome is not None and outcome.status == "ok":
-                    live_sink.part_state(point.experiment, point.part_label, "cached")
-            for state in pending:
-                live_sink.part_state(
-                    state.task.experiment_id, state.part_label, "queued"
-                )
-            for event in fault_events:
-                live_sink.emit("fault", **event)
-
-        generation = prior.generations + 1
-        leases: Dict[str, str] = {}  # key -> current lease id
-        granted = 0
-        last_heartbeat = time.perf_counter()
-
-        def _grant_lease(state: Dispatch) -> None:
-            """Journal the lease of the attempt just charged."""
-            nonlocal granted
-            granted += 1
-            lease = leases[state.key] = f"g{generation}-l{granted}"
-            if state.key in torn:
-                # One-shot: tear this lease's append exactly like a kill -9.
-                from repro.faults import runtime as faults_runtime
-
-                faults_runtime.arm("campaign.journal.corrupt")
-                torn.discard(state.key)
-            journal.append(
-                "point.lease",
-                point=point_of[state.key].point_id,
-                key=state.key,
-                lease=lease,
-                attempt=state.attempts,
-            )
-
-        def _journal_retry(state: Dispatch, kind: str, message: str,
-                           delay_s: float) -> None:
-            journal.append(
-                "point.retry",
-                point=point_of[state.key].point_id,
-                key=state.key,
-                attempt=state.attempts,
-                kind=kind,
-                error=message,
-                backoff_s=round(delay_s, 4),
-            )
-
-        def _record(state: Dispatch, outcome: TaskOutcome) -> None:
-            point = point_of[state.key]
-            if cache is not None:
-                cache.put(state.key, outcome.result)
-            _finish(
-                point,
-                outcome.result,
-                cached=False,
-                replayed=False,
-                wall_s=outcome.wall_s,
-                attempts=state.attempts,
-            )
-            journal.append(
-                "point.done",
-                point=point.point_id,
-                key=state.key,
-                cached=False,
-                wall_s=round(outcome.wall_s, 4),
-                attempt=state.attempts,
-            )
-
-        def _quarantine(state: Dispatch) -> None:
-            _quarantine_point(
-                point_of[state.key],
-                state.attempts,
-                f"{state.failure_kind}: {state.error}",
-            )
-
-        def _reclaim(state: Dispatch, kind: str) -> str:
-            emit(
-                f"[watchdog] {state.label} ({kind}); "
-                f"reclaiming lease {leases[state.key]}"
-            )
-            if kind == "lease_expired":
-                return "injected lease expiry"
-            return f"lease exceeded {task_timeout_s:.1f}s"
-
-        def _heartbeat(in_flight: List[Dispatch]) -> None:
-            """Journal liveness for every in-flight lease, on a fixed cadence."""
-            nonlocal last_heartbeat
-            now = time.perf_counter()
-            if now - last_heartbeat < heartbeat_s:
-                return
-            last_heartbeat = now
-            for state in in_flight:
-                journal.append(
-                    "point.heartbeat",
-                    point=point_of[state.key].point_id,
-                    key=state.key,
-                    lease=leases[state.key],
-                    attempt=state.attempts,
-                )
-
+                for point in points
+            ],
+            journal,
+            cache=cache,
+            fault_plan=fault_plan,
+            emit=emit,
+            hit=_hit,
+            prior=prior,
+            campaign=spec.name,
+            spec_digest=spec.digest(),
+            code_fingerprint=fingerprint,
+            points=len(points),
+            seed=seed,
+            generation=generation,
+            resume=bool(prior.records),
+            jobs=worker_count(jobs, len(points)),
+        )
         interrupted = dispatch(
             pending,
-            DispatchHooks(
-                noun="point",
-                done=_record,
-                failed=_quarantine,
-                reclaim=_reclaim,
-                attempt=_grant_lease,
-                retry=_journal_retry,
-                tick=_heartbeat,
-            ),
-            jobs=effective_jobs,
+            DispatchHooks(noun="point", done=_record, failed=_quarantine),
+            jobs=worker_count(jobs, len(pending)),
             seed=seed,
             retries=retries,
             task_timeout_s=task_timeout_s,
             root_span=campaign_span,
             emit=emit,
-            live_sink=live_sink,
+            journal=journal,
+            heartbeat_s=heartbeat_s,
         )
         if interrupted:
             emit("[interrupt] signal received; journal preserved for --resume")
@@ -1060,49 +1007,40 @@ def run_campaign(
         ]
         wall_s = time.perf_counter() - started
         ok_count = sum(1 for o in ordered_outcomes if o.ok)
-        quarantined_count = sum(
-            1 for o in ordered_outcomes if o.status == "quarantined"
-        )
-        if not interrupted:
-            journal.append(
-                "campaign.done",
-                campaign=spec.name,
-                ok=ok_count,
-                quarantined=quarantined_count,
-                wall_s=round(wall_s, 3),
-            )
-        spans.end(
-            campaign_span,
+        quarantined_count = len(ordered_outcomes) - ok_count
+        journal.append(
+            "campaign.interrupted" if interrupted else "campaign.done",
+            campaign=spec.name,
             ok=ok_count,
             quarantined=quarantined_count,
-            interrupted=interrupted,
+            cache_hits=sum(1 for o in ordered_outcomes if o.cached),
+            slo_violated=sum(_violated(o.slo_rows) for o in ordered_outcomes),
+            wall_s=round(wall_s, 3),
         )
-        if live_sink is not None:
-            live_sink.emit(
-                "run.done",
-                campaign=spec.name,
-                ok=ok_count,
-                failed=quarantined_count,
-                cache_hits=sum(1 for o in ordered_outcomes if o.cached),
-                wall_s=round(wall_s, 3),
-                interrupted=interrupted,
-            )
+    spans.end(
+        campaign_span,
+        ok=ok_count,
+        quarantined=quarantined_count,
+        interrupted=interrupted,
+    )
+    return CampaignResult(
+        spec=spec,
+        seed=seed,
+        code_fingerprint=fingerprint,
+        outcomes=ordered_outcomes,
+        journal_path=str(journal_path),
+        manifest={} if interrupted else build_manifest(
+            spec, fingerprint, ordered_outcomes
+        ),
+        wall_s=wall_s,
+        interrupted=interrupted,
+        generations=generation,
+        journal_dropped=prior.dropped,
+        journal_quarantined=journal_quarantined,
+        fault_events=fault_events,
+    )
 
-        manifest: Dict[str, Any] = {}
-        if not interrupted:
-            manifest = build_manifest(spec, fingerprint, ordered_outcomes)
 
-        return CampaignResult(
-            spec=spec,
-            seed=seed,
-            code_fingerprint=fingerprint,
-            outcomes=ordered_outcomes,
-            journal_path=str(journal_path),
-            manifest=manifest,
-            wall_s=wall_s,
-            interrupted=interrupted,
-            generations=generation,
-            journal_dropped=prior.dropped,
-            journal_quarantined=journal_quarantined,
-            fault_events=fault_events,
-        )
+def _violated(rows: List[Dict[str, Any]]) -> int:
+    """How many evaluated SLO objective rows are violated."""
+    return sum(1 for row in rows if row["status"] == "violated")

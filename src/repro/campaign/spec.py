@@ -103,8 +103,8 @@ class CampaignPoint:
 
     @property
     def part_label(self) -> str:
-        """The part name live events carry (seed-qualified so replicates
-        occupy distinct watch-board rows)."""
+        """The part name on the watch board (seed-qualified so replicates
+        occupy distinct rows)."""
         suffix = f"#s{self.seed}" if self.seed is not None else ""
         return f"{self.part}{suffix}"
 

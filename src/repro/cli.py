@@ -10,12 +10,12 @@ Usage::
     python -m repro run-all --ids fig5,fig14 --no-cache
     python -m repro run-all --retries 2 --task-timeout 60 \
         --fault-plan worker.crash:1,worker.hang:1@20   # chaos drill
-    python -m repro run-all --live       # stream run_live.jsonl while running
     python -m repro run-all --slo-spec slos/fig7.json --ids fig7
     python -m repro campaign run --spec campaigns/demo.json --jobs 2
     python -m repro campaign status --spec campaigns/demo.json
     python -m repro campaign results --format csv
-    python -m repro watch                # tail + render a --live event stream
+    python -m repro watch                # render run_journal.jsonl until done
+    python -m repro watch --file campaign.jsonl   # the same for a campaign
     python -m repro watch --once --json  # one machine-readable snapshot
     python -m repro slo --input run_manifest.json --strict   # SLO gate
     python -m repro slo --spec slos/violation_demo.json
@@ -273,23 +273,20 @@ def _write_manifest(write: Callable[[], Any]) -> Any:
         return write()
 
 
-def _live_sink(report: str, expected_walls: Optional[Dict[str, float]] = None):
-    """A ``--live`` event sink writing ``run_live.jsonl`` next to ``report``."""
-    from repro.obs.live import LIVE_FILENAME, LiveSink
-
-    path = os.path.join(os.path.dirname(os.path.abspath(report)), LIVE_FILENAME)
-    sink = LiveSink(path, expected_walls=expected_walls)
-    print(f"live: streaming events to {path}")
-    return sink
-
-
 def _cmd_run_all(args: argparse.Namespace) -> int:
     """``repro run-all``: regenerate every paper artifact, parallel + cached.
 
     The full workflow (cache semantics, ``--jobs`` guidance, manifest
     layout) is documented in ``docs/running.md``.
     """
-    from repro.obs.history import append_history, build_history_record, write_bench_snapshot
+    from repro.campaign.journal import RUN_JOURNAL_FILENAME, CampaignJournal
+    from repro.obs.history import (
+        HISTORY_FILENAME,
+        append_history,
+        build_history_record,
+        expected_walls,
+        write_bench_snapshot,
+    )
     from repro.runner import ResultCache, run_all, write_manifest
 
     obs_runtime.configure(enabled=not args.no_obs, span_detail=args.span_detail)
@@ -323,25 +320,27 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         removed = ResultCache(args.cache_dir).clear()
         print(f"cleared {removed} cache entries from {args.cache_dir}")
 
-    live_sink = None
-    if args.live:
-        from repro.obs.live import expected_walls
-
-        history_file = os.path.join(args.history_dir, "perf_history.jsonl")
-        live_sink = _live_sink(args.report, expected_walls(history_file))
-    result = run_all(
-        ids=ids,
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        seed=args.seed,
-        progress=print,
-        retries=args.retries,
-        task_timeout_s=args.task_timeout,
-        fault_plan=fault_plan,
-        live_sink=live_sink,
-        slo_specs=slo_specs,
-    )
+    # The progress journal 'repro watch' renders, started empty each run:
+    # the cache already makes a rerun execute only what is missing.
+    report_dir = os.path.dirname(os.path.abspath(args.report))
+    journal_path = os.path.join(report_dir, RUN_JOURNAL_FILENAME)
+    if os.path.exists(journal_path):
+        os.unlink(journal_path)
+    walls = expected_walls(os.path.join(args.history_dir, HISTORY_FILENAME))
+    with CampaignJournal(journal_path, header={"expected_walls": walls}) as journal:
+        result = run_all(
+            ids=ids,
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+            cache_dir=args.cache_dir,
+            seed=args.seed,
+            progress=print,
+            retries=args.retries,
+            task_timeout_s=args.task_timeout,
+            fault_plan=fault_plan,
+            journal=journal,
+            slo_specs=slo_specs,
+        )
     manifest = _write_manifest(lambda: write_manifest(result, args.report))
     if result.interrupted:
         print("run interrupted; manifest records partial results", file=sys.stderr)
@@ -359,18 +358,16 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
             f"{slo_counts['skipped']} skipped "
             f"(advisory here; gate with 'repro slo --input {args.report}')"
         )
-    if result.spans_dropped or result.live_dropped:
+    if result.spans_dropped:
         print(
-            f"dropped telemetry: {result.spans_dropped} span(s), "
-            f"{result.live_dropped} live event(s) (see manifest totals)"
+            f"dropped telemetry: {result.spans_dropped} span(s) "
+            "(see manifest totals)"
         )
-    if live_sink is not None:
-        print(f"live: {live_sink.path}")
+    print(f"journal: {journal_path}")
 
     # Sidecar telemetry next to the manifest: the span tree and the
     # parent-process metrics snapshot (worker snapshots are summarised
     # inside the manifest's parts[] entries).
-    report_dir = os.path.dirname(os.path.abspath(args.report))
     spans_path = os.path.join(report_dir, "run_spans.jsonl")
     metrics_path = os.path.join(report_dir, "run_metrics.jsonl")
     if not args.no_obs:
@@ -406,7 +403,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     fault_plan = _fault_plan(args)
     report_dir = os.path.dirname(os.path.abspath(args.report))
     journal_path = args.journal or os.path.join(report_dir, "campaign.jsonl")
-    live_sink = _live_sink(args.report) if args.live else None
 
     result = run_campaign(
         spec,
@@ -418,7 +414,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         task_timeout_s=args.task_timeout,
         heartbeat_s=args.heartbeat,
         fault_plan=fault_plan,
-        live_sink=live_sink,
         journal_path=journal_path,
         resume=not args.fresh,
         progress=print,
@@ -447,8 +442,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         )
     print(f"manifest: {args.report}")
     print(f"journal: {journal_path}")
-    if live_sink is not None:
-        print(f"live: {live_sink.path}")
     # Quarantined points degrade the campaign, they do not fail it: the
     # sweep completed and reported them, which is the contract.
     return 0
@@ -472,6 +465,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         "quarantined": len(state.quarantined),
         "in_flight": len(state.leases),
         "finished": state.finished is not None,
+        "interrupted": state.interrupted is not None,
     }
     if state.campaign is not None:
         status["campaign"] = state.campaign.get("campaign")
@@ -509,6 +503,8 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             f"quarantined={done.get('quarantined', '?')} "
             f"wall={done.get('wall_s', '?')}s"
         )
+    elif state.interrupted is not None:
+        print("interrupted: a signal stopped this generation; rerun to resume")
     return 0
 
 
@@ -654,56 +650,34 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
-    """``repro watch``: tail and render a ``--live`` event stream."""
+    """``repro watch``: re-fold and render a journal until the run ends."""
     import time as _time
 
-    from repro.obs.live import (
-        LIVE_FILENAME,
-        WatchState,
-        render_board,
-        replay,
-        snapshot,
-        tail_jsonl,
-    )
+    from repro.campaign.journal import RUN_JOURNAL_FILENAME, fold_journal
+    from repro.campaign.watch import render_board, snapshot
 
     if args.json and not args.once:
         print("watch: --json requires --once", file=sys.stderr)
         return 2
-    live_path = args.file or os.path.join(args.dir, LIVE_FILENAME)
-    sidecar_dir = os.path.dirname(os.path.abspath(live_path))
-    spans_path = os.path.join(sidecar_dir, "run_spans.jsonl")
-    metrics_path = os.path.join(sidecar_dir, "run_metrics.jsonl")
-
-    if args.once and not os.path.exists(live_path):
-        print(f"watch: no event stream at {live_path}", file=sys.stderr)
+    path = args.file or os.path.join(args.dir, RUN_JOURNAL_FILENAME)
+    if args.once and not os.path.exists(path):
+        print(f"watch: no journal at {path}", file=sys.stderr)
         return 2
 
-    state = WatchState()
-    offset = 0
-    spans_seen = 0
-    spans_offset = 0
-    metrics_seen = 0
-    metrics_offset = 0
     waiting_note = False
     while True:
-        if not os.path.exists(live_path):
+        state = fold_journal(path)
+        if not state.exists:
             if not waiting_note:
-                print(f"watch: waiting for {live_path} ...")
+                print(f"watch: waiting for {path} ...")
                 waiting_note = True
             _time.sleep(max(0.05, args.interval))
             continue
-        records, offset = tail_jsonl(live_path, offset)
-        state = replay(records, state)
-        span_records, spans_offset = tail_jsonl(spans_path, spans_offset)
-        spans_seen += len(span_records)
-        metric_records, metrics_offset = tail_jsonl(metrics_path, metrics_offset)
-        metrics_seen += len(metric_records)
-        seen = dict(spans_seen=spans_seen or None, metrics_seen=metrics_seen or None)
         if args.json:
-            print(json.dumps(snapshot(state, **seen), sort_keys=True))
+            print(json.dumps(snapshot(state), sort_keys=True))
         else:
-            print(render_board(state, **seen))
-        if state.finished or args.once:
+            print(render_board(state))
+        if args.once or state.finished or state.interrupted:
             return 0
         _time.sleep(max(0.05, args.interval))
 
@@ -993,11 +967,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         default=None,
         help="seed for fault target selection (default: --seed)",
     ),
-    "--live": dict(
-        action="store_true",
-        help="stream lifecycle events to run_live.jsonl next to the "
-        "manifest ('python -m repro watch' renders them live)",
-    ),
 }
 
 #: The run options ``run-all`` and ``campaign run`` share.
@@ -1010,7 +979,6 @@ _RUN_FLAGS = (
     "--task-timeout",
     "--fault-plan",
     "--fault-seed",
-    "--live",
 )
 
 
@@ -1046,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.lint import cli as lint_cli
     from repro.obs.compare import DEFAULT_MIN_WALL_S, DEFAULT_WALL_THRESHOLD
     from repro.obs.history import DEFAULT_HISTORY_DIR
-    from repro.obs.live import LIVE_FILENAME
+    from repro.campaign.journal import RUN_JOURNAL_FILENAME
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1215,21 +1183,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     watch = command(
         commands, "watch",
-        "render a 'run-all --live' or 'campaign run --live' event stream",
+        "render a run-all or campaign journal as a progress board",
         _cmd_watch,
-        description="Render the live event stream a 'run-all --live' or "
-        "'campaign run --live' invocation writes, refreshing until the run "
-        "completes.",
+        description="Fold the journal a 'run-all' or 'campaign run' "
+        "invocation writes into a per-unit board (state, ETA, SLO), "
+        "refreshing until the run ends.",
     )
     watch.add_argument(
         "--dir",
         default=".",
-        help="directory holding run_live.jsonl and its sidecars (default: .)",
+        help=f"directory holding run-all's {RUN_JOURNAL_FILENAME} "
+        "(default: .)",
     )
     watch.add_argument(
         "--file",
         default=None,
-        help=f"explicit event-log path (overrides --dir/{LIVE_FILENAME})",
+        help="explicit journal path, e.g. a campaign.jsonl "
+        f"(overrides --dir/{RUN_JOURNAL_FILENAME})",
     )
     watch.add_argument(
         "--interval",

@@ -33,10 +33,7 @@ TARGET_LITERAL_RE = re.compile(
 )
 
 #: Constructors whose arguments cross the process-pool pickle boundary.
-POOL_CTOR_ORIGINS: Tuple[str, ...] = (
-    "repro.runner.tasks.TaskSpec",
-    "repro.obs.live.LivePublisher",
-)
+POOL_CTOR_ORIGINS: Tuple[str, ...] = ("repro.runner.tasks.TaskSpec",)
 
 #: Worker entry points: arguments submitted alongside them are pickled.
 WORKER_ENTRY_ORIGINS: Tuple[str, ...] = ("repro.runner.tasks.execute_task",)

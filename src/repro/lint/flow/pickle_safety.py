@@ -1,8 +1,8 @@
 """PW103: unpicklable values crossing the process-pool boundary.
 
-Everything placed on a :class:`~repro.runner.tasks.TaskSpec`, submitted to
-the pool alongside ``execute_task``, or handed to a ``LivePublisher``
-must survive a pickle round-trip into a worker process. Lambdas, nested
+Everything placed on a :class:`~repro.runner.tasks.TaskSpec` or submitted
+to the pool alongside ``execute_task`` must survive a pickle round-trip
+into a worker process. Lambdas, nested
 functions, generator expressions, and open file handles fail outright at
 submit time; module-level mutable state *pickles* but forks into an
 independent copy per worker, so mutations silently diverge between the
@@ -35,7 +35,7 @@ class PoolPickleSafety(FlowRule):
     name = "pool-pickle-hazard"
     description = (
         "A value that cannot safely cross the process-pool pickle "
-        "boundary is passed to TaskSpec/execute_task/LivePublisher."
+        "boundary is passed to TaskSpec/execute_task."
     )
 
     def check(self, index: ProjectIndex, config: LintConfig) -> List[Finding]:

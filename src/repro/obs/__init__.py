@@ -18,16 +18,6 @@ from __future__ import annotations
 
 from repro.obs.compare import compare_runs, load_run, render_compare
 from repro.obs.energy import EnergyLedger
-from repro.obs.live import (
-    LIVE_SCHEMA_VERSION,
-    LiveChannel,
-    LivePublisher,
-    LiveSink,
-    WatchState,
-    render_board,
-    replay,
-    tail_jsonl,
-)
 from repro.obs.profile import (
     PROFILE_SCHEMA_VERSION,
     KindRow,
@@ -72,10 +62,6 @@ __all__ = [
     "HISTORY_SCHEMA_VERSION",
     "Histogram",
     "KindRow",
-    "LIVE_SCHEMA_VERSION",
-    "LiveChannel",
-    "LivePublisher",
-    "LiveSink",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NULL_SPANS",
@@ -84,7 +70,6 @@ __all__ = [
     "Span",
     "SpanRecorder",
     "Timeseries",
-    "WatchState",
     "append_history",
     "build_history_record",
     "collapse_stacks",
@@ -94,14 +79,11 @@ __all__ = [
     "load_history",
     "load_run",
     "render_attribution",
-    "render_board",
     "render_compare",
     "render_span_tree",
-    "replay",
     "rows_from_engine",
     "rows_from_manifest",
     "runtime",
-    "tail_jsonl",
     "write_bench_snapshot",
     "write_flame",
 ]

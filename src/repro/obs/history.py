@@ -177,3 +177,28 @@ def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
                     f"{path}:{lineno}: malformed history record ({exc})"
                 ) from exc
     return records
+
+
+def expected_walls(history_path: Union[str, Path]) -> Dict[str, float]:
+    """Latest measured wall-clock per experiment from a perf history file.
+
+    Scans ``perf_history.jsonl`` oldest→newest keeping, per experiment, the
+    most recent record that actually executed (cache-hit replays report
+    near-zero walls and would wreck the ETA). Missing or unreadable history
+    degrades to ``{}`` — the watch board then shows no ETA, nothing fails.
+    """
+    walls: Dict[str, float] = {}
+    try:
+        for record in load_history(history_path):
+            experiments = record.get("experiments") or {}
+            if not isinstance(experiments, dict):
+                continue
+            for exp_id, entry in experiments.items():
+                if not isinstance(entry, dict) or entry.get("cache_hit"):
+                    continue
+                wall = entry.get("wall_s")
+                if isinstance(wall, (int, float)) and wall > 0:
+                    walls[str(exp_id)] = float(wall)
+    except Exception:
+        return {}
+    return walls

@@ -22,8 +22,8 @@ merged experiment results at run time (:func:`domain_metrics`), land in
 the manifest's per-experiment ``domain`` sections, and the ``slo``
 section is a fold over those numbers — equal seeds produce byte-identical
 sections. The same fold runs post-hoc (``repro slo --input
-run_manifest.json``) and online (``run-all`` emits ``experiment.slo``
-events into the live stream as each experiment merges, which ``repro
+run_manifest.json``) and online (``run-all`` journals an
+``experiment.slo`` record as each experiment merges, which ``repro
 watch`` folds into its board).
 
 Objective ids follow the metric naming convention (dotted lowercase,

@@ -148,15 +148,17 @@ class DeploymentPlanner:
         max_feet: float = 60.0,
         step_feet: float = 0.25,
     ) -> float:
-        """Farthest placement meeting the requirement (0 if nowhere does)."""
+        """Farthest placement meeting the requirement (0 if nowhere does).
+
+        Every step is evaluated: feasibility is not monotone in distance
+        (the charge pump's efficiency sags at high input), so a placement
+        past an infeasible step can still meet the requirement.
+        """
         best = 0.0
-        steps = int(max_feet / step_feet)
-        for i in range(1, steps + 1):
+        for i in range(1, int(max_feet / step_feet) + 1):
             feet = i * step_feet
             if self.evaluate(requirement, feet).feasible:
                 best = feet
-            else:
-                break
         return best
 
     def required_occupancy(

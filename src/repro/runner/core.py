@@ -8,8 +8,9 @@ experiments in one call:
    declares a sweep decomposition (Fig 5 by threshold, Fig 6 by scheme,
    Fig 14 by home, ...).
 2. **Cache check** — every task's :func:`~repro.runner.cache.cache_key`
-   is probed against the content-addressed store; hits replay instantly,
-   corrupt entries are quarantined and re-executed.
+   is probed against the content-addressed store by
+   :func:`repro.campaign.manager.probe`, the probe campaigns use; hits
+   replay instantly, corrupt entries are quarantined and re-executed.
 3. **Execute** — remaining tasks fan out over a
    ``concurrent.futures.ProcessPoolExecutor`` (``jobs`` workers), slowest
    runtime class first so the pool drains evenly. ``jobs=1`` runs the same
@@ -27,7 +28,7 @@ scheduler campaigns use too, which hardens it against worker failure
   uncharged;
 * failures retry up to ``retries`` extra attempts, with per-part attempt
   counts recorded for the manifest; injected fault directives are stripped
-  before requeue, so retried attempts always run clean;
+  before requeue, so retried attempts run clean (a poisoned task's do not);
 * a **BrokenProcessPool** (worker killed by the OS, by a crash fault, or
   by the OOM killer) rebuilds the pool and requeues what never finished;
 * SIGINT/SIGTERM degrade gracefully: the run stops submitting, marks
@@ -35,7 +36,9 @@ scheduler campaigns use too, which hardens it against worker failure
   :class:`RunAllResult` the CLI still flushes as a valid manifest. A
   second signal aborts hard.
 
-Per-task wall-clock, retry/failure and cache hit/miss/corrupt counts flow
+Progress goes to the caller's campaign journal (``run_journal.jsonl`` from
+the CLI), the log ``repro watch`` folds. Per-task wall-clock,
+retry/failure and cache hit/miss/corrupt counts flow
 through the shared ``repro.obs`` metrics registry (``runner.*``
 instruments); the caller gets a :class:`RunAllResult` from which
 ``run_manifest.json`` is rendered (:mod:`repro.runner.manifest`).
@@ -44,6 +47,7 @@ instruments); the caller gets a :class:`RunAllResult` from which
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -58,7 +62,7 @@ from repro.experiments.registry import (
     normalize_experiment_id,
     resolve_target,
 )
-from repro.faults.plan import FaultPlan, WORKER_FAULT_POINTS
+from repro.faults.plan import FaultPlan
 from repro.obs import runtime as obs_runtime
 from repro.runner.cache import (
     DEFAULT_CACHE_DIR,
@@ -153,8 +157,6 @@ class RunAllResult:
     quarantined: List[str] = field(default_factory=list)
     #: Span records lost to retention caps (parent recorder + workers).
     spans_dropped: int = 0
-    #: Live events workers failed to enqueue on the streaming channel.
-    live_dropped: int = 0
     #: Evaluated SLO objective rows, sorted by (experiment, id); the
     #: manifest's ``slo`` section is assembled from these.
     slo_rows: List[Dict[str, Any]] = field(default_factory=list)
@@ -286,7 +288,7 @@ def run_all(
     retries: int = 0,
     task_timeout_s: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
-    live_sink: Optional[Any] = None,
+    journal: Optional[Any] = None,
     slo_specs: Optional[Sequence[Any]] = None,
 ) -> RunAllResult:
     """Regenerate the selected experiments, in parallel and cached.
@@ -321,15 +323,18 @@ def run_all(
     fault_plan:
         A :class:`~repro.faults.plan.FaultPlan` whose infrastructure
         directives are deterministically bound to tasks and detonated
-        during execution. Tasks carrying worker directives are forced to
-        execute even on a warm cache (a fault that never fires tests
-        nothing); retried attempts always run clean.
-    live_sink:
-        A :class:`~repro.obs.live.LiveSink` to stream lifecycle events
-        into (``run.start`` / ``part.state`` / ``fault`` / ``run.done``).
-        Pool workers additionally publish their own ``running``
-        transitions over a bounded queue. ``None`` (default) streams
-        nothing; the sink never influences execution or results.
+        during execution, the campaign ones included. Tasks carrying a
+        directive other than ``cache.corrupt`` are forced to execute even
+        on a warm cache (a fault that never fires tests nothing); retried
+        attempts run clean, except a poisoned task's.
+    journal:
+        A :class:`~repro.campaign.journal.CampaignJournal` to record
+        progress in, as a one-seed campaign named ``run-all`` (what
+        ``repro watch`` renders): the unit roster on ``campaign.open``,
+        every lease, heartbeat, retry and result, one ``experiment.slo``
+        per merged experiment with SLO specs, and ``campaign.done`` (or
+        ``campaign.interrupted``). ``None`` (default) journals nowhere. The
+        journal never influences execution or results.
     slo_specs:
         :class:`~repro.obs.slo.SloSpec` objects to evaluate against each
         experiment's domain metrics as it merges. ``None`` (default) loads
@@ -342,6 +347,16 @@ def run_all(
     # repro.runner, and code that only executes tasks (the DES benchmark
     # workloads import repro.runner.tasks) should not pay for loading it.
     from repro.campaign import manager
+    from repro.campaign.journal import RUN_ALL_CAMPAIGN, CampaignJournal
+
+    if journal is None:
+        with CampaignJournal(os.devnull) as sink:
+            return run_all(
+                ids=ids, jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
+                seed=seed, progress=progress, retries=retries,
+                task_timeout_s=task_timeout_s, fault_plan=fault_plan,
+                journal=sink, slo_specs=slo_specs,
+            )
 
     started = time.perf_counter()
     ordered_ids = resolve_ids(ids)
@@ -367,69 +382,38 @@ def run_all(
     # by the CLI before reaching here).
     from repro.obs import slo as slo_mod
 
-    if slo_specs is None:
-        try:
-            slo_specs = slo_mod.load_default_specs(ordered_ids)
-        except Exception as exc:
-            emit(f"[slo] skipping default specs: {exc}")
-            slo_specs = []
-    specs_by_experiment: Dict[str, List[Any]] = {}
-    for slo_spec in slo_specs:
-        specs_by_experiment.setdefault(slo_spec.experiment, []).append(slo_spec)
-    slo_rows: List[Dict[str, Any]] = []
-
-    # Bind fault directives to task labels before the cache probe: the
-    # cache.corrupt point must damage entries ahead of their probe, and
-    # worker-directive targets skip the cache so their faults actually fire.
-    assignment, fault_events = manager.bind_faults(
-        fault_plan, [t.label for plan in planned for t in plan.tasks]
+    slo_specs, specs_by_experiment = manager.slo_specs_by_experiment(
+        ordered_ids, slo_specs, emit
     )
+    slo_rows: List[Dict[str, Any]] = []
 
     # Cache probe: hits load immediately, misses queue for execution.
     results: Dict[str, Tuple[Any, float]] = {}  # key -> (result, wall_s)
-    hits: Dict[str, bool] = {}
-    pending: List[manager.Dispatch] = []
-    quarantined_before = 0
 
-    def _drain_quarantine(label: str) -> None:
-        nonlocal quarantined_before
-        if cache is None:
-            return
-        for key in cache.quarantine_events[quarantined_before:]:
-            emit(f"[cache] quarantined corrupt entry {key[:12]} ({label}); re-executing")
-        quarantined_before = len(cache.quarantine_events)
+    def _hit(unit: manager.Dispatch, value: Any, replayed: bool) -> None:
+        results[unit.key] = (value, 0.0)
 
-    for plan in planned:
-        for task, key in zip(plan.tasks, plan.keys):
-            directives = assignment.get(task.label, ())
-            worker_directives = tuple(
-                d for d in directives if d.point in WORKER_FAULT_POINTS
-            )
-            if cache is not None and any(
-                d.point == "cache.corrupt" for d in directives
-            ):
-                fired = cache.corrupt_entry(key)
-                fault_events.append(
-                    {"point": "cache.corrupt", "task": task.label, "fired": fired}
-                )
-            hit = False
-            if cache is not None and not worker_directives:
-                hit, value = cache.get(key)
-                _drain_quarantine(task.label)
-                if hit:
-                    results[key] = (value, 0.0)
-                    registry.counter("runner.cache.hits").inc()
-            hits[key] = hit
-            if not hit:
-                registry.counter("runner.cache.misses").inc()
-                pending.append(
-                    manager.Dispatch(
-                        task=task,
-                        key=key,
-                        part_label=task.part,
-                        faults=worker_directives,
-                    )
-                )
+    units = [
+        manager.Dispatch(task=task, key=key, part_label=task.part)
+        for plan in planned
+        for task, key in zip(plan.tasks, plan.keys)
+    ]
+    pending, fault_events = manager.probe(
+        units,
+        journal,
+        cache=cache,
+        fault_plan=fault_plan,
+        emit=emit,
+        hit=_hit,
+        campaign=RUN_ALL_CAMPAIGN,
+        code_fingerprint=fingerprint,
+        points=len(units),
+        seed=seed,
+        generation=1,
+        resume=False,
+        jobs=manager.worker_count(jobs, len(units)),
+    )
+    hits = set(results)
 
     # Longest-processing-time-first: slow experiments enter the pool first
     # so the run's tail is not one straggler on an otherwise idle pool.
@@ -437,36 +421,12 @@ def run_all(
     pending.sort(key=lambda state: -rank[state.task.experiment_id])
     effective_jobs = manager.worker_count(jobs, len(pending))
 
-    # Stream the opening roster: the run header, every cache hit, every
-    # queued task, and the bound fault directives. From here on the sink
-    # receives each state transition as it happens.
-    if live_sink is not None:
-        live_sink.emit(
-            "run.start",
-            ids=list(ordered_ids),
-            experiments=len(planned),
-            tasks=len(pending),
-            jobs=effective_jobs,
-            seed=seed,
-            retries=retries,
-        )
-        for plan in planned:
-            for task, key in zip(plan.tasks, plan.keys):
-                if hits[key]:
-                    live_sink.part_state(task.experiment_id, task.part, "cached")
-        for state in pending:
-            live_sink.part_state(state.task.experiment_id, state.task.part, "queued")
-        for event in fault_events:
-            live_sink.emit("fault", **event)
-
     outcomes: Dict[str, TaskOutcome] = {}  # key -> executed-task telemetry
     worker_spans_dropped = 0
-    live_dropped = 0
 
     def _record(state: manager.Dispatch, outcome: TaskOutcome) -> None:
-        nonlocal worker_spans_dropped, live_dropped
+        nonlocal worker_spans_dropped
         worker_spans_dropped += outcome.spans_dropped
-        live_dropped += outcome.live_dropped
         results[state.key] = (outcome.result, outcome.wall_s)
         outcomes[state.key] = outcome
         registry.histogram(
@@ -477,51 +437,21 @@ def run_all(
             cache.put(state.key, outcome.result)
 
     def _failed(state: manager.Dispatch) -> None:
-        if live_sink is not None:
-            live_sink.part_state(
-                state.task.experiment_id,
-                state.task.part,
-                "failed",
-                attempt=state.attempts,
-                kind=state.failure_kind,
-                error=state.error,
-            )
         emit(
             f"[task] {state.label} FAILED after "
             f"{state.attempts} attempt(s) ({state.failure_kind}): {state.error}"
         )
 
-    def _reclaim(state: manager.Dispatch, kind: str) -> str:
-        emit(
-            f"[watchdog] {state.label} exceeded "
-            f"{task_timeout_s:.1f}s; terminating its pool"
-        )
-        return f"exceeded task timeout {task_timeout_s:.1f}s"
-
-    live_channel = None
-    if live_sink is not None and effective_jobs > 1 and pending:
-        from repro.obs.live import LiveChannel
-
-        # Best-effort: a sandbox that cannot spawn the manager process
-        # costs the `running` transitions, nothing else.
-        try:
-            live_channel = LiveChannel()
-        except Exception:
-            live_channel = None
-
     interrupted = manager.dispatch(
         pending,
-        manager.DispatchHooks(
-            noun="task", done=_record, failed=_failed, reclaim=_reclaim
-        ),
+        manager.DispatchHooks(noun="task", done=_record, failed=_failed),
         jobs=effective_jobs,
         seed=seed,
         retries=retries,
         task_timeout_s=task_timeout_s,
         root_span=root_span,
         emit=emit,
-        live_sink=live_sink,
-        live_channel=live_channel,
+        journal=journal,
     )
     if interrupted:
         emit("[interrupt] signal received; flushing partial results")
@@ -537,7 +467,7 @@ def run_all(
                 PartRun(
                     part=task.part,
                     key=key,
-                    cache_hit=hits[key],
+                    cache_hit=key in hits,
                     duration_s=results[key][1] if key in results else 0.0,
                     engine=outcomes[key].engine if key in outcomes else {},
                     metrics=outcomes[key].metrics if key in outcomes else [],
@@ -575,7 +505,7 @@ def run_all(
             run.shape_ok, run.shape_detail = _shape_check(plan.spec, run.result)
             run.domain = slo_mod.domain_metrics(run.id, run.result)
         runs.append(run)
-        # Online SLO evaluation: verdicts stream out the moment the
+        # Online SLO evaluation: verdicts are journaled the moment the
         # experiment merges, so `repro watch` shows SLO state mid-run.
         experiment_specs = specs_by_experiment.get(run.id, [])
         if experiment_specs:
@@ -585,27 +515,23 @@ def run_all(
                 errors={run.id: run.error},
             )
             slo_rows.extend(rows)
-            violated = sum(1 for row in rows if row["status"] == "violated")
+            statuses = [row["status"] for row in rows]
+            violated = statuses.count("violated")
             if violated:
                 emit(
                     f"[slo] {run.id}: {violated}/{len(rows)} objective(s) violated"
                 )
-            if live_sink is not None:
-                live_sink.emit(
-                    "experiment.slo",
-                    experiment=run.id,
-                    ok=sum(1 for row in rows if row["status"] == "ok"),
-                    violated=violated,
-                    skipped=sum(1 for row in rows if row["status"] == "skipped"),
-                    objectives=[
-                        {
-                            "id": row["id"],
-                            "status": row["status"],
-                            "margin": row["margin"],
-                        }
-                        for row in rows
-                    ],
-                )
+            journal.append(
+                "experiment.slo",
+                experiment=run.id,
+                ok=statuses.count("ok"),
+                violated=violated,
+                skipped=statuses.count("skipped"),
+                objectives=[
+                    {"id": row["id"], "status": row["status"], "margin": row["margin"]}
+                    for row in rows
+                ],
+            )
         status = "ok" if run.ok else "FAIL"
         source = "hit" if run.cache_hit else ("partial" if any(p.cache_hit for p in parts) else "run")
         emit(
@@ -627,20 +553,16 @@ def run_all(
     ]
     spans_dropped = spans.dropped + worker_spans_dropped
     slo_rows.sort(key=lambda row: (row["experiment"], row["id"]))
-    if live_sink is not None:
-        live_sink.emit(
-            "run.done",
-            ok=ok_count,
-            failed=len(runs) - ok_count,
-            cache_hits=sum(1 for run in runs if run.cache_hit),
-            wall_s=round(wall_s, 3),
-            interrupted=interrupted,
-            spans_dropped=spans_dropped,
-            live_dropped=live_dropped,
-            slo_violated=sum(
-                1 for row in slo_rows if row["status"] == "violated"
-            ),
-        )
+    journal.append(
+        "campaign.interrupted" if interrupted else "campaign.done",
+        campaign=RUN_ALL_CAMPAIGN,
+        ok=ok_count,
+        failed=len(runs) - ok_count,
+        cache_hits=sum(1 for run in runs if run.cache_hit),
+        wall_s=round(wall_s, 3),
+        spans_dropped=spans_dropped,
+        slo_violated=sum(1 for row in slo_rows if row["status"] == "violated"),
+    )
     return RunAllResult(
         runs=runs,
         jobs=effective_jobs,
@@ -657,7 +579,6 @@ def run_all(
         fault_events=fault_events,
         quarantined=list(cache.quarantine_events) if cache is not None else [],
         spans_dropped=spans_dropped,
-        live_dropped=live_dropped,
         slo_rows=slo_rows,
         slo_spec_paths=[spec.path for spec in slo_specs],
     )

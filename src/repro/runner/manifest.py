@@ -41,13 +41,16 @@ from repro.runner.core import RunAllResult
 #: ``faults`` + ``cache.quarantined`` sections.
 #: v4 (profiler PR): per-part ``engine.profile`` attribution maps
 #: (per event kind: component, dispatch count, sampled wall, sim-time
-#: bounds) and ``spans_dropped``/``live_dropped`` in totals.
+#: bounds) and span/live-event drop counts in totals.
 #: v5 (SLO PR): per-experiment ``domain`` metric streams extracted from
 #: merged results, and a top-level ``slo`` section (per-objective status,
 #: signed margin, worst window) evaluated from the registry-default and
 #: explicitly passed SLO specs. Both are pure functions of the results:
 #: equal seeds produce byte-identical sections.
-MANIFEST_SCHEMA_VERSION = 5
+#: v6 (one journal PR): the live-event drop count leaves ``totals``; run
+#: progress is ``run_journal.jsonl``, which drops nothing (docs/running.md
+#: has the field mapping).
+MANIFEST_SCHEMA_VERSION = 6
 
 #: Default output filename.
 MANIFEST_FILENAME = "run_manifest.json"
@@ -200,7 +203,6 @@ def build_manifest(run: RunAllResult) -> Dict[str, Any]:
             "events_dispatched": events_dispatched,
             "retried_parts": retried_parts,
             "spans_dropped": run.spans_dropped,
-            "live_dropped": run.live_dropped,
         },
         "spans": {
             "schema": SPAN_SCHEMA_VERSION,

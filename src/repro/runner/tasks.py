@@ -15,14 +15,6 @@ state, so the parent's escape hatch would otherwise be silently lost).
 Inbound, :class:`TaskOutcome` carries the result plus the worker's finished
 span records, metrics snapshot, and engine profile for the parent to merge.
 
-Live telemetry rides alongside: when ``run-all --live`` is active the
-parent attaches a :class:`~repro.obs.live.LivePublisher` so the worker can
-announce ``part.running`` the moment the driver starts (the parent knows a
-task was *submitted*; only the worker knows it is *executing*). Publishing
-is strictly best-effort — queue-full or channel-failure increments the
-publisher's drop counter, which returns in the outcome so the manifest can
-report truncation.
-
 Fault injection rides the same channel: the parent binds the
 :class:`~repro.faults.plan.FaultDirective`\\ s a
 :class:`~repro.faults.plan.FaultPlan` assigned to this task, and the worker
@@ -80,8 +72,6 @@ class TaskOutcome:
     engine: Dict[str, Any] = field(default_factory=dict)
     #: Spans the worker's recorder discarded at its retention cap.
     spans_dropped: int = 0
-    #: Live events the worker's publisher could not enqueue.
-    live_dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -114,10 +104,6 @@ class TaskSpec:
         path and on every retry). Excluded from cache keys like ``obs``;
         infrastructure faults never change result bytes, only how (and how
         often) the result was obtained.
-    live:
-        Live-telemetry publisher, set only when the parent runs with a
-        live sink and this task is pool-bound. Excluded from cache keys
-        like ``obs``; publishing is best-effort and never changes results.
     attempt:
         1-based attempt number, labelled onto the worker's task span so a
         span tree distinguishes a retry from a first try.
@@ -130,7 +116,6 @@ class TaskSpec:
     seed: Optional[int] = None
     obs: Optional[SpanContext] = None
     faults: Tuple[FaultDirective, ...] = ()
-    live: Optional[Any] = None
     attempt: int = 1
 
     @property
@@ -205,10 +190,6 @@ def execute_task(spec: TaskSpec) -> TaskOutcome:
         span_prefix=ctx.prefix,
         span_detail=ctx.span_detail,
     )
-    if spec.live is not None:
-        # Announce before faults detonate: a task about to hang or crash
-        # is exactly the one the watch board must show as running.
-        spec.live.part_running(spec.experiment_id, spec.part, spec.attempt)
     spans = obs_runtime.get_spans()
     task_span = spans.begin(
         "runner.task",
@@ -235,5 +216,4 @@ def execute_task(spec: TaskSpec) -> TaskOutcome:
         metrics=obs_runtime.get_registry().snapshot(),
         engine=obs_runtime.aggregate_engine_stats(),
         spans_dropped=spans.dropped,
-        live_dropped=spec.live.dropped if spec.live is not None else 0,
     )

@@ -336,6 +336,46 @@ class TestRunCampaign:
         )
         assert second.generations == 2
 
+    def test_journal_in_the_earlier_layout_still_folds_and_resumes(
+        self, spec, workdir
+    ):
+        """A journal written before ``campaign.open`` carried the unit roster
+        and leases carried ``running``: it folds, renders and resumes."""
+        from repro.campaign.watch import render_board, unit_rows
+        from repro.runner.cache import code_fingerprint
+
+        clean = _run(spec, workdir, journal_path=workdir / "clean.jsonl")
+        points = spec.expand(code_fingerprint())
+        path = workdir / "earlier.jsonl"
+        records = [{"type": "campaign.open", "campaign": spec.name,
+                    "spec_digest": spec.digest(), "points": len(points),
+                    "seed": 0, "generation": 1, "resume": False}]
+        for index, point in enumerate(points[:2], start=1):
+            records.append({"type": "point.lease", "point": point.point_id,
+                            "key": point.key, "lease": f"g1-l{index}",
+                            "attempt": 1})
+        records.append({"type": "point.done", "point": points[0].point_id,
+                        "key": points[0].key, "cached": False,
+                        "wall_s": 0.01, "attempt": 1})
+        path.write_text("".join(
+            json.dumps({"schema": 1, "seq": seq, **record}, sort_keys=True) + "\n"
+            for seq, record in enumerate(records, start=1)
+        ))
+        state = fold_journal(path)
+        assert set(state.done) == {points[0].key} and set(state.leases) == {points[1].key}
+        rows = {f"{r['experiment']}:{r['part']}": r["state"] for r in unit_rows(state)}
+        assert rows == {points[0].label: "done", points[1].label: "submitted"}
+        assert "== watch ==" in render_board(state)
+
+        resumed = _run(spec, workdir, journal_path=path)
+        assert resumed.ok and resumed.generations == 2
+        assert [o.replayed for o in resumed.outcomes] == [True, False, False]
+        assert json.dumps(resumed.manifest, sort_keys=True) == json.dumps(
+            clean.manifest, sort_keys=True
+        )
+        board = render_board(fold_journal(path))
+        assert "run done: ok=3 quarantined=0" in board
+
     def test_manifest_is_pure_no_walls_attempts_or_cache_flags(self, spec, workdir):
         result = _run(spec, workdir)
         payload = json.dumps(result.manifest)
@@ -745,17 +785,17 @@ class TestCampaignCli:
 
 
 class TestWatchEmptyStream:
-    def test_render_board_without_events_explains_itself(self):
-        from repro.obs.live import WatchState, render_board, replay
+    def test_render_board_without_events_explains_itself(self, tmp_path):
+        from repro.campaign.watch import render_board
 
-        board = render_board(WatchState())
+        path = tmp_path / "campaign.jsonl"
+        board = render_board(fold_journal(path))
         assert "waiting for events" in board
         assert "?" not in board.replace("here?", "")  # no board of "?"s
         # One real record flips it to the normal board.
-        state = replay(
-            [{"type": "run.start", "seq": 1, "t_s": 0.0, "seed": 7, "jobs": 2}]
-        )
-        assert "seed=7" in render_board(state)
+        with CampaignJournal(path) as journal:
+            journal.append("campaign.open", campaign="c", seed=7, jobs=2)
+        assert "seed=7" in render_board(fold_journal(path))
 
 
 class TestLintPW007:

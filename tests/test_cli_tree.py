@@ -33,7 +33,7 @@ def test_help_and_list_name_every_subcommand(capsys):
 RUN_FLAGS = [
     "--seed", "4", "--jobs", "3", "--no-cache", "--cache-dir", "cc",
     "--retries", "2", "--task-timeout", "7.5",
-    "--fault-plan", "worker.crash:1", "--fault-seed", "9", "--live",
+    "--fault-plan", "worker.crash:1", "--fault-seed", "9",
 ]
 
 
@@ -56,31 +56,35 @@ def captured(monkeypatch):
 
 
 def _shared(kwargs):
-    plan, sink = kwargs["fault_plan"], kwargs["live_sink"]
+    plan = kwargs["fault_plan"]
+    journal = kwargs.get("journal")
     return {
         key: kwargs[key]
         for key in ("jobs", "use_cache", "cache_dir", "seed", "retries", "task_timeout_s")
-    }, (plan and plan.seed), (sink and sink.path)
+    }, (plan and plan.seed), str(journal.path if journal else kwargs["journal_path"])
 
 
 def test_run_flags_reach_both_entry_points_alike(tmp_path, captured):
     report = str(tmp_path / "m.json")
     assert main(["run-all", *RUN_FLAGS, "--report", report]) == 2
     assert main(["campaign", "run", "--spec", "s.json", *RUN_FLAGS, "--report", report]) == 2
-    expected = (
+    shared = (
         {"jobs": 3, "use_cache": False, "cache_dir": "cc", "seed": 4,
          "retries": 2, "task_timeout_s": 7.5},
         9,
-        os.path.join(str(tmp_path), "run_live.jsonl"),
     )
-    assert _shared(captured["run_all"]) == expected
-    assert _shared(captured["run_campaign"]) == expected
-    assert captured["run_campaign"]["journal_path"] == os.path.join(
-        str(tmp_path), "campaign.jsonl"
+    # Each command journals next to its report: run_journal.jsonl for
+    # run-all, campaign.jsonl for a campaign.
+    assert _shared(captured["run_all"]) == (
+        *shared, os.path.join(str(tmp_path), "run_journal.jsonl")
+    )
+    assert _shared(captured["run_campaign"]) == (
+        *shared, os.path.join(str(tmp_path), "campaign.jsonl")
     )
 
 
-def test_run_flag_defaults_per_subcommand(captured):
+def test_run_flag_defaults_per_subcommand(captured, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["run-all"]) == 2
     assert main(["campaign", "run", "--spec", "s.json"]) == 2
     run_all, campaign = captured["run_all"], captured["run_campaign"]
@@ -88,11 +92,18 @@ def test_run_flag_defaults_per_subcommand(captured):
         {"jobs": None, "use_cache": True, "cache_dir": ".repro_cache", "seed": 0,
          "retries": 0, "task_timeout_s": None},
         None,
-        None,
+        os.path.abspath("run_journal.jsonl"),
     )
     assert _shared(campaign)[0] == {**_shared(run_all)[0], "retries": 1}
     assert campaign["heartbeat_s"] == 2.0 and campaign["resume"] is True
     assert campaign["journal_path"] == os.path.abspath("campaign.jsonl")
+
+
+def test_live_flag_is_gone():
+    tree = {path: sub for path, _, sub in walk_commands(build_parser())}
+    for path in ("run-all", "campaign run"):
+        flags = {flag for action in tree[path]._actions for flag in action.option_strings}
+        assert "--live" not in flags, path
 
 
 def test_file_defaults_match_the_library():

@@ -210,8 +210,9 @@ class TestPlannerKeepsItsScans:
         # so the battery-free chain's DC output is not monotone between
         # about -0.8 and +9.6 dBm incident. This requirement is met up to
         # 0.75 ft, missed at 1 ft (in the dip), met again out to 2.5 ft and
-        # missed beyond: the first-failure scan answers 0.75 ft, and a
-        # bisection could answer 2.5 ft. So the planner walks its grid.
+        # missed beyond. The farthest feasible step is 2.5 ft, which only a
+        # scan of every step finds; a bisection need not. So the planner
+        # walks its whole grid.
         planner = DeploymentPlanner(
             Environment(path_loss_exponent=1.7, cumulative_occupancy=0.5)
         )
@@ -221,4 +222,4 @@ class TestPlannerKeepsItsScans:
         ]
         assert feasible[:3] == [True, True, True] and not feasible[3]
         assert feasible[9] and not feasible[-1]
-        assert planner.max_distance_feet(requirement) == 0.75
+        assert planner.max_distance_feet(requirement) == 2.5

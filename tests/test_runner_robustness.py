@@ -253,6 +253,46 @@ class TestCacheQuarantine:
         assert fired and fired[0]["point"] == "cache.corrupt"
 
 
+class TestCampaignFaultPoints:
+    """The campaign fault points fire in run-all too: one shared probe."""
+
+    def test_poisoned_part_fails_naming_the_point(self, cache_dir):
+        plan = _plan(FaultSpec("campaign.point.poison", scope="table1:*"))
+        result = run_all(
+            ids=IDS, jobs=1, cache_dir=cache_dir, retries=1, fault_plan=plan
+        )
+        table1 = result.run_for("table1")
+        assert not table1.ok and "campaign.point.poison" in table1.error
+        assert table1.parts[0].attempts == 2  # every retry is poisoned too
+        assert result.run_for("fig9").ok
+
+    def test_expired_lease_is_retried(self, cache_dir):
+        run_all(ids=IDS, jobs=1, cache_dir=cache_dir)  # a warm cache
+        plan = _plan(FaultSpec("campaign.lease.expire", scope="fig9:*"))
+        result = run_all(
+            ids=IDS, jobs=1, cache_dir=cache_dir, retries=1, fault_plan=plan
+        )
+        assert result.ok
+        part = result.run_for("fig9").parts[0]
+        assert not part.cache_hit and part.attempts == 2
+        assert result.run_for("table1").cache_hit
+
+    def test_corrupt_journal_leaves_a_torn_line(self, tmp_path, cache_dir):
+        from repro.campaign.journal import CampaignJournal, fold_journal
+
+        path = tmp_path / "run_journal.jsonl"
+        plan = _plan(FaultSpec("campaign.journal.corrupt", scope="fig9:*"))
+        with CampaignJournal(path) as journal:
+            result = run_all(
+                ids=IDS, jobs=1, use_cache=False, fault_plan=plan, journal=journal
+            )
+        assert result.ok
+        # The torn lease append glued onto the next record: mid-file
+        # corruption, so the fold stops there and reports it.
+        state = fold_journal(path)
+        assert state.corrupt and not state.finished and state.records >= 1
+
+
 class TestAtomicIo:
     def test_write_atomic_replaces_and_cleans_up(self, tmp_path):
         target = tmp_path / "out.json"
