@@ -1,10 +1,10 @@
-"""Lint wall-time guard: the flow pass must stay CI-cheap.
+"""Lint wall-time guard: the one-pass ``repro lint`` must stay CI-cheap.
 
-The whole-program ``repro lint --flow`` runs on every PR, so its cost is
-part of the contract: a cold pass parses and indexes the full ``src/repro``
-tree once; a warm pass (the common case — almost nothing changed) must
-replay per-module facts and findings from the incremental cache instead of
-re-parsing. Two bounds are enforced against a throwaway cache directory:
+``repro lint`` (per-file and whole-program rules in one pass) runs on
+every PR, so its cost is part of the contract: a cold pass parses and
+indexes the full ``src/repro`` tree once; a warm pass (the common case —
+almost nothing changed) must replay per-module facts and findings from the
+incremental cache instead of re-parsing. Two bounds are enforced against a throwaway cache directory:
 
 * warm wall-clock under 2 s (absolute budget from the issue), and
 * warm at least 5x faster than cold — the cache must actually shortcut
@@ -20,7 +20,7 @@ from time import perf_counter
 from conftest import write_report
 
 from repro.lint.config import load_config
-from repro.lint.flow import flow_lint_paths
+from repro.lint.engine import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,7 +33,7 @@ MIN_WARM_SPEEDUP = 5.0
 
 def _run(config, cache_path):
     started = perf_counter()
-    findings, stats = flow_lint_paths(
+    findings, stats = lint_paths(
         [str(REPO_ROOT / "src" / "repro")],
         config,
         use_baseline=False,
@@ -69,7 +69,7 @@ def test_flow_lint_warm_cache_under_budget(tmp_path):
             f"speedup {speedup:8.1f} x  (floor {MIN_WARM_SPEEDUP:.0f}x)",
         ],
     )
-    assert warm_s < MAX_WARM_S, f"warm flow pass took {warm_s:.3f}s"
+    assert warm_s < MAX_WARM_S, f"warm lint pass took {warm_s:.3f}s"
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm pass only {speedup:.1f}x faster than cold "
         f"({cold_s:.3f}s -> {warm_s:.3f}s)"

@@ -13,28 +13,15 @@ The reproduction rests on two silent contracts:
 Conventions rot; this package turns them into an AST-based lint with stable
 ``PW###`` codes, ``# lint: ignore[PW###]`` pragmas, a ``[tool.repro-lint]``
 config table in ``pyproject.toml``, and a committed baseline for
-grandfathered findings. Run it as ``python -m repro lint [paths]``.
+grandfathered findings. Run it as ``python -m repro lint [paths]``; the
+driver is :func:`repro.lint.engine.lint_paths`.
+
+The package itself imports nothing: ``repro.cli`` imports
+:mod:`repro.lint.cli` to build its parser, and only running the linter
+loads the engine.
 
 Not to be confused with :mod:`repro.analysis`, which is the *statistics*
 module (CDFs, percentiles, report tables) used by the experiment drivers;
 ``repro.lint`` analyses the *source tree* and never runs at simulation time.
 The two are independent and can be imported side by side.
 """
-
-from __future__ import annotations
-
-from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import lint_paths, lint_source
-from repro.lint.findings import Finding, Severity
-from repro.lint.rules import all_rules, get_rule
-
-__all__ = [
-    "Finding",
-    "LintConfig",
-    "Severity",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "lint_source",
-    "load_config",
-]

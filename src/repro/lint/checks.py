@@ -30,12 +30,15 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.rules import FileContext, Rule, register
 
 # --------------------------------------------------------------------- shared
+# The helpers and sets below are shared with the flow-fact extraction
+# (:mod:`repro.lint.flow.index`), so both layers agree on what a unit
+# suffix and an entropy source are.
 
 
-def _terminal_name(node: ast.AST) -> Optional[str]:
+def terminal_name(node: ast.AST) -> Optional[str]:
     """The identifier a suffix check applies to (unwraps unary minus)."""
     if isinstance(node, ast.UnaryOp):
-        return _terminal_name(node.operand)
+        return terminal_name(node.operand)
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -43,7 +46,7 @@ def _terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _suffix_of(name: Optional[str], suffixes: Tuple[str, ...]) -> Optional[str]:
+def suffix_of(name: Optional[str], suffixes: Tuple[str, ...]) -> Optional[str]:
     """Unit suffix carried by ``name`` (``rx_dbm`` -> ``dbm``), if any."""
     if not name:
         return None
@@ -57,8 +60,13 @@ def _suffix_of(name: Optional[str], suffixes: Tuple[str, ...]) -> Optional[str]:
 
 # ---------------------------------------------------------------------- PW001
 
+#: OS entropy sources: PW001 in simulation packages, PW102 sinks anywhere.
+OS_ENTROPY_QUALNAMES: FrozenSet[str] = frozenset(
+    {"os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4"}
+)
+
 #: Wall-clock and entropy sources that make a run irreproducible.
-_WALLCLOCK_QUALNAMES: FrozenSet[str] = frozenset(
+_WALLCLOCK_QUALNAMES: FrozenSet[str] = OS_ENTROPY_QUALNAMES | frozenset(
     {
         "time.time",
         "time.time_ns",
@@ -71,10 +79,6 @@ _WALLCLOCK_QUALNAMES: FrozenSet[str] = frozenset(
         "datetime.datetime.utcnow",
         "datetime.datetime.today",
         "datetime.date.today",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
     }
 )
 
@@ -140,8 +144,9 @@ class WallClockRule(Rule):
 
 # ---------------------------------------------------------------------- PW002
 
-#: ``random`` module functions that draw from (or reseed) the global RNG.
-_GLOBAL_DRAWS: FrozenSet[str] = frozenset(
+#: ``random`` module functions that draw from (or reseed) the global RNG
+#: (PW002 here, PW102 sinks in the flow index).
+GLOBAL_RANDOM_DRAWS: FrozenSet[str] = frozenset(
     {
         "random",
         "randint",
@@ -197,7 +202,7 @@ class SeededRngRule(Rule):
                     f"{ctx.config.rng_module}; take a RandomStreams stream "
                     "or an injected random.Random instead",
                 )
-        elif origin.startswith("random.") and origin[7:] in _GLOBAL_DRAWS:
+        elif origin.startswith("random.") and origin[7:] in GLOBAL_RANDOM_DRAWS:
             yield self.finding(
                 ctx,
                 node,
@@ -282,7 +287,7 @@ class UnitSuffixRule(Rule):
         self._signatures = _local_signatures(ctx.tree)
 
     def _suffix(self, ctx: FileContext, node: ast.AST) -> Optional[str]:
-        return _suffix_of(_terminal_name(node), ctx.config.unit_suffixes)
+        return suffix_of(terminal_name(node), ctx.config.unit_suffixes)
 
     def visit(self, ctx: FileContext, node: ast.AST) -> Iterator[Finding]:
         if isinstance(node, ast.Call):
@@ -323,7 +328,7 @@ class UnitSuffixRule(Rule):
         for keyword in node.keywords:
             if keyword.arg is None:
                 continue
-            param = _suffix_of(keyword.arg, suffixes)
+            param = suffix_of(keyword.arg, suffixes)
             value = self._suffix(ctx, keyword.value)
             if param and value and param != value:
                 yield self.finding(
@@ -338,7 +343,7 @@ class UnitSuffixRule(Rule):
         for arg, param_name in zip(node.args, params):
             if isinstance(arg, ast.Starred):
                 break
-            param = _suffix_of(param_name, suffixes)
+            param = suffix_of(param_name, suffixes)
             value = self._suffix(ctx, arg)
             if param and value and param != value:
                 yield self.finding(
@@ -400,12 +405,12 @@ _TIME_SUFFIXES: Tuple[str, ...] = ("s", "us", "ms")
 
 
 def _is_time_like(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None:
         return False
     if name == "now" or name.endswith("_time"):
         return True
-    return _suffix_of(name, _TIME_SUFFIXES) is not None
+    return suffix_of(name, _TIME_SUFFIXES) is not None
 
 
 @register

@@ -3,12 +3,14 @@
 Exit codes: 0 clean (or everything baselined), 1 active error findings,
 2 usage errors.
 
-Two analysis depths share this entry point: the per-file pass (default)
-and the whole-program flow pass (``--flow``), which additionally runs the
-interprocedural PW1xx rules over the project index and keeps an
-incremental cache so warm runs skip parsing unchanged modules. Reports
-render as human text, one JSON document, or SARIF 2.1.0 for GitHub PR
-annotations.
+Every run is one pass (:func:`repro.lint.engine.lint_paths`): the
+per-file PW0xx rules, the interprocedural PW1xx rules over the project
+index, and the spec-JSON checks, with an incremental cache so warm runs
+skip parsing unchanged modules. Reports render as human text, one JSON
+document, or SARIF 2.1.0 for GitHub PR annotations.
+
+Building the ``repro`` parser imports only this module; the engine loads
+when :func:`run` does.
 """
 
 from __future__ import annotations
@@ -17,12 +19,6 @@ import argparse
 import sys
 from pathlib import Path
 from typing import List, Optional
-
-from repro.lint import baseline as baseline_mod
-from repro.lint.config import load_config
-from repro.lint.engine import active_errors, lint_paths
-from repro.lint.findings import render_json, render_text
-from repro.lint.sarif import render_sarif
 
 
 #: The ``repro lint --help`` description.
@@ -34,6 +30,9 @@ DESCRIPTION = (
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
     """Add every ``repro lint`` argument to ``parser``."""
+    # Exact flags only: a prefix such as ``--flow`` must not silently
+    # parse as ``--flow-cache PATH``.
+    parser.allow_abbrev = False
     parser.add_argument(
         "paths",
         nargs="*",
@@ -47,34 +46,16 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (sarif feeds GitHub code-scanning annotations)",
     )
     parser.add_argument(
-        "--flow",
-        action="store_true",
-        help=(
-            "run the whole-program flow analysis (PW1xx rules) in "
-            "addition to the per-file rules, with an incremental cache"
-        ),
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "with --flow: report only findings in files whose content "
-            "changed since the cached run (fast pre-commit mode; not a "
-            "CI gate — cross-module findings landing in unchanged files "
-            "are withheld from the report)"
-        ),
-    )
-    parser.add_argument(
         "--no-flow-cache",
         action="store_true",
-        help="with --flow: ignore and do not write the incremental cache",
+        help="ignore and do not write the incremental cache",
     )
     parser.add_argument(
         "--flow-cache",
         default=None,
         metavar="PATH",
         help=(
-            "with --flow: cache file location "
+            "incremental cache file "
             "(default: .repro_cache/flow_index.json under the config root)"
         ),
     )
@@ -111,16 +92,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _covered_paths(paths: List[str], config) -> set:
-    """Root-relative display paths of every file this invocation lints."""
-    from repro.lint.engine import display_path, iter_python_files
-
-    return {
-        display_path(path, config)
-        for path in iter_python_files([Path(p) for p in paths], config)
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` as ``repro lint`` arguments and run the linter."""
     parser = argparse.ArgumentParser(prog="repro lint", description=DESCRIPTION)
@@ -130,41 +101,29 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def run(args: argparse.Namespace) -> int:
     """Run the linter on parsed ``repro lint`` arguments; the exit code."""
-    if args.changed and not args.flow:
-        print("--changed requires --flow", file=sys.stderr)
-        return 2
-    if args.changed and args.prune_baseline:
-        print(
-            "--prune-baseline needs a full run: --changed withholds "
-            "findings in unchanged files, which would read as stale",
-            file=sys.stderr,
-        )
-        return 2
+    from dataclasses import replace
+
+    from repro.lint import baseline as baseline_mod
+    from repro.lint.config import load_config
+    from repro.lint.engine import active_errors, lint_paths
+    from repro.lint.findings import render_json, render_text
+    from repro.lint.sarif import render_sarif
+
     config = load_config(
         pyproject=Path(args.config) if args.config else None
     )
     if args.baseline:
-        from dataclasses import replace
-
         config = replace(config, baseline=args.baseline)
 
     use_baseline = not args.no_baseline
-    if args.flow:
-        from repro.lint.flow import flow_lint_paths
-
-        findings, stats = flow_lint_paths(
-            args.paths,
-            config=config,
-            use_baseline=use_baseline,
-            use_cache=not args.no_flow_cache,
-            cache_path=Path(args.flow_cache) if args.flow_cache else None,
-            changed_only=args.changed,
-        )
-        print(stats.summary(), file=sys.stderr)
-    else:
-        findings = lint_paths(
-            args.paths, config=config, use_baseline=use_baseline
-        )
+    findings, stats = lint_paths(
+        args.paths,
+        config=config,
+        use_baseline=use_baseline,
+        use_cache=not args.no_flow_cache,
+        cache_path=Path(args.flow_cache) if args.flow_cache else None,
+    )
+    print(stats.summary(), file=sys.stderr)
 
     if args.write_baseline:
         count = baseline_mod.write_baseline(findings, config.baseline_path)
@@ -173,9 +132,8 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     # Staleness is judged only against files this run actually linted
-    # (a subtree run says nothing about entries for paths it never saw),
-    # and never under --changed (withheld findings are not fixes).
-    covered = set() if args.changed else _covered_paths(args.paths, config)
+    # (a subtree run says nothing about entries for paths it never saw).
+    covered = set(stats.linted)
     if args.prune_baseline:
         removed = baseline_mod.prune_baseline(
             findings, config.baseline_path, covered

@@ -1,6 +1,6 @@
 """Incremental flow-analysis cache keyed on per-module content hashes.
 
-The flow pass is whole-program, but almost every invocation sees an
+Lint is whole-program, but almost every invocation sees an
 almost-unchanged tree — so the cache stores, per module, the content hash,
 the extracted :class:`~repro.lint.flow.index.ModuleFacts`, *and* the
 module's per-file (PW0xx) findings. A warm run re-reads sources, hashes
@@ -35,7 +35,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
@@ -144,7 +144,9 @@ class FlowCache:
         self.config_digest = config_digest(config)
         self.linter_digest = linter_digest()
         self.entries: Dict[str, CacheEntry] = {}
-        self.loaded = False
+        #: True once an entry was added or dropped since :meth:`load`; a
+        #: warm run that changed nothing need not rewrite the file.
+        self.dirty = False
 
     @classmethod
     def for_config(
@@ -158,7 +160,7 @@ class FlowCache:
     def load(self) -> bool:
         """Read the cache; returns True when any entry was accepted."""
         self.entries = {}
-        self.loaded = True
+        self.dirty = False
         try:
             data = json.loads(self.path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
@@ -199,19 +201,32 @@ class FlowCache:
         digest: str,
         facts: ModuleFacts,
         findings: List[Finding],
-    ) -> None:
-        self.entries[display] = CacheEntry(
-            digest=digest, facts=facts, findings=list(findings)
-        )
+    ) -> CacheEntry:
+        entry = CacheEntry(digest=digest, facts=facts, findings=list(findings))
+        self.entries[display] = entry
+        self.dirty = True
+        return entry
 
-    def prune_to(self, displays: List[str]) -> None:
-        """Drop entries for modules no longer part of the linted set."""
-        keep = set(displays)
-        self.entries = {
+    def prune(self, walked: Sequence[str], linted: Sequence[str]) -> None:
+        """Drop entries under the ``walked`` display paths that are not in
+        ``linted`` (deleted or newly excluded modules).
+
+        Entries outside every walked path are kept: they belong to other
+        path sets sharing this cache file (CI lints ``src/repro`` and the
+        satellite trees in separate runs), which must not evict each other.
+        """
+        keep = set(linted)
+
+        def under(display: str, root: str) -> bool:
+            return root == "." or display == root or display.startswith(root + "/")
+
+        kept = {
             display: entry
             for display, entry in self.entries.items()
-            if display in keep
+            if display in keep or not any(under(display, root) for root in walked)
         }
+        self.dirty = self.dirty or len(kept) < len(self.entries)
+        self.entries = kept
 
     def save(self) -> None:
         payload = {

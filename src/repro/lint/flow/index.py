@@ -23,6 +23,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.lint.checks import (
+    GLOBAL_RANDOM_DRAWS,
+    OS_ENTROPY_QUALNAMES,
+    suffix_of,
+    terminal_name,
+)
 from repro.lint.config import LintConfig
 from repro.lint.rules import build_import_map
 
@@ -38,70 +44,11 @@ POOL_CTOR_ORIGINS: Tuple[str, ...] = ("repro.runner.tasks.TaskSpec",)
 #: Worker entry points: arguments submitted alongside them are pickled.
 WORKER_ENTRY_ORIGINS: Tuple[str, ...] = ("repro.runner.tasks.execute_task",)
 
-#: ``random`` module functions drawing from (or reseeding) the global RNG.
-#: Mirrors the PW002 set; duplicated here so facts extraction never imports
-#: the per-file rule implementations.
-GLOBAL_RANDOM_DRAWS = frozenset(
-    {
-        "random",
-        "randint",
-        "randrange",
-        "randbytes",
-        "getrandbits",
-        "choice",
-        "choices",
-        "shuffle",
-        "sample",
-        "uniform",
-        "triangular",
-        "betavariate",
-        "expovariate",
-        "gammavariate",
-        "gauss",
-        "lognormvariate",
-        "normalvariate",
-        "vonmisesvariate",
-        "paretovariate",
-        "weibullvariate",
-        "seed",
-    }
-)
-
 #: Exact qualnames that are unseeded-entropy sinks (PW102 terminals).
-ENTROPY_QUALNAMES = frozenset(
-    {
-        "random.Random",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-    }
-)
+ENTROPY_QUALNAMES = frozenset({"random.Random"}) | OS_ENTROPY_QUALNAMES
 
 #: Dotted prefixes that are entropy sinks wholesale.
 ENTROPY_PREFIXES: Tuple[str, ...] = ("secrets.", "numpy.random.")
-
-
-def _suffix_of(name: Optional[str], suffixes: Tuple[str, ...]) -> Optional[str]:
-    """Unit suffix carried by ``name`` (``rx_dbm`` -> ``dbm``), if any."""
-    if not name:
-        return None
-    if name in suffixes:
-        return name
-    parts = name.rsplit("_", 1)
-    if len(parts) == 2 and parts[1] in suffixes:
-        return parts[1]
-    return None
-
-
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.UnaryOp):
-        return _terminal_name(node.operand)
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
 
 
 def _dotted_text(node: ast.AST) -> Optional[str]:
@@ -553,7 +500,7 @@ class _FactVisitor(ast.NodeVisitor):
         for index, arg in enumerate(node.args):
             if isinstance(arg, ast.Starred):
                 break
-            suffix = _suffix_of(_terminal_name(arg), suffixes)
+            suffix = suffix_of(terminal_name(arg), suffixes)
             if suffix:
                 args.append({"idx": index, "suffix": suffix, **self._site(arg)})
         if args:
@@ -577,8 +524,8 @@ def extract_facts(
     """Extract one module's flow facts (parsing ``source`` unless ``tree``
     is supplied by a caller that already parsed it).
 
-    Raises ``SyntaxError`` for broken sources — the flow engine converts
-    that into the same synthetic ``PW000`` finding the per-file path uses.
+    Raises ``SyntaxError`` for broken sources; :func:`repro.lint.engine.lint_paths`
+    parses first and turns that into a synthetic ``PW000`` finding.
     """
     from repro.lint.pragmas import collect_pragmas
 

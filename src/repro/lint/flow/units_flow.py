@@ -21,7 +21,8 @@ from typing import List, Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding
-from repro.lint.flow.index import ModuleFacts, ProjectIndex, _suffix_of
+from repro.lint.checks import suffix_of
+from repro.lint.flow.index import ModuleFacts, ProjectIndex
 from repro.lint.flow.rules import FlowRule, register_flow
 
 
@@ -74,7 +75,7 @@ class UnitFlowMismatch(FlowRule):
             idx = arg["idx"]
             if idx >= len(params):
                 continue
-            param_suffix = _suffix_of(params[idx], config.unit_suffixes)
+            param_suffix = suffix_of(params[idx], config.unit_suffixes)
             if param_suffix and param_suffix != arg["suffix"]:
                 findings.append(
                     self.finding(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
@@ -161,12 +161,10 @@ def build_import_map(tree: ast.AST) -> Dict[str, str]:
     return imports
 
 
-def run_rules(ctx: FileContext, codes: Optional[FrozenSet[str]] = None) -> List[Finding]:
+def run_rules(ctx: FileContext) -> List[Finding]:
     """Single-pass dispatch of every (enabled, applicable) rule over a file."""
     rules: List[Rule] = []
     for rule_cls in all_rules():
-        if codes is not None and rule_cls.code not in codes:
-            continue
         if not ctx.config.rule_enabled(rule_cls.code):
             continue
         rule = rule_cls()

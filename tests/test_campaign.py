@@ -851,8 +851,11 @@ class TestLintPW007:
         (slos / "bad.json").write_text(
             json.dumps({"objectives": [{"id": "Not Dotted"}]})
         )
-        findings = lint_paths(
-            [str(tmp_path)], config=LintConfig(), use_baseline=False
+        findings, _ = lint_paths(
+            [str(tmp_path)],
+            config=LintConfig(),
+            use_baseline=False,
+            use_cache=False,
         )
         codes = sorted(f.code for f in findings)
         assert codes == ["PW006", "PW007"]
@@ -867,8 +870,11 @@ class TestLintPW007:
                 {"campaign": "x", "experiments": [{"experiment": "nope"}]}
             )
         )
-        findings = lint_paths(
-            [str(loose)], config=LintConfig(), use_baseline=False
+        findings, _ = lint_paths(
+            [str(loose)],
+            config=LintConfig(),
+            use_baseline=False,
+            use_cache=False,
         )
         assert [f.code for f in findings] == ["PW007"]
 
@@ -883,9 +889,10 @@ class TestLintPW007:
                 {"campaign": "x", "experiments": [{"experiment": "nope"}]}
             )
         )
-        findings = lint_paths(
+        findings, _ = lint_paths(
             [str(tmp_path)],
             config=LintConfig(disable=("PW007",)),
             use_baseline=False,
+            use_cache=False,
         )
         assert findings == []

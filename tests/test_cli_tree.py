@@ -123,3 +123,23 @@ def test_file_defaults_match_the_library():
         ("dash", "out", DASH_FILENAME),
     ]:
         assert tree[path].get_default(dest) == expected, (path, dest)
+
+
+def test_building_the_parser_leaves_the_lint_engine_unloaded():
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.cli as cli; cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.lint')))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    for module in ("repro.lint.engine", "repro.lint.rules", "repro.lint.config"):
+        assert f"'{module}'" not in loaded, loaded
+    assert "'repro.lint.cli'" in loaded

@@ -22,7 +22,7 @@ def test_parser_extraction_sees_the_real_flag_set():
     # Spot-check one flag per parser family so a refactor that moves a
     # parser out of the scanned modules cannot silently empty the set.
     for expected in ("--jobs", "--no-cache", "--flame", "--threshold",
-                     "--flow", "--no-obs"):
+                     "--flow-cache", "--no-obs"):
         assert expected in flags, f"{expected} missing from extracted flags"
     assert len(flags) >= 30
 

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, Severity, all_rules, get_rule, lint_source
 from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cli import main as lint_main
-from repro.lint.config import _parse_toml_subset, load_config
-from repro.lint.engine import active_errors, lint_paths
-from repro.lint.findings import Finding, render_json, render_text
+from repro.lint.config import LintConfig, _parse_toml_subset, load_config
+from repro.lint.engine import active_errors, lint_paths, lint_source
+from repro.lint.findings import Finding, Severity, render_json, render_text
 from repro.lint.pragmas import collect_pragmas, is_suppressed
-from repro.lint.rules import module_name_for
+from repro.lint.rules import all_rules, get_rule, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -550,8 +549,11 @@ class TestPW006SloObjectives:
             ' "op": ">=", "value": 1.0}]}'
         )
         (tmp_path / "other.json").write_text("{}")  # not under slos/: ignored
-        findings = lint_paths(
-            [str(tmp_path)], config=LintConfig(), use_baseline=False
+        findings, _ = lint_paths(
+            [str(tmp_path)],
+            config=LintConfig(),
+            use_baseline=False,
+            use_cache=False,
         )
         assert codes(findings) == ["PW006"]
         assert findings[0].path.endswith("demo.json")
@@ -689,7 +691,7 @@ class TestEngineAndFindings:
         (tmp_path / "pkg" / "a.py").write_text(bad)
         (tmp_path / "pkg" / "skipme.py").write_text(bad)
         config = LintConfig(root=tmp_path, exclude=("pkg/skipme.py",))
-        findings = lint_paths([str(tmp_path / "pkg")], config=config)
+        findings, _ = lint_paths([str(tmp_path / "pkg")], config=config)
         assert codes(findings) == ["PW002"]
         assert findings[0].path == "pkg/a.py"
 
@@ -840,7 +842,7 @@ class TestConfig:
         config = LintConfig(
             tree_rules={"tests": ("PW001",)}, root=tmp_path
         )
-        findings = lint_paths(
+        findings, _ = lint_paths(
             [tmp_path / "src", tmp_path / "tests"],
             config=config,
             use_baseline=False,
@@ -860,15 +862,16 @@ class TestCli:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         target = tmp_path / "clean.py"
         target.write_text("VALUE = 1\n")
-        assert lint_main([str(target), "--no-baseline"]) == 0
+        assert lint_main([str(target), "--no-baseline", "--no-flow-cache"]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_violation_exits_one_text_and_json(self, tmp_path, capsys):
         target = tmp_path / "bad.py"
         target.write_text("import random\nrng = random.Random(7)\n")
-        assert lint_main([str(target), "--no-baseline"]) == 1
+        argv = [str(target), "--no-baseline", "--no-flow-cache"]
+        assert lint_main(argv) == 1
         assert "PW002" in capsys.readouterr().out
-        assert lint_main([str(target), "--no-baseline", "--format", "json"]) == 1
+        assert lint_main([*argv, "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["active"] == 1
 
@@ -876,19 +879,19 @@ class TestCli:
         target = tmp_path / "bad.py"
         target.write_text("import random\nrng = random.Random(7)\n")
         baseline = tmp_path / "baseline.json"
-        assert (
-            lint_main([str(target), "--baseline", str(baseline), "--write-baseline"])
-            == 0
-        )
+        argv = [str(target), "--baseline", str(baseline), "--no-flow-cache"]
+        assert lint_main([*argv, "--write-baseline"]) == 0
         capsys.readouterr()
-        assert lint_main([str(target), "--baseline", str(baseline)]) == 0
+        assert lint_main(argv) == 0
         out = capsys.readouterr().out
         assert "[baselined]" in out
 
     def test_repro_cli_dispatches_lint_subcommand(self, capsys):
         from repro.cli import main as repro_main
 
-        code = repro_main(["lint", str(REPO_ROOT / "src" / "repro" / "units.py")])
+        code = repro_main(
+            ["lint", str(REPO_ROOT / "src" / "repro" / "units.py"), "--no-flow-cache"]
+        )
         assert code == 0
         assert "finding(s)" in capsys.readouterr().out
 
@@ -897,7 +900,9 @@ class TestSelfClean:
     def test_src_repro_has_zero_active_findings(self):
         """The merged tree lints clean: every finding fixed or baselined."""
         config = load_config(pyproject=REPO_ROOT / "pyproject.toml")
-        findings = lint_paths([str(REPO_ROOT / "src" / "repro")], config=config)
+        findings, _ = lint_paths(
+            [str(REPO_ROOT / "src" / "repro")], config=config, use_cache=False
+        )
         assert active_errors(findings) == [], render_text(findings)
 
     def test_baseline_entries_all_have_justifications(self):
@@ -911,10 +916,11 @@ class TestNoCollisionWithAnalysis:
     def test_lint_and_analysis_import_side_by_side(self):
         import repro.analysis as analysis
         import repro.lint as lint
+        import repro.lint.engine as lint_engine
 
         assert analysis.__name__ == "repro.analysis"
         assert lint.__name__ == "repro.lint"
         # The statistics module keeps its surface; the linter keeps its own.
         assert hasattr(analysis, "empirical_cdf")
-        assert hasattr(lint, "lint_paths")
+        assert hasattr(lint_engine, "lint_paths")
         assert not hasattr(analysis, "lint_paths")

@@ -1,6 +1,7 @@
 """Tests for ``repro.lint.flow``: the project indexer, each PW1xx rule
-(true positive + near-miss false positive), the incremental cache, the
-``--flow`` CLI surface, SARIF output, and determinism of the whole pass.
+(true positive + near-miss false positive), the one-pass driver and its
+incremental cache, the CLI surface, SARIF output, and determinism of the
+whole pass.
 
 The PW101 and PW103 regression fixtures are derived from real repo
 shapes: the MinstrelLite controller's ``rng or RandomStreams(0).stream``
@@ -15,16 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig
 from repro.lint.cli import main as lint_main
+from repro.lint.config import LintConfig
+from repro.lint.engine import flow_lint_sources, lint_paths
 from repro.lint.findings import Severity
 from repro.lint.flow import (
     ModuleFacts,
     ProjectIndex,
     all_flow_rules,
     extract_facts,
-    flow_lint_paths,
-    flow_lint_sources,
     get_flow_rule,
 )
 from repro.lint.flow.cache import FlowCache, config_digest, content_hash
@@ -67,7 +67,7 @@ class TestFlowRegistry:
             assert rule.name and rule.description and rule.__doc__
 
     def test_registries_do_not_overlap(self):
-        from repro.lint import all_rules
+        from repro.lint.rules import all_rules
 
         per_file = {r.code for r in all_rules()}
         flow = {r.code for r in all_flow_rules()}
@@ -679,10 +679,10 @@ class TestFlowEngineAndCache:
     def test_cold_then_warm_reuses_everything(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        cold, cold_stats = flow_lint_paths(
+        cold, cold_stats = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
-        warm, warm_stats = flow_lint_paths(
+        warm, warm_stats = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         assert cold_stats.parsed == 3 and cold_stats.reused == 0
@@ -694,46 +694,79 @@ class TestFlowEngineAndCache:
     def test_edit_invalidates_only_that_module(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        flow_lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
         model = tmp_path / "src/repro/sim/model.py"
         model.write_text(
             "def step(seed):\n    return seed\n", encoding="utf-8"
         )
-        findings, stats = flow_lint_paths(
+        findings, stats = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         assert stats.parsed == 1 and stats.reused == 2
         assert findings == []
 
-    def test_changed_only_restricts_report(self, tmp_path):
+    def test_each_module_is_parsed_once(self, tmp_path, monkeypatch):
+        import ast
+
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        flow_lint_paths([str(tmp_path / "src")], config, use_baseline=False)
-        quiet, _ = flow_lint_paths(
-            [str(tmp_path / "src")],
-            config,
-            use_baseline=False,
-            changed_only=True,
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(filename)
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        _, stats = lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        assert stats.parsed == stats.files == 3
+        assert sorted(parsed) == sorted(set(parsed)) and len(parsed) == 3
+        parsed.clear()
+        _, stats = lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        assert stats.parsed == 0 and parsed == []
+
+    def test_warm_run_does_not_rewrite_the_cache(self, tmp_path, monkeypatch):
+        _write_tree(tmp_path, PROJECT)
+        config = self.make_config(tmp_path)
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+
+        def refuse(cache):
+            raise AssertionError("unchanged cache rewritten")
+
+        monkeypatch.setattr(FlowCache, "save", refuse)
+        _, stats = lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        assert stats.reused == 3
+
+    def test_path_sets_sharing_a_cache_do_not_evict_each_other(self, tmp_path):
+        _write_tree(
+            tmp_path,
+            {**PROJECT, "tools/helper.py": "def helper(x):\n    return x\n"},
         )
-        assert quiet == []
-        # Touching the entry module reports only its findings; the sink
-        # in the unchanged module is withheld (documented tradeoff).
-        fig01 = tmp_path / "src/repro/experiments/fig01.py"
-        fig01.write_text(
-            fig01.read_text(encoding="utf-8") + "\n", encoding="utf-8"
+        config = self.make_config(tmp_path)
+        tree_a, tree_b = [str(tmp_path / "src")], [str(tmp_path / "tools")]
+        lint_paths(tree_a, config, use_baseline=False)
+        lint_paths(tree_b, config, use_baseline=False)
+        _, stats = lint_paths(tree_a, config, use_baseline=False)
+        assert stats.files == 3 and stats.reused == stats.files
+
+    def test_deleted_module_is_pruned_from_the_cache(self, tmp_path):
+        _write_tree(tmp_path, PROJECT)
+        config = self.make_config(tmp_path)
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        (tmp_path / "src/repro/sim/model.py").unlink()
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        cache = json.loads(
+            (tmp_path / ".repro_cache/flow_index.json").read_text()
         )
-        changed, _ = flow_lint_paths(
-            [str(tmp_path / "src")],
-            config,
-            use_baseline=False,
-            changed_only=True,
-        )
-        assert {f.path for f in changed} <= {"src/repro/experiments/fig01.py"}
+        assert sorted(cache["modules"]) == [
+            "src/repro/experiments/fig01.py",
+            "src/repro/registry.py",
+        ]
 
     def test_no_cache_mode_never_writes(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        flow_lint_paths(
+        lint_paths(
             [str(tmp_path / "src")],
             config,
             use_baseline=False,
@@ -744,7 +777,7 @@ class TestFlowEngineAndCache:
     def test_cache_rejects_config_change(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        flow_lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
         from dataclasses import replace
 
         narrowed = replace(config, unit_suffixes=("dbm",))
@@ -757,10 +790,10 @@ class TestFlowEngineAndCache:
     def test_corrupt_cache_degrades_to_cold(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = self.make_config(tmp_path)
-        flow_lint_paths([str(tmp_path / "src")], config, use_baseline=False)
+        lint_paths([str(tmp_path / "src")], config, use_baseline=False)
         cache_file = tmp_path / ".repro_cache/flow_index.json"
         cache_file.write_text("{not json", encoding="utf-8")
-        findings, stats = flow_lint_paths(
+        findings, stats = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         assert stats.parsed == 3 and stats.reused == 0
@@ -771,11 +804,11 @@ class TestFlowEngineAndCache:
             tmp_path, {"src/repro/broken.py": "def nope(:\n    pass\n"}
         )
         config = self.make_config(tmp_path)
-        findings, _ = flow_lint_paths(
+        findings, _ = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         assert flow_codes(findings) == ["PW000"]
-        replay, stats = flow_lint_paths(
+        replay, stats = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         assert stats.reused == 1 and flow_codes(replay) == ["PW000"]
@@ -789,7 +822,7 @@ class TestSarif:
     def test_document_shape_and_determinism(self, tmp_path):
         _write_tree(tmp_path, PROJECT)
         config = LintConfig(root=tmp_path)
-        findings, _ = flow_lint_paths(
+        findings, _ = lint_paths(
             [str(tmp_path / "src")], config, use_baseline=False
         )
         first = render_sarif(findings)
@@ -847,24 +880,23 @@ class TestFlowCli:
         )
 
     def test_flow_exit_one_on_findings(self, tmp_path, capsys):
-        code = self.run_cli(tmp_path, "--flow", "--no-baseline")
+        code = self.run_cli(tmp_path, "--no-baseline")
         captured = capsys.readouterr()
         assert code == 1
         assert "PW102" in captured.out
-        assert "flow:" in captured.err
+        assert "lint: 3 file(s), 3 parsed" in captured.err
 
-    def test_changed_requires_flow(self, capsys):
-        assert lint_main(["--changed"]) == 2
-        assert "--changed requires --flow" in capsys.readouterr().err
-
-    def test_changed_rejects_prune(self, capsys):
-        assert lint_main(["--flow", "--changed", "--prune-baseline"]) == 2
-        assert "full run" in capsys.readouterr().err
+    def test_flow_and_changed_are_usage_errors(self, capsys):
+        # One pass is the only pass: neither flag exists, and --flow is
+        # not read as an abbreviation of --flow-cache.
+        for argv in (["--flow"], ["--flow", "src"], ["--changed"]):
+            with pytest.raises(SystemExit) as exc:
+                lint_main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_sarif_format_round_trips(self, tmp_path, capsys):
-        code = self.run_cli(
-            tmp_path, "--flow", "--no-baseline", "--format", "sarif"
-        )
+        code = self.run_cli(tmp_path, "--no-baseline", "--format", "sarif")
         captured = capsys.readouterr()
         assert code == 1
         document = json.loads(captured.out)
@@ -874,7 +906,6 @@ class TestFlowCli:
         cache_file = tmp_path / "elsewhere" / "flow.json"
         self.run_cli(
             tmp_path,
-            "--flow",
             "--no-baseline",
             "--flow-cache",
             str(cache_file),
@@ -882,8 +913,52 @@ class TestFlowCli:
         assert cache_file.is_file()
 
     def test_no_flow_cache_leaves_no_file(self, tmp_path):
-        self.run_cli(tmp_path, "--flow", "--no-baseline", "--no-flow-cache")
+        self.run_cli(tmp_path, "--no-baseline", "--no-flow-cache")
         assert not (tmp_path / ".repro_cache").exists()
+
+
+class TestSpecFilesCli:
+    """PW006/PW007 spec checks run in the one pass, cache on (the
+    default)."""
+
+    def run_cli(self, tmp_path, relative, document):
+        _write_tree(tmp_path, {"pyproject.toml": "[tool.repro-lint]\n"})
+        spec = tmp_path / relative
+        spec.parent.mkdir(parents=True)
+        spec.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        code = lint_main(
+            [
+                str(spec.parent),
+                "--config",
+                str(tmp_path / "pyproject.toml"),
+                "--no-baseline",
+                "--format",
+                "json",
+            ]
+        )
+        return code
+
+    def test_bad_slo_objective_id_is_pw006(self, tmp_path, capsys):
+        code = self.run_cli(
+            tmp_path,
+            "slos/bad.json",
+            {"schema": 1, "experiment": "fig7", "objectives": [{"id": "Bad Name!"}]},
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [f["code"] for f in report["findings"]] == ["PW006"]
+        assert report["findings"][0]["path"] == "slos/bad.json"
+
+    def test_unknown_campaign_experiment_is_pw007(self, tmp_path, capsys):
+        code = self.run_cli(
+            tmp_path,
+            "campaigns/bad.json",
+            {"campaign": "x", "seeds": [0], "experiments": [{"experiment": "nope"}]},
+        )
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [f["code"] for f in report["findings"]] == ["PW007"]
+        assert "unknown experiment 'nope'" in report["findings"][0]["message"]
 
 
 class TestBaselineHygieneCli:
@@ -988,7 +1063,7 @@ class TestRealTree:
         from repro.lint.config import load_config
 
         config = load_config(REPO_ROOT / "pyproject.toml")
-        findings, _ = flow_lint_paths(
+        findings, _ = lint_paths(
             [str(REPO_ROOT / "src" / "repro")],
             config,
             use_baseline=True,
@@ -1004,7 +1079,7 @@ class TestRealTree:
         config = load_config(REPO_ROOT / "pyproject.toml")
         runs = []
         for _ in range(2):
-            findings, _ = flow_lint_paths(
+            findings, _ = lint_paths(
                 [str(REPO_ROOT / "src" / "repro")],
                 config,
                 use_baseline=False,
