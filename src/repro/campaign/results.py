@@ -14,23 +14,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
+from repro.obs.ioutil import read_json
 
 
 def load_campaign_manifest(path: Union[str, Path]) -> Dict[str, Any]:
     """Read one campaign manifest, validating just enough to flatten it."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(
-            f"cannot read campaign manifest {path}: {exc}"
-        ) from exc
-    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+    data = read_json(path)
+    if not isinstance(data.get("points"), list):
         raise ConfigurationError(
             f"{path}: not a campaign manifest (no 'points' list)"
         )

@@ -46,7 +46,7 @@ import os
 import sys
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, InjectedFault
+from repro.errors import ConfigurationError, InjectedFault, ObservabilityError
 from repro.experiments.registry import EXPERIMENTS, get_spec, normalize_experiment_id
 from repro.obs import runtime as obs_runtime
 
@@ -302,16 +302,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     if args.no_slo:
         slo_specs = []
     elif args.slo_spec:
-        from repro.errors import ObservabilityError
         from repro.obs.slo import load_spec
 
-        slo_specs = []
-        for spec_path in args.slo_spec:
-            try:
-                slo_specs.append(load_spec(spec_path))
-            except (OSError, ObservabilityError) as exc:
-                print(f"run-all: SLO spec {spec_path}: {exc}", file=sys.stderr)
-                return 2
+        slo_specs = [load_spec(spec_path) for spec_path in args.slo_spec]
 
     ids = None
     if args.ids is not None:
@@ -528,52 +521,35 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     Two modes: ``metrics <experiment>`` runs the driver and writes the
     metrics JSONL; ``metrics --input run_metrics.jsonl`` re-reads a
-    previous export's engine records and prints the hottest event kinds —
-    quick triage without re-running anything.
+    previous export's engine records — quick triage without re-running
+    anything. Both print the hottest event kinds as the profiler's table.
     """
     from repro.obs.profile import (
         render_attribution,
         rows_from_engine,
         rows_from_metrics_jsonl,
-        sort_rows,
     )
-
-    if (args.experiment is None) == (args.input is None):
-        print("metrics: give exactly one of <experiment> or --input", file=sys.stderr)
-        return 2
 
     if args.input is not None:
-        from repro.errors import ObservabilityError
-
-        try:
-            rows = rows_from_metrics_jsonl(args.input)
-        except (OSError, ObservabilityError) as exc:
-            print(f"metrics: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+        rows = rows_from_metrics_jsonl(args.input)
         print(f"== metrics triage: {args.input} ==")
-        print(render_attribution(rows, sort=args.sort, top=args.top))
-        return 0
-
-    key = args.experiment
-    _run_driver(key, args.seed)
-
-    output = args.output or f"metrics_{key}.jsonl"
-    engine = obs_runtime.aggregate_engine_stats()
-    with open(output, "w", encoding="utf-8") as handle:
-        count = obs_runtime.get_registry().to_jsonl(handle)
-        handle.write(json.dumps(engine) + "\n")
-    print(f"== {key} metrics ==")
-    print(f"wrote {count + 1} records to {output}")
-    print(
-        f"simulators {engine['simulators']}, dispatched {engine['dispatched']}, "
-        f"cancelled {engine['cancelled']}, "
-        f"heap high-water {engine['heap_high_watermark']}"
-    )
-    hot = sort_rows(rows_from_engine(engine), sort=args.sort)
-    for row in hot[: max(0, args.top)]:
+    else:
+        key = args.experiment
+        _run_driver(key, args.seed)
+        output = args.output or f"metrics_{key}.jsonl"
+        engine = obs_runtime.aggregate_engine_stats()
+        with open(output, "w", encoding="utf-8") as handle:
+            count = obs_runtime.get_registry().to_jsonl(handle)
+            handle.write(json.dumps(engine) + "\n")
+        print(f"== {key} metrics ==")
+        print(f"wrote {count + 1} records to {output}")
         print(
-            f"  {row.kind:<24} {row.count:>9} calls  {row.wall_s:9.4f} s"
+            f"simulators {engine['simulators']}, dispatched {engine['dispatched']}, "
+            f"cancelled {engine['cancelled']}, "
+            f"heap high-water {engine['heap_high_watermark']}"
         )
+        rows = rows_from_engine(engine)
+    print(render_attribution(rows, sort=args.sort, top=args.top))
     return 0
 
 
@@ -587,6 +563,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """
     import time as _time
 
+    from repro.obs.ioutil import read_json
     from repro.obs.profile import (
         aggregate_rows,
         render_attribution,
@@ -595,24 +572,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         write_flame,
     )
 
-    if (args.experiment is None) == (args.input is None):
-        print("profile: give exactly one of <experiment> or --input", file=sys.stderr)
-        return 2
-
     if args.input is not None:
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"profile: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+        manifest = read_json(args.input)
         rows = rows_from_manifest(manifest)
         total_wall = float(manifest.get("totals", {}).get("wall_s", 0.0)) or None
         title = args.input
     else:
-        if args.no_obs:
-            print("profiling requires observability; drop --no-obs", file=sys.stderr)
-            return 2
         key = args.experiment
         obs_runtime.configure(enabled=True)
         started = _time.perf_counter()
@@ -685,9 +650,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace <experiment> --kinds ...``: export the event trace."""
     key = args.experiment
-    if args.no_obs:
-        print("trace export requires observability; drop --no-obs", file=sys.stderr)
-        return 2
     kinds = (
         None
         if args.kinds == "all"
@@ -709,24 +671,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_spans(args: argparse.Namespace) -> int:
     """``repro spans``: run an experiment (or load a JSONL export) and
     render the span tree; see ``docs/observability.md`` for the schema."""
+    from repro.obs.ioutil import read_jsonl
     from repro.obs.metrics import Histogram
     from repro.obs.spans import render_span_tree
 
-    if (args.experiment is None) == (args.input is None):
-        print("spans: give exactly one of <experiment> or --input", file=sys.stderr)
-        return 2
-
     if args.input is not None:
-        try:
-            with open(args.input, encoding="utf-8") as handle:
-                records = [json.loads(line) for line in handle if line.strip()]
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"spans: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+        records = read_jsonl(args.input, "span")
     else:
-        if args.no_obs:
-            print("span tracing requires observability; drop --no-obs", file=sys.stderr)
-            return 2
         key = args.experiment
         obs_runtime.configure(enabled=True, span_detail=args.detail)
         with obs_runtime.span("cli.spans.run", experiment=key, seed=args.seed):
@@ -759,18 +710,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     Exit codes: 0 clean, 1 regression or determinism drift, 2 bad input —
     designed to gate CI (see ``docs/observability.md``).
     """
-    from repro.errors import ObservabilityError
     from repro.obs.compare import compare_runs, load_run, render_compare
 
-    try:
-        base = load_run(args.base)
-        new = load_run(args.new)
-        report = compare_runs(
-            base, new, wall_threshold=args.threshold, min_wall_s=args.min_wall
-        )
-    except (OSError, ObservabilityError, json.JSONDecodeError, KeyError) as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 2
+    report = compare_runs(
+        load_run(args.base),
+        load_run(args.new),
+        wall_threshold=args.threshold,
+        min_wall_s=args.min_wall,
+    )
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -787,27 +734,17 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     violated (or, under ``--strict``, skipped), 2 bad input — designed to
     gate CI (see ``docs/observability.md``).
     """
-    from repro.errors import ObservabilityError
     from repro.obs import slo as slo_mod
+    from repro.obs.ioutil import read_json
 
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"slo: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 2
+    manifest = read_json(args.input)
     experiment_ids = [
         entry.get("id", "") for entry in manifest.get("experiments", [])
     ]
-
-    try:
-        if args.spec:
-            specs = [slo_mod.load_spec(path) for path in args.spec]
-        else:
-            specs = slo_mod.load_default_specs(experiment_ids)
-    except (OSError, ObservabilityError) as exc:
-        print(f"slo: {exc}", file=sys.stderr)
-        return 2
+    if args.spec:
+        specs = [slo_mod.load_spec(path) for path in args.spec]
+    else:
+        specs = slo_mod.load_default_specs(experiment_ids)
     if not specs:
         print(
             f"slo: no specs to evaluate for {args.input} "
@@ -816,26 +753,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
         return 2
 
-    metrics_path = args.metrics
-    if metrics_path is None:
-        candidate = os.path.join(
-            os.path.dirname(os.path.abspath(args.input)), "run_metrics.jsonl"
-        )
-        metrics_path = candidate if os.path.exists(candidate) else None
-    registry_records = None
-    if metrics_path is not None:
-        try:
-            with open(metrics_path, encoding="utf-8") as handle:
-                registry_records = [
-                    json.loads(line) for line in handle if line.strip()
-                ]
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"slo: cannot read {metrics_path}: {exc}", file=sys.stderr)
-            return 2
-
-    section = slo_mod.evaluate_manifest(
-        manifest, specs, registry_records=registry_records
-    )
+    section = slo_mod.evaluate_manifest(manifest, specs)
     if args.json:
         print(json.dumps(section, indent=2, sort_keys=True))
     else:
@@ -848,19 +766,17 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     """``repro dash``: render the static HTML observatory for one run."""
     from repro.obs.dash import write_dash
 
-    try:
-        out = write_dash(
-            args.input,
-            args.out,
-            history_path=args.history,
-            metrics_path=args.metrics,
-        )
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"dash: cannot render {args.input}: {exc}", file=sys.stderr)
-        return 2
+    out = write_dash(
+        args.input, args.out, history_path=args.history, metrics_path=args.metrics
+    )
     print(f"dash: wrote {out}")
     return 0
 
+
+#: Subcommands that run one experiment or read its export (``--input``),
+#: and those whose run needs observability on.
+_SOURCE_COMMANDS = ("metrics", "profile", "spans")
+_OBS_COMMANDS = ("profile", "spans", "trace")
 
 #: File defaults that ``repro.runner``, ``repro.campaign`` and
 #: ``repro.obs.dash`` also define (tests/test_cli_tree.py checks they
@@ -918,12 +834,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         metavar="PATH",
         help="journal path (default: campaign.jsonl, next to --report for "
         "campaign run)",
-    ),
-    "--metrics": dict(
-        default=None,
-        metavar="PATH",
-        help="run_metrics.jsonl to read with the manifest (default: next to "
-        "the manifest, when present)",
     ),
     # The run options of run-all and campaign run (_RUN_FLAGS).
     "--jobs": dict(
@@ -1277,7 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SLO spec file (repeatable; default: the registry defaults "
         "of every experiment in the manifest)",
     )
-    _add_flags(slo, "--metrics")
     slo.add_argument(
         "--strict",
         action="store_true",
@@ -1305,7 +1214,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="perf_history.jsonl for the trend section "
         "(default: benchmarks/results/perf_history.jsonl)",
     )
-    _add_flags(dash, "--metrics")
+    dash.add_argument(
+        "--metrics",
+        default=None,
+        metavar="PATH",
+        help="run_metrics.jsonl for the energy section (default: next to "
+        "the manifest, when present)",
+    )
 
     lint = command(
         commands, "lint", "determinism/unit static analysis; see docs/lint.md",
@@ -1330,6 +1245,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help, or a usage error argparse printed
         return exc.code
+    command = args.command
+    reads_input = getattr(args, "input", None) is not None
+    if command in _SOURCE_COMMANDS and (args.experiment is not None) == reads_input:
+        print(
+            f"{command}: give exactly one of <experiment> or --input",
+            file=sys.stderr,
+        )
+        return 2
+    if command in _OBS_COMMANDS and args.no_obs and not reads_input:
+        print(f"{command} requires observability; drop --no-obs", file=sys.stderr)
+        return 2
     # A fresh observability state in the mode --no-obs asks for; commands
     # that need another mode (profile, trace, spans) configure their own.
     obs_runtime.configure(enabled=not args.no_obs)
@@ -1337,6 +1263,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ConfigurationError as exc:  # bad spec, plan, ids or manifest
         print(str(exc), file=sys.stderr)
+        return 2
+    except (OSError, ObservabilityError) as exc:  # a missing or malformed input
+        detail = str(exc)
+        if getattr(exc, "filename", None):  # an OSError naming its file
+            detail = f"cannot read {exc.filename}: {exc.strerror}"
+        print(f"{command}: {detail}", file=sys.stderr)
         return 2
 
 

@@ -24,12 +24,12 @@ Exit-code contract (the CI gate): 0 clean, 1 regression/drift found,
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ObservabilityError
 from repro.obs.history import build_history_record, load_history
+from repro.obs.ioutil import read_json
 
 #: Relative wall-clock slowdown beyond which an experiment is a regression.
 DEFAULT_WALL_THRESHOLD = 0.25
@@ -53,8 +53,7 @@ def load_run(path: Union[str, Path]) -> Dict[str, Any]:
         if not records:
             raise ObservabilityError(f"{path}: history stream is empty")
         return records[-1]
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = read_json(path)
     if data.get("kind") == "perf_history":
         return data
     if isinstance(data.get("experiments"), list):

@@ -25,9 +25,17 @@ byte-identical HTML.
 from __future__ import annotations
 
 import html
-import json
+import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+
+from repro.obs.ioutil import read_json, read_jsonl
+from repro.obs.profile import (
+    aggregate_rows,
+    attributed_wall_s,
+    rows_from_manifest,
+    sort_rows,
+)
 
 #: Default output filename, next to the manifest.
 DASH_FILENAME = "dash.html"
@@ -406,31 +414,21 @@ def _section_spans(manifest: Dict[str, Any], top: int = 12) -> str:
 
 
 def _section_attribution(manifest: Dict[str, Any], top: int = 15) -> str:
-    kinds: Dict[str, Dict[str, Any]] = {}
-    for entry in manifest.get("experiments", []):
-        for part in entry.get("parts", []):
-            profile = (part.get("engine") or {}).get("profile") or {}
-            for kind, row in profile.items():
-                bucket = kinds.setdefault(
-                    kind, {"component": row.get("component", ""), "count": 0, "wall_s": 0.0}
-                )
-                bucket["count"] += int(row.get("count", 0))
-                bucket["wall_s"] += float(row.get("wall_s", 0.0))
-    if not kinds:
+    ordered = sort_rows(aggregate_rows(rows_from_manifest(manifest)))
+    if not ordered:
         return ""
-    ordered = sorted(kinds.items(), key=lambda item: (-item[1]["wall_s"], item[0]))
     shown = ordered[:top]
-    total_wall = sum(bucket["wall_s"] for _, bucket in ordered) or 1.0
+    total_wall = attributed_wall_s(ordered) or 1.0
     rows = []
-    for kind, bucket in shown:
-        share = bucket["wall_s"] / total_wall
+    for row in shown:
+        share = row.wall_s / total_wall
         rows.append(
             "<tr>"
-            f"<td>{_esc(kind)}</td>"
-            f'<td class="dim">{_esc(bucket["component"])}</td>'
-            f'<td class="num">{bucket["count"]:,}</td>'
+            f"<td>{_esc(row.kind)}</td>"
+            f'<td class="dim">{_esc(row.component)}</td>'
+            f'<td class="num">{row.count:,}</td>'
             f"<td>{_hbar(share, title=f'{100 * share:.1f} % of sampled wall')}</td>"
-            f'<td class="num">{bucket["wall_s"]:.4f} s</td>'
+            f'<td class="num">{row.wall_s:.4f} s</td>'
             "</tr>"
         )
     return (
@@ -569,25 +567,6 @@ def build_dash(
     )
 
 
-def _read_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    records: List[Dict[str, Any]] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    records.append(record)
-    except OSError:
-        return []
-    return records
-
-
 def write_dash(
     manifest_path: Union[str, Path],
     out_path: Union[str, Path] = DASH_FILENAME,
@@ -599,18 +578,19 @@ def write_dash(
     ``history_path`` defaults to the repo's perf-history file and
     ``metrics_path`` to ``run_metrics.jsonl`` next to the manifest; both
     degrade to empty sections when absent — only the manifest is required.
+    A malformed line in either raises, as in every other reader
+    (:func:`repro.obs.ioutil.read_jsonl`).
     """
     from repro.obs.history import DEFAULT_HISTORY_DIR, HISTORY_FILENAME
 
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = read_json(manifest_path)
     if history_path is None:
         history_path = Path(DEFAULT_HISTORY_DIR) / HISTORY_FILENAME
     if metrics_path is None:
         metrics_path = manifest_path.parent / "run_metrics.jsonl"
-    history = _read_jsonl(history_path)
-    metrics = _read_jsonl(metrics_path)
+    history = read_jsonl(history_path, "history") if os.path.exists(history_path) else []
+    metrics = read_jsonl(metrics_path, "metrics") if os.path.exists(metrics_path) else []
     page = build_dash(manifest, history=history, metrics=metrics)
     out_path = Path(out_path)
     out_path.write_text(page, encoding="utf-8")

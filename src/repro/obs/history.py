@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.ioutil import append_line, write_atomic
+from repro.obs.ioutil import append_line, read_jsonl, write_atomic
 
 #: Bump on any breaking change to the history record layout.
 HISTORY_SCHEMA_VERSION = 1
@@ -64,9 +64,13 @@ def build_history_record(
     ``recorded_unix_s`` defaults to the manifest's own generation stamp, so
     a record rebuilt from an archived manifest dates itself correctly.
     """
-    if "experiments" not in manifest:
+    entries = manifest.get("experiments")
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and "id" in entry for entry in entries
+    ):
         raise ObservabilityError(
-            "cannot build a history record: manifest has no experiments[]"
+            "cannot build a history record: manifest has no experiments[] "
+            "of entries with an id"
         )
     recorded = (
         manifest.get("generated_unix_s", 0.0)
@@ -160,23 +164,11 @@ def write_bench_snapshot(
 def load_history(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Read every record of a ``perf_history.jsonl`` stream, oldest first.
 
-    Blank lines are tolerated (interrupted appends never corrupt earlier
-    records); malformed lines raise
+    Reads through :func:`repro.obs.ioutil.read_jsonl`: blank lines and a
+    torn final append are skipped; any other malformed line raises
     :class:`~repro.errors.ObservabilityError` naming the line number.
     """
-    records: List[Dict[str, Any]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ObservabilityError(
-                    f"{path}:{lineno}: malformed history record ({exc})"
-                ) from exc
-    return records
+    return read_jsonl(path, "history")
 
 
 def expected_walls(history_path: Union[str, Path]) -> Dict[str, float]:
@@ -184,21 +176,22 @@ def expected_walls(history_path: Union[str, Path]) -> Dict[str, float]:
 
     Scans ``perf_history.jsonl`` oldest→newest keeping, per experiment, the
     most recent record that actually executed (cache-hit replays report
-    near-zero walls and would wreck the ETA). Missing or unreadable history
+    near-zero walls and would wreck the ETA). Missing or malformed history
     degrades to ``{}`` — the watch board then shows no ETA, nothing fails.
     """
-    walls: Dict[str, float] = {}
     try:
-        for record in load_history(history_path):
-            experiments = record.get("experiments") or {}
-            if not isinstance(experiments, dict):
-                continue
-            for exp_id, entry in experiments.items():
-                if not isinstance(entry, dict) or entry.get("cache_hit"):
-                    continue
-                wall = entry.get("wall_s")
-                if isinstance(wall, (int, float)) and wall > 0:
-                    walls[str(exp_id)] = float(wall)
-    except Exception:
+        records = load_history(history_path)
+    except (OSError, ObservabilityError):
         return {}
+    walls: Dict[str, float] = {}
+    for record in records:
+        experiments = record.get("experiments") or {}
+        if not isinstance(experiments, dict):
+            continue
+        for exp_id, entry in experiments.items():
+            if not isinstance(entry, dict) or entry.get("cache_hit"):
+                continue
+            wall = entry.get("wall_s")
+            if isinstance(wall, (int, float)) and wall > 0:
+                walls[str(exp_id)] = float(wall)
     return walls

@@ -18,15 +18,23 @@ all, and a torn ``perf_history.jsonl`` line would poison every later
 
 Both create a missing parent directory, but only after the first attempt
 reports it missing: the common case costs no ``mkdir``.
+
+Every renderer reads those artifacts back through :func:`read_json` and
+:func:`read_jsonl`, under one policy: an ``OSError`` propagates, a
+malformed record raises :class:`~repro.errors.ObservabilityError` naming
+``path:line``, and a torn final line (an append a kill cut short) is
+skipped.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.errors import ObservabilityError
 from repro.faults import runtime as faults_runtime
 
 
@@ -95,9 +103,9 @@ def append_line(
     The record is newline-terminated and written with a single
     ``os.write`` on an ``O_APPEND`` descriptor: concurrent appenders from
     parallel runs cannot interleave bytes, and a kill between calls leaves
-    only whole lines behind (readers like
-    :func:`repro.obs.history.load_history` additionally tolerate a torn
-    final line by skipping blanks).
+    only whole lines behind. A kill inside the write can still leave a
+    final line without its newline; :func:`read_jsonl` skips that line
+    when it does not parse.
     """
     path = Path(path)
     if not line.endswith("\n"):
@@ -108,3 +116,43 @@ def append_line(
     finally:
         os.close(descriptor)
     return path
+
+
+def _record(text: str, where: str, what: str) -> Dict[str, Any]:
+    """One JSON object parsed from ``text``; ``where`` and ``what`` name it
+    in the error."""
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        raise ObservabilityError(f"{where}: malformed {what} ({exc})") from exc
+    if not isinstance(record, dict):
+        raise ObservabilityError(f"{where}: malformed {what} (not a JSON object)")
+    return record
+
+
+def read_json(path: Union[str, Path]) -> Dict[str, Any]:
+    """The JSON object in ``path`` (a manifest or BENCH snapshot)."""
+    return _record(Path(path).read_text(encoding="utf-8"), str(path), "JSON")
+
+
+def read_jsonl(path: Union[str, Path], what: str) -> List[Dict[str, Any]]:
+    """Every JSON object of a ``.jsonl`` stream, in file order.
+
+    Blank lines are skipped, and so is a final line that has no newline
+    and does not parse: a torn append (see :func:`append_line`). Any other
+    malformed line raises :class:`~repro.errors.ObservabilityError`
+    reading ``<path>:<line>: malformed <what> record (...)``.
+    """
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    records: List[Dict[str, Any]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            records.append(_record(line, f"{path}:{lineno}", f"{what} record"))
+        except ObservabilityError:
+            if lineno == len(lines) and not line.endswith("\n"):
+                break
+            raise
+    return records

@@ -415,9 +415,10 @@ class Timeseries(_Instrument):
 
         ``(last - first) / (t_last - t_first)``. The degenerate cases all
         return ``0.0`` by contract — never ``inf``/``nan``, never a raise —
-        because SLO specs reference ``registry:...#rate`` and an empty or
-        instantaneous series must read as "no measured change", not poison
-        the evaluation:
+        because a caller such as
+        :meth:`repro.obs.energy.EnergyLedger.voltage_rate_v_per_s` asks for
+        the ramp over whatever was sampled, and an empty or instantaneous
+        series must read as "no measured change", not as an error:
 
         * **empty series** and **single sample** — no interval to rate over;
         * **zero-span window** (all samples share one timestamp) —

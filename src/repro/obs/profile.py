@@ -32,13 +32,12 @@ random stream, and ``--no-obs`` runs carry no attribution state at all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ObservabilityError
-from repro.obs.ioutil import write_atomic
+from repro.obs.ioutil import read_jsonl, write_atomic
 
 #: Bump on any breaking change to the attribution record layout.
 PROFILE_SCHEMA_VERSION = 1
@@ -150,19 +149,9 @@ def rows_from_manifest(manifest: Dict[str, Any]) -> List[KindRow]:
 def rows_from_metrics_jsonl(path: Union[str, Path]) -> List[KindRow]:
     """Attribution rows from a ``metrics_*.jsonl`` export's engine records."""
     merged: List[KindRow] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ObservabilityError(
-                    f"{path}:{lineno}: malformed metrics record ({exc})"
-                ) from exc
-            if record.get("type") == "engine":
-                merged.extend(rows_from_engine(record))
+    for record in read_jsonl(path, "metrics"):
+        if record.get("type") == "engine":
+            merged.extend(rows_from_engine(record))
     return aggregate_rows(merged)
 
 

@@ -62,15 +62,6 @@ OPS = (">=", "<=")
 #: Reductions applicable to a window of samples.
 REDUCES = ("mean", "min", "max")
 
-#: ``registry:`` metric references may end in one of these reductions.
-_REGISTRY_REDUCES = ("p50", "p90", "p99", "mean", "min", "max", "count", "rate", "last")
-
-_REGISTRY_RE = re.compile(
-    r"^registry:(?P<name>[a-z0-9_]+(\.[a-z0-9_]+)+)"
-    r"(\{(?P<labels>[^}]*)\})?"
-    r"(#(?P<reduce>[a-z0-9]+))?$"
-)
-
 
 @dataclass(frozen=True)
 class Objective:
@@ -136,7 +127,11 @@ def objective(
             f"bad objective id {objective_id!r}: expected dotted lowercase "
             "(e.g. 'client.tcp.median_ratio')"
         )
-    _validate_metric_ref(metric)
+    if not isinstance(metric, str) or not OBJECTIVE_ID_RE.match(metric):
+        raise ObservabilityError(
+            f"bad metric reference {metric!r}: expected a dotted lowercase "
+            "domain metric name"
+        )
     if kind not in KINDS:
         raise ObservabilityError(
             f"objective {objective_id!r}: unknown kind {kind!r}; expected one of {KINDS}"
@@ -179,32 +174,6 @@ def objective(
         budget=float(budget) if budget is not None else None,
         description=str(description),
     )
-
-
-def _validate_metric_ref(metric: str) -> None:
-    """A metric reference is a domain metric name or a ``registry:`` ref."""
-    if not isinstance(metric, str):
-        raise ObservabilityError(f"bad metric reference {metric!r}: not a string")
-    if metric.startswith("registry:"):
-        match = _REGISTRY_RE.match(metric)
-        if not match:
-            raise ObservabilityError(
-                f"bad registry metric reference {metric!r}: expected "
-                "'registry:name', 'registry:name{label=value}' or "
-                "'registry:name#p95'"
-            )
-        reduce = match.group("reduce")
-        if reduce is not None and reduce not in _REGISTRY_REDUCES:
-            raise ObservabilityError(
-                f"bad registry metric reference {metric!r}: unknown reduction "
-                f"{reduce!r}; expected one of {_REGISTRY_REDUCES}"
-            )
-        return
-    if not OBJECTIVE_ID_RE.match(metric):
-        raise ObservabilityError(
-            f"bad metric reference {metric!r}: expected dotted lowercase or "
-            "a 'registry:' reference"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -479,116 +448,26 @@ def domain_metrics(experiment_id: str, result: Any) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Metric resolution
+# Series view
 
 
-def _normalize_series(value: Any) -> Optional[Tuple[Tuple[float, ...], Tuple[float, ...], Optional[float]]]:
-    """``(times, values, window_s)`` view of a series value, else ``None``.
+def _normalize_series(
+    value: Any,
+) -> Optional[Tuple[Tuple[float, ...], Tuple[float, ...], float]]:
+    """``(times, values, window_s)`` view of a windowed series, else ``None``.
 
-    Accepts the domain windowed form ``{"window_s": w, "samples": [...]}``
-    (sample *i* covers ``[i*w, (i+1)*w)``) and the registry timeseries form
-    ``[[t, v], ...]``.
+    The domain form is ``{"window_s": w, "samples": [...]}`` with ``w > 0``;
+    sample *i* covers ``[i*w, (i+1)*w)``.
     """
-    if isinstance(value, dict) and "samples" in value:
-        samples = value.get("samples")
-        window = value.get("window_s")
-        if not isinstance(samples, list) or not isinstance(window, (int, float)):
-            return None
-        values = tuple(float(sample) for sample in samples)
-        times = tuple(index * float(window) for index in range(len(values)))
-        return times, values, float(window)
-    if isinstance(value, list) and all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
-    ):
-        times = tuple(float(pair[0]) for pair in value)
-        values = tuple(float(pair[1]) for pair in value)
-        return times, values, None
-    return None
-
-
-def _parse_labels(raw: Optional[str]) -> Dict[str, str]:
-    labels: Dict[str, str] = {}
-    if not raw:
-        return labels
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
-            raise ObservabilityError(f"bad label token {token!r} in registry reference")
-        key, value = token.split("=", 1)
-        labels[key.strip()] = value.strip()
-    return labels
-
-
-def _registry_lookup(
-    metric: str, records: Sequence[Dict[str, Any]]
-) -> Optional[Any]:
-    """Resolve a ``registry:`` reference against exported metric records.
-
-    Counters and gauges yield their value; histograms yield the requested
-    ``#reduction`` (default ``mean``); timeseries yield their sample list
-    (series form) or a ``#rate``/``#last``/``#count`` scalar.
-    """
-    match = _REGISTRY_RE.match(metric)
-    if not match:
+    if not isinstance(value, dict):
         return None
-    name = match.group("name")
-    labels = _parse_labels(match.group("labels"))
-    reduce = match.group("reduce")
-    for record in records:
-        if record.get("name") != name:
-            continue
-        record_labels = record.get("labels") or {}
-        if labels and any(
-            str(record_labels.get(key)) != value for key, value in labels.items()
-        ):
-            continue
-        kind = record.get("type")
-        if kind in ("counter", "gauge"):
-            return float(record.get("value", 0.0))
-        if kind == "histogram":
-            if reduce in (None, "mean"):
-                return float(record.get("mean", 0.0))
-            if reduce in ("min", "max", "count"):
-                return float(record.get(reduce, 0.0))
-            if reduce in ("p50", "p90", "p99"):
-                quantiles = record.get("quantiles") or {}
-                return float(quantiles.get("0." + reduce[1:], 0.0))
-            return None
-        if kind == "timeseries":
-            samples = record.get("samples") or []
-            if reduce is None:
-                return samples
-            values = [float(pair[1]) for pair in samples]
-            if reduce == "count":
-                return float(len(values))
-            if reduce == "last":
-                return values[-1] if values else 0.0
-            if reduce in ("mean", "min", "max"):
-                return _reduce_window(values, reduce) if values else 0.0
-            if reduce == "rate":
-                if len(samples) < 2:
-                    return 0.0
-                span = float(samples[-1][0]) - float(samples[0][0])
-                if span <= 0:
-                    return 0.0
-                return (float(samples[-1][1]) - float(samples[0][1])) / span
-            return None
-    return None
-
-
-def resolve_metric(
-    metric: str,
-    domain: Dict[str, Any],
-    registry_records: Optional[Sequence[Dict[str, Any]]] = None,
-) -> Optional[Any]:
-    """The value behind a metric reference, or ``None`` when absent."""
-    if metric.startswith("registry:"):
-        if not registry_records:
-            return None
-        return _registry_lookup(metric, registry_records)
-    return domain.get(metric)
+    samples = value.get("samples")
+    window = value.get("window_s")
+    if not (isinstance(samples, list) and isinstance(window, (int, float)) and window > 0):
+        return None
+    values = tuple(float(sample) for sample in samples)
+    times = tuple(index * float(window) for index in range(len(values)))
+    return times, values, float(window)
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +500,7 @@ def _skip(row: Dict[str, Any], reason: str) -> Dict[str, Any]:
     return row
 
 
-def evaluate_objective(
-    obj: Objective,
-    domain: Dict[str, Any],
-    registry_records: Optional[Sequence[Dict[str, Any]]] = None,
-) -> Dict[str, Any]:
+def evaluate_objective(obj: Objective, domain: Dict[str, Any]) -> Dict[str, Any]:
     """Evaluate one objective against one experiment's metric streams.
 
     Returns a manifest-ready row: ``status`` (``ok`` / ``violated`` /
@@ -635,7 +510,7 @@ def evaluate_objective(
     byte-identical rows.
     """
     row: Dict[str, Any] = obj.to_dict()
-    resolved = resolve_metric(obj.metric, domain, registry_records)
+    resolved = domain.get(obj.metric)
     if resolved is None:
         return _skip(row, f"metric {obj.metric!r} not found")
 
@@ -691,42 +566,24 @@ def _worst_window(
     obj: Objective,
     times: Tuple[float, ...],
     values: Tuple[float, ...],
-    window: Optional[float],
+    window: float,
 ) -> Tuple[float, float, float]:
     """``(worst_value, start_s, end_s)`` under the objective's direction.
 
-    Uniform (windowed) series slide a window of ``round(window_s /
-    sample_window)`` samples one sample at a time; non-uniform series
-    (registry timeseries) fall back to tumbling ``window_s`` buckets keyed
-    by ``floor(t / window_s)`` — coarser, but deterministic and
-    order-independent.
+    A window of ``round(window_s / sample_window)`` samples slides one
+    sample at a time.
     """
     assert obj.window_s is not None
-    windows: List[Tuple[float, float, float]] = []  # (reduced, start, end)
-    if window is not None and window > 0:
-        count = max(1, int(round(obj.window_s / window)))
-        count = min(count, len(values))
-        for start in range(len(values) - count + 1):
-            chunk = values[start : start + count]
-            windows.append(
-                (
-                    _reduce_window(chunk, obj.reduce),
-                    times[start],
-                    times[start] + count * window,
-                )
-            )
-    else:
-        buckets: Dict[int, List[float]] = {}
-        for t, value in zip(times, values):
-            buckets.setdefault(int(t // obj.window_s), []).append(value)
-        for index in sorted(buckets):
-            windows.append(
-                (
-                    _reduce_window(buckets[index], obj.reduce),
-                    index * obj.window_s,
-                    (index + 1) * obj.window_s,
-                )
-            )
+    count = max(1, int(round(obj.window_s / window)))
+    count = min(count, len(values))
+    windows = [  # (reduced, start, end)
+        (
+            _reduce_window(values[start : start + count], obj.reduce),
+            times[start],
+            times[start] + count * window,
+        )
+        for start in range(len(values) - count + 1)
+    ]
     # The worst window is the one closest to violating the bound: the
     # minimum for ">=" objectives, the maximum for "<=".
     if obj.op == ">=":
@@ -735,7 +592,7 @@ def _worst_window(
 
 
 def _worst_streak(
-    violating: Sequence[bool], times: Tuple[float, ...], window: Optional[float]
+    violating: Sequence[bool], times: Tuple[float, ...], window: float
 ) -> Optional[Dict[str, Any]]:
     """Longest consecutive run of violating samples, as a window record."""
     best_start = best_length = 0
@@ -752,7 +609,7 @@ def _worst_streak(
     if best_length == 0:
         return None
     end_index = best_start + best_length - 1
-    end_s = times[end_index] + (window if window else 0.0)
+    end_s = times[end_index] + window
     return {
         "start_s": _round(times[best_start]),
         "end_s": _round(end_s),
@@ -768,7 +625,6 @@ def evaluate_specs(
     specs: Sequence[SloSpec],
     domains: Dict[str, Dict[str, Any]],
     errors: Optional[Dict[str, Optional[str]]] = None,
-    registry_records: Optional[Sequence[Dict[str, Any]]] = None,
 ) -> List[Dict[str, Any]]:
     """Evaluate every spec against per-experiment domain metric maps.
 
@@ -786,9 +642,7 @@ def evaluate_specs(
             elif errors.get(spec.experiment):
                 row = _skip(obj.to_dict(), "experiment failed")
             else:
-                row = evaluate_objective(
-                    obj, domains[spec.experiment], registry_records
-                )
+                row = evaluate_objective(obj, domains[spec.experiment])
             row["experiment"] = spec.experiment
             rows.append(row)
     rows.sort(key=lambda row: (row["experiment"], row["id"]))
@@ -814,9 +668,7 @@ def section_from_rows(
 
 
 def evaluate_manifest(
-    manifest: Dict[str, Any],
-    specs: Sequence[SloSpec],
-    registry_records: Optional[Sequence[Dict[str, Any]]] = None,
+    manifest: Dict[str, Any], specs: Sequence[SloSpec]
 ) -> Dict[str, Any]:
     """Post-hoc evaluation: fold specs over a manifest's domain sections."""
     domains: Dict[str, Dict[str, Any]] = {}
@@ -824,9 +676,7 @@ def evaluate_manifest(
     for entry in manifest.get("experiments", []):
         domains[entry["id"]] = entry.get("domain") or {}
         errors[entry["id"]] = entry.get("error")
-    rows = evaluate_specs(
-        specs, domains, errors=errors, registry_records=registry_records
-    )
+    rows = evaluate_specs(specs, domains, errors=errors)
     return section_from_rows(rows, [spec.path for spec in specs])
 
 

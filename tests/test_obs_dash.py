@@ -7,10 +7,12 @@ artifacts are missing.
 """
 
 import json
+import re
 from html.parser import HTMLParser
 
 import pytest
 
+from repro.errors import ObservabilityError
 from repro.obs.dash import DASH_FILENAME, build_dash, sparkline, write_dash
 
 
@@ -258,6 +260,45 @@ class TestBuildDash:
         assert "INTERRUPTED" in build_dash(manifest)
 
 
+class TestAttributionAgreesWithProfile:
+    def test_card_lists_the_profilers_rows(self):
+        """Kinds spread over two parts fold the same way in the dash card
+        as in ``repro profile``: same kinds, counts, walls and order."""
+        from repro.obs.profile import aggregate_rows, rows_from_manifest, sort_rows
+
+        manifest = stub_manifest()
+        second = {
+            "part": "tail",
+            "engine": {
+                "profile": {
+                    "router.packet": {
+                        "component": "router", "count": 50, "wall_s": 0.25
+                    },
+                    "mac.tx": {"component": "mac", "count": 700, "wall_s": 0.5},
+                }
+            },
+        }
+        manifest["experiments"][0]["parts"].append(second)
+        expected = [
+            (row.kind, f"{row.count:,}", f"{row.wall_s:.4f} s")
+            for row in sort_rows(aggregate_rows(rows_from_manifest(manifest)))
+        ]
+        page = build_dash(manifest)
+        card = page[page.index("Per-kind attribution") :]
+        card = card[: card.index("</table>")]
+        shown = [
+            (cells[0], cells[2], cells[4])
+            for cells in (
+                re.findall(r"<td[^>]*>(.*?)</td>", row)
+                for row in card.split("<tr>")[2:]
+            )
+        ]
+        assert shown == expected
+        kinds = [kind for kind, _, _ in shown]
+        assert kinds == ["router.packet", "mac.tx", "harvester.tick"]
+        assert shown[0][1] == "950"
+
+
 class TestWriteDash:
     def test_writes_page_with_default_sidecar_discovery(self, tmp_path):
         manifest_path = tmp_path / "run_manifest.json"
@@ -285,6 +326,14 @@ class TestWriteDash:
         page = out.read_text()
         assert "Energy ledger" not in page
         assert "No perf_history.jsonl found" in page
+
+    def test_malformed_sidecar_line_raises(self, tmp_path):
+        manifest_path = tmp_path / "run_manifest.json"
+        manifest_path.write_text(json.dumps(stub_manifest()))
+        metrics_path = tmp_path / "run_metrics.jsonl"
+        metrics_path.write_text('{"name": "x"}\nnot json\n')
+        with pytest.raises(ObservabilityError, match=r"jsonl:2: malformed metrics record"):
+            write_dash(manifest_path, out_path=tmp_path / "x.html")
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(OSError):

@@ -290,6 +290,28 @@ class TestCompareCli:
         assert main(["compare", a, str(tmp_path / "nope.json")]) == 2
         assert "compare:" in capsys.readouterr().err
 
+    def test_torn_final_history_line_is_skipped(self, tmp_path, capsys):
+        """A kill during the last append leaves a line with no newline;
+        compare reads the history up to it instead of refusing the file."""
+        from repro.cli import main
+
+        record = build_history_record(make_manifest())
+        path = append_history(record, tmp_path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record)[:40])
+        assert load_history(path) == [record]
+        assert main(["compare", str(path), str(path)]) == 0
+        assert "verdict: OK" in capsys.readouterr().out
+
+    def test_manifest_entry_without_id_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        manifest = make_manifest()
+        del manifest["experiments"][0]["id"]
+        a = self._write(tmp_path, "a.json", manifest)
+        assert main(["compare", a, a]) == 2
+        assert "no experiments[] of entries with an id" in capsys.readouterr().err
+
     def test_json_output_parses(self, tmp_path, capsys):
         from repro.cli import main
 

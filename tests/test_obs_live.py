@@ -328,6 +328,13 @@ class TestExpectedWalls:
         assert walls == {"fig5": 4.0, "fig8": 2.0}
         assert expected_walls(tmp_path / "absent.jsonl") == {}
 
+    def test_torn_final_line_keeps_the_earlier_walls(self, tmp_path):
+        path = tmp_path / "perf_history.jsonl"
+        whole = {"experiments": {"fig5": {"wall_s": 4.0, "cache_hit": False}}}
+        torn = {"experiments": {"fig5": {"wall_s": 9.0, "cache_hit": False}}}
+        path.write_text(json.dumps(whole) + "\n" + json.dumps(torn)[:30])
+        assert expected_walls(path) == {"fig5": 4.0}
+
 
 class TestRunnerIntegration:
     def test_live_run_streams_lifecycle_and_changes_nothing(self, tmp_path):

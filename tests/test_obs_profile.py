@@ -385,6 +385,19 @@ class TestProfileCli:
         )
         assert "tick" in capsys.readouterr().out
 
+    def test_unreadable_input_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        absent = tmp_path / "absent.jsonl"
+        assert main(["metrics", "--input", str(absent)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"metrics: cannot read {absent}: "
+        )
+        spans = tmp_path / "spans.jsonl"
+        spans.write_text("[1, 2]\n")
+        assert main(["spans", "--input", str(spans)]) == 2
+        assert f"{spans}:1: malformed span record" in capsys.readouterr().err
+
     def test_metrics_top_zero_prints_no_kinds_in_either_mode(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -1,9 +1,9 @@
 """Unit tests for the domain SLO engine (`repro.obs.slo`).
 
 Everything here is pure-fold territory: spec parsing and validation,
-the three evaluator kinds, metric-reference resolution (domain and
-``registry:``), run-level assembly, and the determinism contract the
-manifest `slo` section rests on.
+the three evaluator kinds, domain metric references, run-level
+assembly, and the determinism contract the manifest `slo` section rests
+on.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.obs.slo import (
     objective,
     parse_spec,
     render_section,
-    resolve_metric,
     section_from_rows,
 )
 
@@ -65,21 +64,22 @@ class TestObjectiveValidation:
 
     @pytest.mark.parametrize(
         "bad_metric",
-        ["UPPER.case", "plain", "registry:x", "registry:a.b#p95", "registry:a.b#nope"],
-    )
-    def test_bad_metric_refs_rejected(self, bad_metric):
-        with pytest.raises(ObservabilityError, match="bad .*metric reference"):
-            objective("client.demo.obj", bad_metric)
-
-    @pytest.mark.parametrize(
-        "good_metric",
         [
-            "client.tcp.ratio",
+            "UPPER.case",
+            "plain",
+            "registry:x",
+            "registry:a.b#p95",
+            "registry:a.b#nope",
             "registry:engine.events.dispatched",
             "registry:harvester.voltage_v{device=cam}#p99",
             "registry:sensor.reads#rate",
         ],
     )
+    def test_bad_metric_refs_rejected(self, bad_metric):
+        with pytest.raises(ObservabilityError, match="bad .*metric reference"):
+            objective("client.demo.obj", bad_metric)
+
+    @pytest.mark.parametrize("good_metric", ["client.tcp.ratio"])
     def test_good_metric_refs_accepted(self, good_metric):
         assert objective("client.demo.obj", good_metric).metric == good_metric
 
@@ -247,15 +247,6 @@ class TestWindowEvaluator:
         assert row["worst_window"]["value"] == 0.9
         assert row["status"] == "ok"  # 0.9 <= 1.0
 
-    def test_timeseries_pairs_use_tumbling_buckets(self):
-        domain = {
-            "client.demo.series": [[0.0, 2.0], [1.0, 2.0], [2.5, 0.5], [3.0, 0.7]]
-        }
-        row = evaluate_objective(self.obj(), domain)
-        # Bucket [2.0, 4.0) holds 0.5 and 0.7 -> mean 0.6, violating.
-        assert row["status"] == "violated"
-        assert row["worst_window"] == {"start_s": 2.0, "end_s": 4.0, "value": 0.6}
-
     def test_scalar_metric_skips_window_kind(self):
         row = evaluate_objective(self.obj(), {"client.demo.series": 1.5})
         assert row["status"] == "skipped" and "not a series" in row["reason"]
@@ -301,66 +292,6 @@ class TestBurnRateEvaluator:
         domain = {"client.demo.series": {"window_s": 1.0, "samples": [2.0, 2.0]}}
         row = evaluate_objective(self.obj(), domain)
         assert row["status"] == "ok" and row["worst_window"] is None
-
-
-class TestRegistryResolution:
-    RECORDS = [
-        {"type": "counter", "name": "engine.events.dispatched", "value": 42.0},
-        {
-            "type": "gauge",
-            "name": "harvester.voltage_v",
-            "labels": {"device": "cam"},
-            "value": 2.4,
-        },
-        {
-            "type": "histogram",
-            "name": "net.latency_s",
-            "mean": 0.2,
-            "min": 0.1,
-            "max": 0.9,
-            "count": 10,
-            "quantiles": {"0.50": 0.15, "0.90": 0.5, "0.99": 0.8},
-        },
-        {
-            "type": "timeseries",
-            "name": "sensor.reads",
-            "samples": [[0.0, 0.0], [10.0, 40.0]],
-        },
-    ]
-
-    def test_counter_gauge_and_labels(self):
-        assert (
-            resolve_metric("registry:engine.events.dispatched", {}, self.RECORDS)
-            == 42.0
-        )
-        assert (
-            resolve_metric(
-                "registry:harvester.voltage_v{device=cam}", {}, self.RECORDS
-            )
-            == 2.4
-        )
-        assert (
-            resolve_metric(
-                "registry:harvester.voltage_v{device=tag}", {}, self.RECORDS
-            )
-            is None
-        )
-
-    def test_histogram_reductions(self):
-        assert resolve_metric("registry:net.latency_s", {}, self.RECORDS) == 0.2
-        assert resolve_metric("registry:net.latency_s#p99", {}, self.RECORDS) == 0.8
-        assert resolve_metric("registry:net.latency_s#max", {}, self.RECORDS) == 0.9
-
-    def test_timeseries_rate_and_series_form(self):
-        assert resolve_metric("registry:sensor.reads#rate", {}, self.RECORDS) == 4.0
-        assert resolve_metric("registry:sensor.reads#last", {}, self.RECORDS) == 40.0
-        samples = resolve_metric("registry:sensor.reads", {}, self.RECORDS)
-        assert samples == [[0.0, 0.0], [10.0, 40.0]]
-
-    def test_registry_ref_without_records_skips(self):
-        obj = objective("client.demo.obj", "registry:engine.events.dispatched")
-        row = evaluate_objective(obj, {}, registry_records=None)
-        assert row["status"] == "skipped"
 
 
 class TestRunLevelEvaluation:
