@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                 # experiment ids and subcommands
     python -m repro --help               # the same roster, from argparse
-    python -m repro fig5                 # run one experiment, print a report
+    python -m repro fig5                 # run one experiment, print its verdict
     python -m repro fig14 --seed 3
     python -m repro run-all --jobs 4     # every paper artifact, in parallel
     python -m repro run-all --ids fig5,fig14 --no-cache
@@ -21,8 +21,9 @@ Usage::
     python -m repro slo --spec slos/violation_demo.json
     python -m repro dash --input run_manifest.json --out dash.html
     python -m repro quickstart --duration 2.0
+    python -m repro report --input run_manifest.json   # manifest as markdown
     python -m repro metrics fig07        # run + export metrics JSONL
-    python -m repro metrics --input run_metrics.jsonl --top 10 --sort wall
+    python -m repro metrics --input metrics_fig7.jsonl --top 10 --sort wall
     python -m repro profile fig07 --flame flame.txt   # per-kind attribution
     python -m repro trace fig07 --kinds mac.tx,core.gate_drop
     python -m repro spans fig05          # run + span JSONL + flame-style tree
@@ -86,55 +87,6 @@ def _report_fig14(study) -> List[str]:
     return lines
 
 
-def _report_fig1(result) -> List[str]:
-    return [
-        f"received power: {result.received_power_dbm:6.1f} dBm",
-        f"peak voltage:   {1e3 * result.peak_voltage_v:6.1f} mV",
-        f"300 mV crossed: {result.crossed_threshold}",
-    ]
-
-
-def _report_fig9(pair) -> List[str]:
-    return [
-        f"{r.name}: worst in-band return loss {r.worst_in_band_db:6.1f} dB "
-        f"(spec < -10 dB: {r.meets_spec})"
-        for r in pair
-    ]
-
-
-def _report_fig10(pair) -> List[str]:
-    lines = []
-    for result in pair:
-        lines.append(
-            f"{result.name}: sensitivity {result.worst_sensitivity_dbm:6.1f} dBm, "
-            f"output at +4 dBm {1e6 * result.output_at(6, 4):6.1f} uW"
-        )
-    return lines
-
-
-def _report_fig11(result) -> List[str]:
-    return [
-        f"battery-free range:       {result.battery_free_range_feet:5.1f} ft",
-        f"battery-recharging range: {result.battery_recharging_range_feet:5.1f} ft",
-        "reads/s at 10 ft: "
-        f"{result.battery_free[10]:.2f} (free) / {result.battery_recharging[10]:.2f} (recharging)",
-    ]
-
-
-def _report_fig12(result) -> List[str]:
-    return [
-        f"battery-free range:       {result.battery_free_range_feet:5.1f} ft",
-        f"battery-recharging range: {result.battery_recharging_range_feet:5.1f} ft",
-    ]
-
-
-def _report_fig13(result) -> List[str]:
-    return [
-        f"{name:<14} {minutes:6.1f} min/frame"
-        for name, minutes in result.inter_frame_minutes.items()
-    ]
-
-
 def _report_fig15(result) -> List[str]:
     return [
         f"home {index}: median {result.median(index):5.2f} reads/s"
@@ -154,39 +106,14 @@ def _report_fig8(result) -> List[str]:
     return lines
 
 
-def _report_sec8a(result) -> List[str]:
-    return [
-        f"average current: {result.average_current_ma:5.2f} mA",
-        f"charge in 2.5 h: {result.charge_percent_after:5.1f} %",
-    ]
-
-
-def _report_sec8c(study) -> List[str]:
-    return [
-        f"{count} router(s): aggregate cumulative "
-        f"{100 * study.aggregate_cumulative(count):6.1f} %"
-        for count in sorted(study.by_count)
-    ]
-
-
-def _report_generic(result) -> List[str]:
-    return [repr(result)]
-
-
-_REPORTERS: Dict[str, Callable] = {
-    "fig1": _report_fig1,
+#: The experiments whose output adds a table to their verdict line; every
+#: other experiment's numbers are in its shape check's detail.
+_REPORTERS: Dict[str, Callable[[Any], List[str]]] = {
     "fig5": _report_fig5,
     "fig8": _report_fig8,
-    "fig9": _report_fig9,
-    "fig10": _report_fig10,
-    "fig11": _report_fig11,
-    "fig12": _report_fig12,
-    "fig13": _report_fig13,
     "fig14": _report_fig14,
     "fig15": _report_fig15,
     "table1": _report_table1,
-    "sec8a": _report_sec8a,
-    "sec8c": _report_sec8c,
 }
 
 
@@ -215,9 +142,11 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.experiments.report import generate_report
+    """``repro report``: render a run manifest as markdown."""
+    from repro.experiments.report import render_report
+    from repro.obs.ioutil import read_json
 
-    print(generate_report())
+    print(render_report(read_json(args.input), source=args.input), end="")
     return 0
 
 
@@ -233,12 +162,15 @@ def _cmd_quickstart(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    """``repro <experiment>``: run one driver and print its report."""
+    """``repro <experiment>``: run one driver, print its table and verdict."""
+    from repro.experiments.shapecheck import verdict
+
     result = _run_driver(args.command, args.seed)
-    reporter = _REPORTERS.get(args.command, _report_generic)
     print(f"== {args.command} ==")
-    for line in reporter(result):
+    for line in _REPORTERS.get(args.command, lambda _: [])(result):
         print(line)
+    ok, detail = verdict(args.command, result)
+    print(f"shape {'ok' if ok else 'FAILED'}: {detail}")
     return 0
 
 
@@ -520,9 +452,11 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """``repro metrics``: run + export metrics, or triage an existing export.
 
     Two modes: ``metrics <experiment>`` runs the driver and writes the
-    metrics JSONL; ``metrics --input run_metrics.jsonl`` re-reads a
+    metrics JSONL; ``metrics --input metrics_fig7.jsonl`` re-reads a
     previous export's engine records — quick triage without re-running
-    anything. Both print the hottest event kinds as the profiler's table.
+    anything. Both print the hottest event kinds as the profiler's table;
+    an input with no attribution data (a run-all's ``run_metrics.jsonl``
+    has no engine record) exits 2.
     """
     from repro.obs.profile import (
         render_attribution,
@@ -532,6 +466,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     if args.input is not None:
         rows = rows_from_metrics_jsonl(args.input)
+        if not rows:
+            print(
+                f"metrics: no attribution data in {args.input} (no engine "
+                "record; for a run-all, use 'profile --input run_manifest.json')",
+                file=sys.stderr,
+            )
+            return 2
         print(f"== metrics triage: {args.input} ==")
     else:
         key = args.experiment
@@ -801,7 +742,6 @@ _FLAGS: Dict[str, Dict[str, Any]] = {
         help="master random seed (default: 0); campaign run seeds only fault "
         "selection and retry backoff with it, point seeds come from the spec",
     ),
-    "--duration": dict(type=float, default=2.0, help="quickstart duration (s)"),
     "--json": dict(action="store_true", help="emit JSON instead of text"),
     "--input": dict(
         default=None,
@@ -949,14 +889,23 @@ def build_parser() -> argparse.ArgumentParser:
         sub.set_defaults(func=func)
         return sub
 
-    bare = [(key, EXPERIMENTS[key], _cmd_experiment) for key in sorted(EXPERIMENTS)]
-    bare += [
-        ("list", "show experiment ids and subcommands", _cmd_list),
-        ("quickstart", "built-in demo", _cmd_quickstart),
-        ("report", "run everything, emit markdown", _cmd_report),
-    ]
-    for name, help_text, func in bare:
-        command(commands, name, help_text, func, "--seed", "--duration")
+    for key in sorted(EXPERIMENTS):
+        command(commands, key, EXPERIMENTS[key], _cmd_experiment, "--seed")
+    command(commands, "list", "show experiment ids and subcommands", _cmd_list)
+    quickstart = command(
+        commands, "quickstart", "built-in demo", _cmd_quickstart, "--seed"
+    )
+    quickstart.add_argument(
+        "--duration", type=float, default=2.0, help="quickstart duration (s)"
+    )
+    report = command(
+        commands, "report", "render a run manifest as markdown", _cmd_report,
+        "--input",
+        description="Render a run manifest as markdown: one row per "
+        "experiment with the paper claim, the shape check's detail and its "
+        "verdict, plus an engine footer.",
+    )
+    report.set_defaults(input=_RUN_MANIFEST)
 
     run_all = command(
         commands, "run-all",

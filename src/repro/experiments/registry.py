@@ -7,8 +7,10 @@ and table numbering. Two views are exposed:
   kept for callers that only need the driver;
 * :data:`SPECS` — one :class:`ExperimentSpec` per experiment, carrying the
   orchestration metadata the parallel runner (``repro.runner``) consumes:
-  an expected runtime class, an optional sweep decomposition, and a shape
-  check. The metadata fields are documented in ``docs/architecture.md``.
+  an expected runtime class, an optional sweep decomposition and an
+  optional SLO spec. The metadata fields are documented in
+  ``docs/architecture.md``. An experiment's shape check is found by id
+  (``repro.experiments.shapecheck.check_<id>``), not listed here.
 
 All callables are referenced as ``"module:callable"`` strings so importing
 the registry never imports a driver; :func:`resolve_target` validates and
@@ -52,11 +54,6 @@ class ExperimentSpec:
         returns independent part tasks plus a merge function whose output
         is byte-identical to a monolithic driver call. ``None`` means the
         experiment runs as a single task.
-    check:
-        Optional ``"module:callable"`` reference to a shape check
-        (see ``repro.experiments.shapecheck``). Called with the merged
-        result, it returns ``(ok, detail)`` asserting the paper's headline
-        shape without re-running anything.
     slo:
         Optional repo-relative path to the experiment's default SLO spec
         (see ``repro.obs.slo`` and ``docs/observability.md``). ``run-all``
@@ -68,7 +65,6 @@ class ExperimentSpec:
     target: str
     runtime: str = "fast"
     sweep: Optional[str] = None
-    check: Optional[str] = None
     slo: Optional[str] = None
 
     def resolve(self) -> Callable:
@@ -86,90 +82,72 @@ class ExperimentSpec:
         return "seed" in signature.parameters
 
 
-def _spec(
-    experiment_id: str,
-    target: str,
-    runtime: str = "fast",
-    sweep: Optional[str] = None,
-    slo: Optional[str] = None,
-) -> ExperimentSpec:
-    """Build one spec; shape checks follow the ``check_<id>`` convention."""
-    return ExperimentSpec(
-        id=experiment_id,
-        target=target,
-        runtime=runtime,
-        sweep=sweep,
-        check=f"repro.experiments.shapecheck:check_{experiment_id}",
-        slo=slo,
-    )
-
-
 #: Experiment id -> full orchestration spec.
 SPECS: Dict[str, ExperimentSpec] = {
     spec.id: spec
     for spec in (
-        _spec("fig1", "repro.experiments.fig01_leakage:run_fig01"),
-        _spec(
+        ExperimentSpec("fig1", "repro.experiments.fig01_leakage:run_fig01"),
+        ExperimentSpec(
             "fig5",
             "repro.experiments.fig05_delay_sweep:run_fig05",
             runtime="medium",
             sweep="repro.experiments.sweeps:fig5_sweep",
         ),
-        _spec(
+        ExperimentSpec(
             "fig6a",
             "repro.experiments.fig06_traffic:run_fig06a",
             runtime="slow",
             sweep="repro.experiments.sweeps:fig6a_sweep",
             slo="slos/fig6a.json",
         ),
-        _spec(
+        ExperimentSpec(
             "fig6b",
             "repro.experiments.fig06_traffic:run_fig06b",
             runtime="medium",
             sweep="repro.experiments.sweeps:fig6b_sweep",
             slo="slos/fig6b.json",
         ),
-        _spec(
+        ExperimentSpec(
             "fig6c",
             "repro.experiments.fig06_traffic:run_fig06c",
             runtime="slow",
             sweep="repro.experiments.sweeps:fig6c_sweep",
             slo="slos/fig6c.json",
         ),
-        _spec(
+        ExperimentSpec(
             "fig7",
             "repro.experiments.fig06_traffic:run_fig07",
             runtime="medium",
             slo="slos/fig7.json",
         ),
-        _spec(
+        ExperimentSpec(
             "fig8",
             "repro.experiments.fig08_fairness:run_fig08",
             runtime="medium",
             sweep="repro.experiments.sweeps:fig8_sweep",
         ),
-        _spec("fig9", "repro.experiments.fig09_return_loss:run_fig09"),
-        _spec("fig10", "repro.experiments.fig10_rectifier:run_fig10"),
-        _spec("fig11", "repro.experiments.fig11_temperature:run_fig11"),
-        _spec(
+        ExperimentSpec("fig9", "repro.experiments.fig09_return_loss:run_fig09"),
+        ExperimentSpec("fig10", "repro.experiments.fig10_rectifier:run_fig10"),
+        ExperimentSpec("fig11", "repro.experiments.fig11_temperature:run_fig11"),
+        ExperimentSpec(
             "fig12",
             "repro.experiments.fig12_camera:run_fig12",
             slo="slos/fig12.json",
         ),
-        _spec("fig13", "repro.experiments.fig13_walls:run_fig13"),
-        _spec(
+        ExperimentSpec("fig13", "repro.experiments.fig13_walls:run_fig13"),
+        ExperimentSpec(
             "fig14",
             "repro.experiments.fig14_homes:run_fig14",
             sweep="repro.experiments.sweeps:fig14_sweep",
         ),
-        _spec(
+        ExperimentSpec(
             "fig15",
             "repro.experiments.fig15_home_sensor:run_fig15",
             slo="slos/fig15.json",
         ),
-        _spec("table1", "repro.experiments.table1_homes:run_table1"),
-        _spec("sec8a", "repro.experiments.sec8a_charger:run_sec8a"),
-        _spec(
+        ExperimentSpec("table1", "repro.experiments.table1_homes:run_table1"),
+        ExperimentSpec("sec8a", "repro.experiments.sec8a_charger:run_sec8a"),
+        ExperimentSpec(
             "sec8c",
             "repro.experiments.sec8c_multi_router:run_sec8c",
             runtime="medium",

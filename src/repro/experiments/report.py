@@ -1,265 +1,87 @@
-"""One-shot reproduction report: run every experiment, emit markdown.
+"""Markdown reproduction report, rendered from a run manifest.
 
-``python -m repro report`` (or :func:`generate_report`) runs a reduced-scale
-version of every paper experiment and renders a single markdown document
-with the regenerated numbers next to the paper's — a self-contained
-"does the reproduction still hold on this machine?" artifact.
+``python -m repro report --input run_manifest.json`` (or
+:func:`render_report`) turns the manifest a ``run-all`` wrote into one
+markdown document: a row per experiment with the paper claim its shape
+check asserts (the check's docstring), the check's detail or the
+experiment's error, its verdict and duration, and an engine footer from
+the per-part attribution profiles. Nothing is re-run: the verdicts are the
+ones :func:`repro.experiments.shapecheck.verdict` recorded in the manifest.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Any, Dict, List
 
-from repro.core.config import Scheme
-from repro.obs import runtime as obs_runtime
+from repro.errors import ObservabilityError
+from repro.experiments.shapecheck import find_check
+from repro.obs.profile import aggregate_rows, rows_from_manifest, sort_rows
 
-
-@dataclass
-class ReportSection:
-    """One experiment's contribution to the report."""
-
-    title: str
-    paper_claim: str
-    lines: List[str]
-    ok: bool
-    seconds: float
+#: Event kinds listed in the engine footer.
+FOOTER_KINDS = 5
 
 
-def _fig1() -> ReportSection:
-    from repro.experiments.fig01_leakage import run_fig01, run_fig01_powifi_contrast
-
-    result = run_fig01(duration_s=0.05)
-    contrast = run_fig01_powifi_contrast(duration_s=0.05)
-    return ReportSection(
-        title="Fig 1 — harvester voltage under a stock router",
-        paper_claim="never crosses 300 mV at 10 ft; PoWiFi would",
-        lines=[
-            f"stock peak {1e3 * result.peak_voltage_v:.0f} mV (crossed: {result.crossed_threshold}); "
-            f"PoWiFi peak {1e3 * contrast.peak_voltage_v:.0f} mV (crossed: {contrast.crossed_threshold})"
-        ],
-        ok=(not result.crossed_threshold) and contrast.crossed_threshold,
-        seconds=0.0,
-    )
+def _claim(experiment_id: str) -> str:
+    """The paper claim ``check_<experiment_id>`` asserts (its docstring)."""
+    try:
+        return (find_check(experiment_id).__doc__ or "").strip()
+    except KeyError:
+        return ""
 
 
-def _fig5() -> ReportSection:
-    from repro.experiments.fig05_delay_sweep import measure_occupancy
-
-    plateau = measure_occupancy(100.0, 5, duration_s=1.0)
-    shallow = measure_occupancy(100.0, 1, duration_s=1.0)
-    slow = measure_occupancy(1000.0, 5, duration_s=1.0)
-    return ReportSection(
-        title="Fig 5 — occupancy vs inter-packet delay/threshold",
-        paper_claim="~50 % plateau; threshold-1 lower; decay at large delay",
-        lines=[
-            f"plateau {100 * plateau:.1f} %, threshold-1 {100 * shallow:.1f} %, "
-            f"1000 us {100 * slow:.1f} %"
-        ],
-        ok=(0.4 < plateau < 0.6) and shallow < plateau and slow < 0.8 * plateau,
-        seconds=0.0,
-    )
+def _cell(text: Any) -> str:
+    """``text`` made safe for one markdown table cell."""
+    return " ".join(str(text).split()).replace("|", "\\|")
 
 
-def _fig6a() -> ReportSection:
-    from repro.experiments.fig06_traffic import run_udp_for_scheme
+def render_report(manifest: Dict[str, Any], source: str = "manifest") -> str:
+    """The markdown report of one run manifest (``source`` names it in errors).
 
-    kwargs = dict(rates_mbps=(20,), copies=1, run_seconds=1.0)
-    baseline = run_udp_for_scheme(Scheme.BASELINE, **kwargs).throughput_by_rate[20]
-    powifi = run_udp_for_scheme(Scheme.POWIFI, **kwargs).throughput_by_rate[20]
-    noqueue = run_udp_for_scheme(Scheme.NO_QUEUE, **kwargs).throughput_by_rate[20]
-    blind = run_udp_for_scheme(Scheme.BLIND_UDP, **kwargs).throughput_by_rate[20]
-    return ReportSection(
-        title="Fig 6a — UDP throughput per scheme (20 Mb/s offered)",
-        paper_claim="PoWiFi ~= Baseline; NoQueue ~half; BlindUDP floors",
-        lines=[
-            f"baseline {baseline:.1f} / powifi {powifi:.1f} / "
-            f"noqueue {noqueue:.1f} / blind {blind:.1f} Mb/s"
-        ],
-        ok=(abs(powifi - baseline) / baseline < 0.15)
-        and noqueue < 0.75 * baseline
-        and blind < 2.0,
-        seconds=0.0,
-    )
-
-
-def _fig9() -> ReportSection:
-    from repro.experiments.fig09_return_loss import run_fig09
-
-    free, recharging = run_fig09()
-    return ReportSection(
-        title="Fig 9 — harvester return loss",
-        paper_claim="< -10 dB across 2.401-2.473 GHz, both builds",
-        lines=[
-            f"battery-free worst {free.worst_in_band_db:.1f} dB; "
-            f"battery-recharging worst {recharging.worst_in_band_db:.1f} dB"
-        ],
-        ok=free.meets_spec and recharging.meets_spec,
-        seconds=0.0,
-    )
-
-
-def _fig10() -> ReportSection:
-    from repro.experiments.fig10_rectifier import run_fig10
-
-    free, recharging = run_fig10(input_powers_dbm=(-20, -10, 0, 4))
-    return ReportSection(
-        title="Fig 10 — rectifier output and sensitivity",
-        paper_claim="sensitivities -17.8 / -19.3 dBm; ~150 uW at +4 dBm",
-        lines=[
-            f"sensitivities {free.worst_sensitivity_dbm:.1f} / "
-            f"{recharging.worst_sensitivity_dbm:.1f} dBm; "
-            f"output at +4 dBm {1e6 * free.output_at(6, 4):.0f} uW"
-        ],
-        ok=abs(free.worst_sensitivity_dbm + 17.8) < 1.0
-        and abs(recharging.worst_sensitivity_dbm + 19.3) < 1.0,
-        seconds=0.0,
-    )
-
-
-def _fig11_12() -> ReportSection:
-    from repro.experiments.fig11_temperature import run_fig11
-    from repro.experiments.fig12_camera import run_fig12
-
-    temperature = run_fig11(distances_feet=(10, 20, 28))
-    camera = run_fig12(distances_feet=(10, 17, 23))
-    return ReportSection(
-        title="Figs 11/12 — sensor operating ranges",
-        paper_claim="temp 20/28 ft; camera 17/23+ ft",
-        lines=[
-            f"temperature {temperature.battery_free_range_feet:.1f} / "
-            f"{temperature.battery_recharging_range_feet:.1f} ft; "
-            f"camera {camera.battery_free_range_feet:.1f} / "
-            f"{camera.battery_recharging_range_feet:.1f} ft"
-        ],
-        ok=abs(temperature.battery_free_range_feet - 20) < 2.5
-        and abs(temperature.battery_recharging_range_feet - 28) < 2.5
-        and abs(camera.battery_free_range_feet - 17) < 2.0,
-        seconds=0.0,
-    )
-
-
-def _fig13() -> ReportSection:
-    from repro.experiments.fig13_walls import FIG13_MATERIALS, run_fig13
-
-    result = run_fig13()
-    times = [result.inter_frame_minutes[m] for m in FIG13_MATERIALS]
-    return ReportSection(
-        title="Fig 13 — camera through walls",
-        paper_claim="operational everywhere; time grows with absorption",
-        lines=[
-            ", ".join(
-                f"{m}={result.inter_frame_minutes[m]:.1f}min" for m in FIG13_MATERIALS
-            )
-        ],
-        ok=result.all_operational and times == sorted(times),
-        seconds=0.0,
-    )
-
-
-def _fig14_15() -> ReportSection:
-    from repro.experiments.fig14_homes import run_fig14
-    from repro.experiments.fig15_home_sensor import run_fig15
-
-    study = run_fig14(duration_s=12 * 3600.0)
-    sensor = run_fig15(study)
-    low, high = study.mean_cumulative_range
-    medians = [sensor.median(i) for i in sensor.samples_by_home]
-    return ReportSection(
-        title="Figs 14/15 — six-home deployment",
-        paper_claim="cumulative means 78-127 %; power delivered in every home",
-        lines=[
-            f"means {100 * low:.0f}-{100 * high:.0f} %; sensor medians "
-            f"{min(medians):.1f}-{max(medians):.1f} reads/s"
-        ],
-        ok=(0.6 < low < 1.1) and (0.9 < high < 1.6) and sensor.all_homes_deliver_power,
-        seconds=0.0,
-    )
-
-
-def _sec8() -> ReportSection:
-    from repro.experiments.sec8a_charger import run_sec8a
-    from repro.experiments.sec8c_multi_router import run_sec8c
-
-    charger = run_sec8a()
-    routers = run_sec8c(router_counts=(1, 2), duration_s=0.5)
-    return ReportSection(
-        title="§8 — charging hotspot and multi-router",
-        paper_claim="2.3 mA / 41 % in 2.5 h; aggregate occupancy stays high",
-        lines=[
-            f"charger {charger.average_current_ma:.2f} mA, "
-            f"{charger.charge_percent_after:.0f} % in 2.5 h; multi-router "
-            f"aggregate {100 * routers.aggregate_cumulative(2):.0f} %"
-        ],
-        ok=abs(charger.average_current_ma - 2.3) < 0.5
-        and routers.occupancy_stays_high,
-        seconds=0.0,
-    )
-
-
-_SECTIONS: List[Callable[[], ReportSection]] = [
-    _fig1,
-    _fig5,
-    _fig6a,
-    _fig9,
-    _fig10,
-    _fig11_12,
-    _fig13,
-    _fig14_15,
-    _sec8,
-]
-
-
-def generate_report(target: Optional[str] = None) -> str:
-    """Run every check and render the markdown report.
-
-    Parameters
-    ----------
-    target:
-        Optional path to write the report to.
+    An experiment reproduces when it has no error and its shape check did
+    not fail, the rule ``run-all`` counts its ``totals.ok`` by.
     """
-    obs_runtime.reset()
-    sections: List[ReportSection] = []
-    for build in _SECTIONS:
-        started = time.perf_counter()
-        section = build()
-        section.seconds = time.perf_counter() - started
-        sections.append(section)
-    passed = sum(1 for s in sections if s.ok)
+    entries = manifest.get("experiments")
+    if not isinstance(entries, list) or not all(
+        isinstance(entry, dict) and "id" in entry for entry in entries
+    ):
+        raise ObservabilityError(
+            f"{source}: not a run manifest (no experiments[] list of entries with an id)"
+        )
+    passed = 0
+    rows: List[str] = []
+    for entry in entries:
+        error = entry.get("error")
+        ok = error is None and entry.get("shape_ok") is not False
+        passed += ok
+        measured = entry.get("shape_detail") if error is None else error
+        rows.append(
+            f"| {entry['id']} | {_cell(_claim(entry['id']))} | "
+            f"{_cell(measured or '')} | {'✅' if ok else '❌'} | "
+            f"{float(entry.get('duration_s') or 0.0):.1f} |"
+        )
     lines = [
         "# PoWiFi reproduction report",
         "",
-        f"{passed}/{len(sections)} experiment groups reproduce the paper's claims.",
+        f"{passed}/{len(entries)} experiments reproduce the paper's claims.",
         "",
         "| experiment | paper claim | measured | ok | s |",
         "|---|---|---|---|---|",
+        *rows,
     ]
-    for section in sections:
-        measured = "; ".join(section.lines)
-        status = "✅" if section.ok else "❌"
-        lines.append(
-            f"| {section.title} | {section.paper_claim} | {measured} | "
-            f"{status} | {section.seconds:.1f} |"
-        )
-    engine = obs_runtime.aggregate_engine_stats()
-    if engine["simulators"]:
+    kinds = sort_rows(aggregate_rows(rows_from_manifest(manifest)))
+    if kinds:
+        dispatched = sum(row.count for row in kinds)
         lines += [
             "",
             "## Engine telemetry",
             "",
-            f"{engine['simulators']} simulators, "
-            f"{engine['dispatched']} events dispatched, "
-            f"{engine['cancelled']} cancelled, "
-            f"heap high-water {engine['heap_high_watermark']}.",
+            f"{dispatched} events dispatched over {len(kinds)} event kinds.",
             "",
-            "| callback | calls | wall s |",
-            "|---|---|---|",
+            "| event kind | component | calls | wall s |",
+            "|---|---|---|---|",
         ]
-        for row in obs_runtime.hot_callbacks(5):
-            lines.append(f"| {row['name']} | {row['count']} | {row['wall_s']:.3f} |")
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        with open(target, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return text
+        for row in kinds[:FOOTER_KINDS]:
+            lines.append(
+                f"| {row.kind} | {row.component} | {row.count} | {row.wall_s:.3f} |"
+            )
+    return "\n".join(lines) + "\n"

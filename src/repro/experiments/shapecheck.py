@@ -7,14 +7,16 @@ what factor, where crossovers fall), with tolerances wide enough to survive
 seed changes but tight enough to catch a broken mechanism.
 
 Every function returns ``(ok, detail)`` where ``detail`` is a one-line
-human-readable summary of the numbers checked; the parallel runner records
-both in ``run_manifest.json`` so a failed shape check names the offending
-quantity instead of just flagging the experiment.
+human-readable summary of the numbers checked, and its docstring states the
+paper claim it asserts. :func:`verdict` is the one entry point: ``run-all``
+records its answer in ``run_manifest.json`` (which ``repro report``
+renders), and ``repro <id>`` prints it, so a failed shape check names the
+offending quantity instead of just flagging the experiment.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, Callable, Tuple
 
 from repro.core.config import Scheme
 
@@ -22,12 +24,29 @@ from repro.core.config import Scheme
 CheckResult = Tuple[bool, str]
 
 
+def find_check(experiment_id: str) -> Callable[[Any], CheckResult]:
+    """The ``check_<experiment_id>`` function of this module."""
+    return globals()[f"check_{experiment_id}"]
+
+
+def verdict(experiment_id: str, result: Any) -> CheckResult:
+    """Judge ``result`` with its experiment's check; a check that raises fails."""
+    try:
+        ok, detail = find_check(experiment_id)(result)
+        return bool(ok), detail
+    except Exception as exc:  # a broken check must not sink the run
+        return False, f"shape check raised {type(exc).__name__}: {exc}"
+
+
 def check_fig1(result) -> CheckResult:
     """Stock-router harvester voltage stays below the 300 mV threshold."""
     peak_mv = 1e3 * result.peak_voltage_v
     ok = bool(result.samples) and 0.0 < result.peak_voltage_v < 0.300
     ok = ok and not result.crossed_threshold
-    return ok, f"peak {peak_mv:.0f} mV, crossed={result.crossed_threshold}"
+    return ok, (
+        f"received {result.received_power_dbm:.1f} dBm, peak {peak_mv:.1f} mV, "
+        f"crossed={result.crossed_threshold}"
+    )
 
 
 def check_fig5(result) -> CheckResult:
@@ -125,9 +144,8 @@ def check_fig9(result) -> CheckResult:
     """Return loss below -10 dB in band for both harvester builds."""
     free, recharging = result
     ok = free.meets_spec and recharging.meets_spec
-    return ok, (
-        f"worst in-band {free.worst_in_band_db:.1f} dB (free) / "
-        f"{recharging.worst_in_band_db:.1f} dB (recharging)"
+    return ok, "worst in-band " + " / ".join(
+        f"{r.worst_in_band_db:.1f} dB ({r.name})" for r in result
     )
 
 
@@ -142,7 +160,8 @@ def check_fig10(result) -> CheckResult:
     return ok, (
         f"sensitivities {free.worst_sensitivity_dbm:.1f} / "
         f"{recharging.worst_sensitivity_dbm:.1f} dBm, "
-        f"{1e6 * free.output_at(6, 4):.0f} uW at +4 dBm"
+        f"{1e6 * free.output_at(6, 4):.1f} / "
+        f"{1e6 * recharging.output_at(6, 4):.1f} uW at +4 dBm"
     )
 
 
@@ -152,10 +171,16 @@ def check_fig11(result) -> CheckResult:
         abs(result.battery_free_range_feet - 20) < 3.5
         and abs(result.battery_recharging_range_feet - 28) < 3.0
     )
-    return ok, (
+    detail = (
         f"ranges {result.battery_free_range_feet:.1f} / "
         f"{result.battery_recharging_range_feet:.1f} ft"
     )
+    if 10 in result.battery_free:
+        detail += (
+            f", {result.battery_free[10]:.2f} / "
+            f"{result.battery_recharging[10]:.2f} reads/s at 10 ft"
+        )
+    return ok, detail
 
 
 def check_fig12(result) -> CheckResult:
@@ -174,9 +199,8 @@ def check_fig13(result) -> CheckResult:
     """Camera operational through every wall; time grows with absorption."""
     times = list(result.inter_frame_minutes.values())
     ok = result.all_operational and times == sorted(times)
-    return ok, (
-        "inter-frame minutes "
-        + ", ".join(f"{m:.1f}" for m in result.inter_frame_minutes.values())
+    return ok, "inter-frame minutes " + ", ".join(
+        f"{name} {minutes:.1f}" for name, minutes in result.inter_frame_minutes.items()
     )
 
 
@@ -219,9 +243,6 @@ def check_sec8c(result) -> CheckResult:
     """Adding concurrent routers never collapses aggregate occupancy."""
     counts = sorted(result.by_count)
     ok = len(counts) >= 2 and result.occupancy_stays_high
-    return ok, (
-        "aggregate "
-        + " / ".join(
-            f"{100 * result.aggregate_cumulative(c):.0f} %" for c in counts
-        )
+    return ok, "aggregate by router count: " + ", ".join(
+        f"{c}: {100 * result.aggregate_cumulative(c):.1f} %" for c in counts
     )

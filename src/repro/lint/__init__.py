@@ -21,7 +21,7 @@ The package itself imports nothing: ``repro.cli`` imports
 loads the engine.
 
 Not to be confused with :mod:`repro.analysis`, which is the *statistics*
-module (CDFs, percentiles, report tables) used by the experiment drivers;
+module (CDFs, percentiles, grid bisection) used by the experiment drivers;
 ``repro.lint`` analyses the *source tree* and never runs at simulation time.
 The two are independent and can be imported side by side.
 """

@@ -189,17 +189,3 @@ def aggregate_engine_stats(stats_list: Optional[Sequence[Any]] = None) -> Dict[s
         "callback_sim_bounds": sim_bounds,
     }
 
-
-def hot_callbacks(limit: int = 10) -> List[Dict[str, Any]]:
-    """The costliest callbacks across tracked simulators, by wall-clock."""
-    merged = aggregate_engine_stats()
-    rows = [
-        {
-            "name": name,
-            "count": merged["callback_counts"].get(name, 0),
-            "wall_s": wall,
-        }
-        for name, wall in merged["callback_wall_s"].items()
-    ]
-    rows.sort(key=lambda row: row["wall_s"], reverse=True)
-    return rows[:limit]

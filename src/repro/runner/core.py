@@ -62,6 +62,7 @@ from repro.experiments.registry import (
     normalize_experiment_id,
     resolve_target,
 )
+from repro.experiments.shapecheck import verdict
 from repro.faults.plan import FaultPlan
 from repro.obs import runtime as obs_runtime
 from repro.runner.cache import (
@@ -264,18 +265,6 @@ def resolve_ids(ids: Optional[Sequence[str]]) -> List[str]:
         if key not in requested:
             requested.append(key)
     return [key for key in SPECS if key in requested]
-
-
-def _shape_check(spec: ExperimentSpec, result: Any) -> Tuple[Optional[bool], str]:
-    """Run the experiment's shape check, reporting its own failures."""
-    if spec.check is None:
-        return None, ""
-    try:
-        check = resolve_target(spec.check)
-        ok, detail = check(result)
-        return bool(ok), detail
-    except Exception as exc:  # a broken check must not sink the run
-        return False, f"shape check raised {type(exc).__name__}: {exc}"
 
 
 def run_all(
@@ -502,7 +491,7 @@ def run_all(
             run.result_sha256 = hashlib.sha256(
                 pickle.dumps(run.result, protocol=pickle.HIGHEST_PROTOCOL)
             ).hexdigest()
-            run.shape_ok, run.shape_detail = _shape_check(plan.spec, run.result)
+            run.shape_ok, run.shape_detail = verdict(run.id, run.result)
             run.domain = slo_mod.domain_metrics(run.id, run.result)
         runs.append(run)
         # Online SLO evaluation: verdicts are journaled the moment the

@@ -1,18 +1,8 @@
-"""Tests for the shared statistics/reporting helpers."""
-
-import io
+"""Tests for the shared statistics helpers."""
 
 import pytest
 
-from repro.analysis import (
-    SampleSummary,
-    TextTable,
-    empirical_cdf,
-    mean,
-    percentile,
-    series_to_csv,
-    summarize,
-)
+from repro.analysis import empirical_cdf, percentile
 from repro.errors import ConfigurationError
 
 
@@ -47,93 +37,3 @@ class TestPercentile:
             percentile([], 50)
         with pytest.raises(ConfigurationError):
             percentile([1.0], 101)
-
-
-class TestSummaries:
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_mean_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean([])
-
-    def test_summarize(self):
-        summary = summarize(list(range(101)))
-        assert summary.count == 101
-        assert summary.median == pytest.approx(50.0)
-        assert summary.p10 == pytest.approx(10.0)
-        assert summary.p90 == pytest.approx(90.0)
-        assert summary.minimum == 0 and summary.maximum == 100
-
-    def test_summarize_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            summarize([])
-
-
-class TestTextTable:
-    def test_alignment(self):
-        table = TextTable(["scheme", "Mb/s"])
-        table.add_row(["baseline", 17.123])
-        table.add_row(["blind_udp", 0.4])
-        rendered = table.render()
-        lines = rendered.splitlines()
-        assert lines[0].startswith("scheme")
-        assert "17.1" in lines[1]
-        assert "0.4" in lines[2]
-
-    def test_row_width_validation(self):
-        table = TextTable(["a", "b"])
-        with pytest.raises(ConfigurationError):
-            table.add_row([1])
-
-    def test_empty_headers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TextTable([])
-
-    def test_mixed_types(self):
-        table = TextTable(["k", "v"])
-        table.add_row(["count", 3])
-        assert "3" in table.render()
-
-
-class TestCsv:
-    def test_string_output(self):
-        text = series_to_csv({"t": [0.0, 60.0], "occ": [0.9, 1.1]})
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,occ"
-        assert lines[1] == "0,0.9"
-
-    def test_stream_output(self):
-        stream = io.StringIO()
-        series_to_csv({"x": [1.0]}, stream)
-        assert stream.getvalue().startswith("x")
-
-    def test_file_output(self, tmp_path):
-        path = str(tmp_path / "log.csv")
-        series_to_csv({"x": [1.0, 2.0]}, path)
-        with open(path) as handle:
-            assert handle.readline().strip() == "x"
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            series_to_csv({"a": [1.0], "b": [1.0, 2.0]})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            series_to_csv({})
-
-    def test_home_log_round_trip(self):
-        """Export a real home deployment log and parse it back."""
-        import csv as csv_module
-
-        from repro.workloads.homes import HOME_DEPLOYMENTS, HomeDeployment
-
-        deployment = HomeDeployment(HOME_DEPLOYMENTS[1], duration_s=3600.0)
-        deployment.run()
-        series = deployment.occupancy_series()
-        text = series_to_csv(
-            {f"ch{ch}": s.samples for ch, s in series.items()}
-        )
-        rows = list(csv_module.reader(io.StringIO(text)))
-        assert rows[0] == ["ch1", "ch6", "ch11"]
-        assert len(rows) == 61  # header + 60 windows

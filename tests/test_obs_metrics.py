@@ -282,8 +282,6 @@ class TestRuntimeAggregation:
         assert merged["simulators"] == 2
         assert merged["dispatched"] == 2
         assert merged["callback_counts"]["tick"] == 2
-        hot = obs_runtime.hot_callbacks()
-        assert hot and hot[0]["name"] == "tick"
 
     def test_configure_disabled_turns_profiling_off(self):
         obs_runtime.configure(enabled=False)

@@ -385,6 +385,21 @@ class TestProfileCli:
         )
         assert "tick" in capsys.readouterr().out
 
+    def test_metrics_input_without_engine_record_exits_two(self, tmp_path, capsys):
+        from repro.cli import main
+
+        # What run-all writes to run_metrics.jsonl: instruments, no engine record.
+        path = tmp_path / "run_metrics.jsonl"
+        path.write_text(
+            json.dumps({"type": "counter", "name": "runner.cache.hits", "value": 1})
+            + "\n"
+        )
+        assert main(["metrics", "--input", str(path), "--top", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"metrics: no attribution data in {path} ")
+        assert "profile --input run_manifest.json" in captured.err
+
     def test_unreadable_input_exits_two(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,4 +1,5 @@
-"""Registry specs: target validation, metadata consistency, seed routing."""
+"""Registry specs: target validation, metadata consistency, seed routing,
+and the shape-check verdict found by experiment id."""
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.experiments.registry import (
     get_spec,
     resolve_target,
 )
+from repro.experiments import shapecheck
+from repro.experiments.shapecheck import find_check, verdict
 
 
 class TestTargetValidation:
@@ -68,8 +71,7 @@ class TestSpecConsistency:
 
     def test_every_shape_check_resolves(self):
         for spec in SPECS.values():
-            assert spec.check is not None, spec.id
-            assert callable(resolve_target(spec.check)), spec.id
+            assert callable(find_check(spec.id)), spec.id
 
     def test_every_sweep_factory_builds_a_plan(self):
         decomposed = set()
@@ -91,3 +93,20 @@ class TestSeedRouting:
         assert get_spec("fig5").accepts_seed()
         assert not get_spec("fig13").accepts_seed()
         assert not get_spec("table1").accepts_seed()
+
+
+class TestVerdict:
+    def test_passing_check_gives_its_detail(self):
+        ok, detail = verdict("table1", get_experiment("table1")())
+        assert (ok, detail) == (True, "matches_paper=True")
+
+    def test_raising_check_is_a_failed_verdict(self, monkeypatch):
+        def broken(result):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(shapecheck, "check_fig9", broken)
+        assert verdict("fig9", None) == (False, "shape check raised RuntimeError: boom")
+
+    def test_truthy_ok_becomes_a_bool(self, monkeypatch):
+        monkeypatch.setattr(shapecheck, "check_fig9", lambda result: (1, "one"))
+        assert verdict("fig9", None) == (True, "one")

@@ -1,4 +1,4 @@
-"""Trace file format and the one-shot reproduction report."""
+"""Trace file format and the markdown report rendered from a run manifest."""
 
 import io
 
@@ -106,20 +106,100 @@ class TestReplay:
         assert 0.3 < result.mean_rate_hz < 10.0
 
 
+@pytest.fixture(scope="module")
+def manifest():
+    from repro.runner import run_all
+    from repro.runner.manifest import build_manifest
+
+    return build_manifest(
+        run_all(ids=["fig9", "table1", "fig13"], jobs=1, use_cache=False)
+    )
+
+
+def _rows(text):
+    """The report's per-experiment table rows."""
+    return [
+        line for line in text.splitlines() if line.startswith(("| fig", "| table"))
+    ]
+
+
 class TestReproductionReport:
-    def test_generate_report_passes_everything(self, tmp_path):
-        from repro.experiments.report import generate_report
+    def test_generate_report_passes_everything(self, manifest):
+        from repro.experiments.report import render_report
+        from repro.experiments.shapecheck import check_fig9
 
-        path = str(tmp_path / "report.md")
-        text = generate_report(path)
+        text = render_report(manifest)
         assert "PoWiFi reproduction report" in text
-        assert "9/9" in text
-        with open(path) as handle:
-            assert handle.read() == text
+        assert "3/3 experiments reproduce" in text
+        rows = _rows(text)
+        ids = [row.split("|")[1].strip() for row in rows]
+        assert ids == ["fig9", "fig13", "table1"]
+        assert all("✅" in row for row in rows)
+        fig9 = rows[0].split("|")
+        assert fig9[2].strip() == check_fig9.__doc__.strip()
+        assert fig9[3].strip() == manifest["experiments"][0]["shape_detail"]
 
-    def test_cli_report_command(self, capsys):
+    def test_failed_check_and_error_render_as_failures(self, manifest):
+        import copy
+
+        from repro.experiments.report import render_report
+
+        edited = copy.deepcopy(manifest)
+        edited["experiments"][0]["shape_ok"] = False
+        edited["experiments"][1].update(
+            shape_ok=None, shape_detail="", error="fig13: boom | twice"
+        )
+        text = render_report(edited)
+        assert "1/3 experiments reproduce" in text
+        assert text.count("❌") == 2
+        assert "fig13: boom \\| twice" in _rows(text)[1]
+
+    def test_engine_footer_from_manifest_profiles(self, manifest):
+        import copy
+
+        from repro.experiments.report import render_report
+
+        assert "Engine telemetry" not in render_report(manifest)  # analytic ids
+        edited = copy.deepcopy(manifest)
+        profile = {
+            kind: {"component": "m.C", "count": count, "wall_s": wall}
+            for kind, count, wall in (("tick", 3, 0.1), ("tock", 1, 0.4))
+        }
+        edited["experiments"][0]["parts"][0]["engine"]["profile"] = profile
+        edited["experiments"][1]["parts"][0]["engine"]["profile"] = profile
+        text = render_report(edited)
+        assert "8 events dispatched over 2 event kinds." in text
+        footer = text.split("## Engine telemetry")[1].splitlines()
+        assert [line for line in footer if line.startswith("| t")] == [
+            "| tock | m.C | 2 | 0.800 |",
+            "| tick | m.C | 6 | 0.200 |",
+        ]
+
+    def test_cli_report_command(self, manifest, tmp_path, capsys):
+        import json
+
         from repro.cli import main
 
-        assert main(["report"]) == 0
+        path = tmp_path / "run_manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["report", "--input", str(path)]) == 0
         out = capsys.readouterr().out
         assert "reproduction report" in out
+        assert len(_rows(out)) == 3
+
+    def test_missing_or_malformed_manifest_exits_two(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["report"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "report: cannot read run_manifest.json: "
+        )
+        (tmp_path / "list.json").write_text("[1]")
+        assert main(["report", "--input", "list.json"]) == 2
+        assert "list.json: malformed JSON" in capsys.readouterr().err
+        (tmp_path / "bare.json").write_text('{"experiments": [{}]}')
+        assert main(["report", "--input", "bare.json"]) == 2
+        assert "bare.json: not a run manifest" in capsys.readouterr().err
