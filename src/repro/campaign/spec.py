@@ -30,6 +30,7 @@ from ``.repro_cache/`` instead of recomputing.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import itertools
@@ -47,6 +48,10 @@ CAMPAIGN_SCHEMA_VERSION = 1
 
 #: Directory the lint walk (and convention) expects campaign specs in.
 DEFAULT_SPEC_DIR = "campaigns"
+
+#: ``(spec, fingerprint)`` expansions kept per process. A process runs a
+#: handful of specs, each against the one fingerprint of its source.
+_EXPANSION_CACHE_SIZE = 8
 
 
 def _axis_value_text(value: Any) -> str:
@@ -147,8 +152,18 @@ class CampaignSpec:
         Entries in spec order, axis combinations in grid order, seeds in
         listed order; drivers that take no seed collapse the replicate
         dimension to one point. Equal ``(spec, fingerprint)`` always yields
-        the equal point list — resume and fresh runs agree byte-for-byte.
+        the equal point list — resume and fresh runs agree byte-for-byte —
+        so the expansion is computed once per pair and each call gets a
+        fresh list of the same frozen points.
         """
+        try:
+            hash(self)
+        except TypeError:  # a list- or object-valued axis value
+            return self._points(fingerprint)
+        return list(_expansion(self, fingerprint))
+
+    def _points(self, fingerprint: str) -> List[CampaignPoint]:
+        """The uncached expansion behind :meth:`expand`."""
         points: List[CampaignPoint] = []
         seen: Dict[str, str] = {}
         for entry in self.entries:
@@ -195,6 +210,11 @@ class CampaignSpec:
                     seen[point.point_id] = point.key
                     points.append(point)
         return points
+
+
+@functools.lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
+def _expansion(spec: CampaignSpec, fingerprint: str) -> Tuple[CampaignPoint, ...]:
+    return tuple(spec._points(fingerprint))
 
 
 def _driver_axis_names(experiment_id: str) -> Tuple[Optional[frozenset], bool]:

@@ -1183,15 +1183,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``python -m repro``."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    commands = {path: sub for path, _, sub in walk_commands(parser)}
     if argv and not argv[0].startswith("-"):
         # Experiment ids are subcommands; zero padding normalises onto them.
         key = normalize_experiment_id(argv[0])
-        if key not in {path for path, _, _ in walk_commands(parser)}:
+        if key not in commands:
             print(f"unknown experiment {argv[0]!r}; try 'list'", file=sys.stderr)
             return 2
         argv[0] = key
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # Report leftovers from the subcommand that was given them, so
+            # the usage line names its flags, not the root's.
+            leaf = parser
+            for depth in range(1, len(argv) + 1):
+                path = " ".join(argv[:depth])
+                if path not in commands:
+                    break
+                leaf = commands[path]
+            leaf.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # --help, or a usage error argparse printed
         return exc.code
     command = args.command

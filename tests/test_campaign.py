@@ -98,6 +98,42 @@ class TestSpecExpansion:
             {p.key for p in first}
         )
 
+    def test_expansion_is_computed_once_per_spec_and_fingerprint(
+        self, spec, monkeypatch
+    ):
+        from repro.campaign.spec import CampaignSpec
+
+        expanded = []
+        points = CampaignSpec._points
+
+        def counting(self, fingerprint):
+            expanded.append(fingerprint)
+            return points(self, fingerprint)
+
+        monkeypatch.setattr(CampaignSpec, "_points", counting)
+        first = spec.expand("once")
+        first.append("caller's own list")
+        second = spec.expand("once")
+        assert second is not first
+        assert second == points(spec, "once")
+        assert expanded == ["once"]
+        # A different code fingerprint still re-addresses every point.
+        other = spec.expand("twice")
+        assert expanded == ["once", "twice"]
+        assert {p.key for p in other}.isdisjoint({p.key for p in second})
+
+    def test_unhashable_axis_values_expand_uncached(self):
+        spec = parse_campaign_spec(
+            {
+                "campaign": "lists",
+                "experiments": [
+                    {"experiment": "fig12", "axes": {"occupancy": [[0.4]]}}
+                ],
+            }
+        )
+        assert [p.label for p in spec.expand("fp")] == ["fig12:occupancy=[0.4]"]
+        assert spec.expand("fp") == spec.expand("fp")
+
     def test_seedless_drivers_collapse_the_replicate_dimension(self):
         data = dict(SPEC_DATA, seeds=[0, 1, 2])
         spec = parse_campaign_spec(data)
@@ -376,6 +412,46 @@ class TestRunCampaign:
         board = render_board(fold_journal(path))
         assert "run done: ok=3 quarantined=0" in board
 
+    def test_two_runs_write_identical_compact_manifests(self, spec, workdir):
+        paths = []
+        for tag in ("a", "b"):
+            result = _run(spec, workdir / tag)
+            path = write_manifest(workdir / f"{tag}.json", result.manifest)
+            assert json.loads(path.read_text()) == result.manifest
+            paths.append(path)
+        text = paths[0].read_text()
+        assert paths[1].read_text() == text
+        # Sorted keys, no indentation: one line plus the trailing newline.
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+    def test_default_slos_judge_only_axis_free_points(self, workdir):
+        spec = parse_campaign_spec(
+            {
+                "campaign": "slo-scope",
+                "experiments": [
+                    {"experiment": "fig12", "axes": {"occupancy": [0.4]}},
+                    {"experiment": "fig12"},
+                ],
+            }
+        )
+        result = _run(spec, workdir)
+        by_part = {o.point.part: o for o in result.outcomes}
+        assert by_part["occupancy=0.4"].slo_rows == []
+        assert by_part["all"].slo_rows  # fig12's registry default applies
+        slo = {p["part"]: p["slo"] for p in result.manifest["points"]}
+        assert slo["occupancy=0.4"] == [] and slo["all"]
+        done = {}
+        for line in (workdir / "campaign.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if record["type"] == "point.done":
+                done[record["point"]] = record
+        assert "slo_violated" not in done["fig12:occupancy=0.4"]
+        assert done["fig12:all"]["slo_violated"] == 0
+        rows = {row["part"]: row for row in point_rows(result.manifest)}
+        assert not any(key.startswith("slo.") for key in rows["occupancy=0.4"])
+        assert rows["all"]["slo.violated"] == 0
+
     def test_manifest_is_pure_no_walls_attempts_or_cache_flags(self, spec, workdir):
         result = _run(spec, workdir)
         payload = json.dumps(result.manifest)
@@ -620,7 +696,8 @@ class TestResultsQuery:
         assert by_point["fig12:occupancy=0.4"]["axis.occupancy"] == 0.4
         fig12 = by_point["fig12:occupancy=0.4"]
         assert any(key.startswith("camera.") for key in fig12)
-        assert "slo.ok" in fig12 or "slo.violated" in fig12
+        # A swept point is off the defaults its SLO thresholds were set for.
+        assert not any(key.startswith("slo.") for key in fig12)
         table = render_rows(rows)
         assert "axis.occupancy" in table.splitlines()[0]
         csv_text = rows_to_csv(rows)

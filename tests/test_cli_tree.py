@@ -30,6 +30,22 @@ def test_help_and_list_name_every_subcommand(capsys):
             assert f"\n    {path} " in help_text or f"\n    {path}\n" in help_text, path
 
 
+@pytest.mark.parametrize(
+    "argv, leaf, extras",
+    [
+        (["fig5", "--duration", "9"], "fig5", "--duration 9"),
+        (["fig05", "--duration", "9"], "fig5", "--duration 9"),
+        (["campaign", "run", "--spec", "x.json", "--bogus"], "campaign run", "--bogus"),
+        (["list", "--seed", "3"], "list", "--seed 3"),
+    ],
+)
+def test_unknown_flags_report_the_subcommand_usage(argv, leaf, extras, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: repro {leaf} ["), err
+    assert f"repro {leaf}: error: unrecognized arguments: {extras}" in err
+
+
 RUN_FLAGS = [
     "--seed", "4", "--jobs", "3", "--no-cache", "--cache-dir", "cc",
     "--retries", "2", "--task-timeout", "7.5",

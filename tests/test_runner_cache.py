@@ -1,5 +1,7 @@
 """Runner cache layer: key construction, store semantics, fingerprinting."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.runner.cache import (
@@ -109,6 +111,27 @@ class TestCodeFingerprint:
         before = code_fingerprint(package)
         (package / "__pycache__" / "junk.py").write_text("x = 1\n")
         assert code_fingerprint(package) == before
+
+
+class TestPackageFingerprint:
+    def test_running_package_is_read_once_per_process(self, monkeypatch):
+        import repro
+        from repro.runner import cache as cache_mod
+
+        walks = []
+        walk = cache_mod._hash_sources
+
+        def counting(root):
+            walks.append(root)
+            return walk(root)
+
+        monkeypatch.setattr(cache_mod, "_PACKAGE_FINGERPRINT", None)
+        monkeypatch.setattr(cache_mod, "_hash_sources", counting)
+        first = code_fingerprint()
+        assert code_fingerprint() == code_fingerprint() == first
+        package = Path(repro.__file__).resolve().parent
+        assert walks == [package]
+        assert first == walk(package)
 
 
 class TestResultCache:
