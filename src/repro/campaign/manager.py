@@ -6,10 +6,12 @@ produce numbers: :func:`run_campaign` below and
 ready-time queue, submission bounded to one running and one queued task
 per worker, the deadline watchdog (a queued task's deadline starts when a
 worker frees up for it), seeded-backoff retries, the pool rebuild and every
-per-unit journal record (lease, heartbeat, retry, done, quarantined); each
-caller supplies only its policy as :class:`DispatchHooks`. :func:`probe`,
-shared by the same two callers, opens the journal generation, fires the
-cache faults, replays cache hits and builds the :class:`Dispatch` list.
+per-unit journal record (lease, heartbeat, retry, done, quarantined) and
+every result cache write. :func:`probe`, shared by the same two callers,
+opens the journal generation, fires the cache faults and replays cache
+hits. Both hand each result, cached or executed, to the caller's one
+``finish`` callback; the :class:`Dispatch` units are the per-unit record
+the callers read afterwards (attempts, failure, cache hit, wall, engine).
 
 :func:`run_campaign` drives it over a campaign grid:
 
@@ -36,7 +38,6 @@ cache faults, replays cache hits and builds the :class:`Dispatch` list.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import pickle
@@ -63,8 +64,13 @@ from repro.faults.plan import FaultDirective, FaultPlan, WORKER_FAULT_POINTS
 from repro.obs import runtime as obs_runtime
 from repro.obs import slo as slo_mod
 from repro.runner.backoff import backoff_s
-from repro.runner.cache import DEFAULT_CACHE_DIR, ResultCache, code_fingerprint
-from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
+from repro.runner.cache import (
+    DEFAULT_CACHE_DIR,
+    ResultCache,
+    code_fingerprint,
+    result_sha256,
+)
+from repro.runner.tasks import SpanContext, TaskSpec, execute_task
 
 #: Progress callback type: receives one formatted line per event.
 ProgressFn = Callable[[str], None]
@@ -135,7 +141,7 @@ class _InterruptGuard:
 
 @dataclass(eq=False)
 class Dispatch:
-    """One schedulable unit's bookkeeping: a run-all part or a campaign point."""
+    """One schedulable unit's record: a run-all part or a campaign point."""
 
     #: The driver call; faults, attempt and telemetry are set per attempt.
     task: TaskSpec
@@ -160,6 +166,13 @@ class Dispatch:
     #: ``pool_broken`` / ``interrupted``); ``None`` unless the unit failed.
     failure_kind: Optional[str] = None
     error: Optional[str] = None
+    #: Served from the result cache without executing.
+    cached: bool = False
+    #: The successful attempt's driver wall clock (0.0 unless executed).
+    wall_s: float = 0.0
+    #: The successful attempt's engine profile: worker-local aggregate for
+    #: pool tasks, tracked-simulator delta in-process, ``{}`` unless executed.
+    engine: Dict[str, Any] = field(default_factory=dict)
     #: ``perf_counter`` timestamp before which a retry must not re-submit
     #: (seeded backoff; 0.0 = immediately eligible).
     ready_at: float = 0.0
@@ -174,32 +187,10 @@ class Dispatch:
 #: Extra fields a caller adds to a unit's ``point.done`` record.
 DoneFields = Optional[Dict[str, Any]]
 
-
-@dataclass
-class DispatchHooks:
-    """A caller's policy around :func:`dispatch`."""
-
-    #: ``task`` or ``point``: the unit named in progress lines.
-    noun: str
-    #: A successful attempt's outcome; returns extra ``point.done`` fields.
-    done: Callable[[Dispatch, TaskOutcome], DoneFields]
-    #: The unit spent its attempt budget (``failure_kind``/``error`` set).
-    failed: Callable[[Dispatch], None]
-
-
-def bind_faults(
-    fault_plan: Optional[FaultPlan], labels: List[str]
-) -> Tuple[Dict[str, Tuple[FaultDirective, ...]], List[Dict[str, Any]]]:
-    """Bind a plan's directives to ``labels``: the assignment, one event each."""
-    if fault_plan is None:
-        return {}, []
-    assignment = fault_plan.assign(labels)
-    events = [
-        {"point": directive.point, "task": label, "param": directive.param}
-        for label in sorted(assignment)
-        for directive in assignment[label]
-    ]
-    return assignment, events
+#: A caller's hook for one unit's result, cached or executed; the unit's
+#: ``cached``, ``wall_s``, ``engine`` and ``attempts`` are already set.
+#: Returns extra ``point.done`` fields.
+FinishFn = Callable[[Dispatch, Any], DoneFields]
 
 
 def worker_count(jobs: Optional[int], pending: int) -> int:
@@ -235,7 +226,7 @@ def probe(
     cache: Optional[ResultCache],
     fault_plan: Optional[FaultPlan],
     emit: ProgressFn,
-    hit: Callable[[Dispatch, Any, bool], DoneFields],
+    finish: FinishFn,
     prior: Optional[JournalState] = None,
     **header: Any,
 ) -> Tuple[List[Dispatch], List[Dict[str, Any]]]:
@@ -247,15 +238,23 @@ def probe(
     ``prior`` journal quarantined is left out. Any other bound fault forces
     execution (a directive that never fires tests nothing: worker faults
     fire in ``execute_task``, lease-scoped ones only on a granted lease) and
-    is set on the unit. A cache hit goes to ``hit(unit, value, replayed)``
-    and is journaled ``point.done cached=True`` with the fields ``hit``
-    returns, unless ``replayed`` (the prior journal already finished it).
+    is set on the unit. A cache hit is marked ``cached``, goes to
+    ``finish(unit, value)`` and is journaled ``point.done cached=True`` with
+    the fields ``finish`` returns, unless the prior journal already
+    finished it.
     """
     prior = prior if prior is not None else JournalState()
     registry = obs_runtime.get_registry()
     hits = registry.counter("runner.cache.hits")
     misses = registry.counter("runner.cache.misses")
-    assignment, fault_events = bind_faults(fault_plan, [u.label for u in units])
+    assignment = {} if fault_plan is None else fault_plan.assign(
+        [unit.label for unit in units]
+    )
+    fault_events = [
+        {"point": directive.point, "task": label, "param": directive.param}
+        for label in sorted(assignment)
+        for directive in assignment[label]
+    ]
     journal.append(
         "campaign.open",
         **header,
@@ -284,9 +283,9 @@ def probe(
             drained = len(cache.quarantine_events)
             if found:
                 hits.inc()
-                replayed = unit.key in prior.done
-                fields = hit(unit, value, replayed) or {}
-                if not replayed:
+                unit.cached = True
+                fields = finish(unit, value) or {}
+                if unit.key not in prior.done:
                     # A replayed unit already has its terminal record; a
                     # second one would only fold as a stale duplicate.
                     journal.append(
@@ -378,8 +377,10 @@ def _pop_ready(queue: Deque[Dispatch]) -> Optional[Dispatch]:
 
 def dispatch(
     states: List[Dispatch],
-    hooks: DispatchHooks,
+    finish: FinishFn,
     *,
+    noun: str,
+    cache: Optional[ResultCache],
     jobs: int,
     seed: int,
     retries: int,
@@ -412,9 +413,12 @@ def dispatch(
     ``running`` set when a free worker starts its deadline at once; every
     ``heartbeat_s`` the loop appends ``point.heartbeat`` for each unit in
     flight, with ``running`` set once its deadline has started. A requeued
-    attempt appends ``point.retry``, a result ``point.done`` (plus the
-    fields ``hooks.done`` returns), a spent attempt budget
-    ``point.quarantined``.
+    attempt appends ``point.retry``. A result is stored in ``cache``, handed
+    to ``finish`` and appended as ``point.done`` (plus the fields ``finish``
+    returns), in that order. A spent attempt budget sets the unit's
+    ``failure_kind``/``error``, appends ``point.quarantined`` and emits one
+    ``[quarantine]`` line. ``noun`` (``task`` or ``point``) names the unit
+    in progress lines.
     """
     registry = obs_runtime.get_registry()
     spans = obs_runtime.get_spans()
@@ -444,7 +448,7 @@ def dispatch(
         nonlocal pool
         registry.counter("runner.pool.rebuilds").inc()
         emit(
-            f"[pool] rebuilding worker pool ({requeued} {hooks.noun}(s) requeued)"
+            f"[pool] rebuilding worker pool ({requeued} {noun}(s) requeued)"
         )
         _shutdown_pool(pool, terminate=True)
         pool = None
@@ -551,7 +555,10 @@ def dispatch(
             attempts=state.attempts,
             error=f"{kind}: {message}",
         )
-        hooks.failed(state)
+        emit(
+            f"[quarantine] {state.label} after {state.attempts} attempt(s): "
+            f"{kind}: {message}"
+        )
 
     def _heartbeat() -> None:
         """Journal liveness for every unit in flight, on a fixed cadence."""
@@ -606,7 +613,7 @@ def dispatch(
                         _fail(
                             state,
                             "pool_broken",
-                            f"worker process died mid-{hooks.noun} "
+                            f"worker process died mid-{noun} "
                             f"({type(exc).__name__})",
                         )
                     except Exception as exc:
@@ -614,7 +621,18 @@ def dispatch(
                     else:
                         completed += 1
                         spans.adopt(outcome.spans)
-                        fields = hooks.done(state, outcome) or {}
+                        # A worker's retention-cap losses are this run's.
+                        spans.dropped += outcome.spans_dropped
+                        state.wall_s = outcome.wall_s
+                        state.engine = outcome.engine
+                        registry.histogram(
+                            "runner.part.wall_s",
+                            experiment=state.task.experiment_id,
+                        ).observe(outcome.wall_s)
+                        registry.counter("runner.parts.executed").inc()
+                        if cache is not None:
+                            cache.put(state.key, outcome.result)
+                        fields = finish(state, outcome.result) or {}
                         _journal(
                             "point.done",
                             state,
@@ -624,7 +642,7 @@ def dispatch(
                             **fields,
                         )
                         emit(
-                            f"[{hooks.noun} {completed}/{len(states)}] "
+                            f"[{noun} {completed}/{len(states)}] "
                             f"{state.label} {outcome.wall_s:.2f}s"
                             + (
                                 f" (attempt {state.attempts})"
@@ -670,7 +688,7 @@ def dispatch(
                             _fail(
                                 state,
                                 "pool_broken",
-                                f"worker pool broke while {hooks.noun} "
+                                f"worker pool broke while {noun} "
                                 "was in flight",
                             )
                         else:
@@ -690,11 +708,9 @@ def dispatch(
         interrupted = guard.triggered
 
     if interrupted:
-        unfinished = set(queue) | set(in_flight.values())
-        for state in states:
-            if state in unfinished:
-                state.failure_kind = "interrupted"
-                state.error = "interrupted before completion"
+        for state in set(queue) | set(in_flight.values()):
+            state.failure_kind = "interrupted"
+            state.error = "interrupted before completion"
     return interrupted
 
 
@@ -893,25 +909,21 @@ def run_campaign(
     outcomes: Dict[str, PointOutcome] = {}  # key -> outcome
     point_of: Dict[str, CampaignPoint] = {p.key: p for p in points}
 
-    def _finish(
-        point: CampaignPoint, result: Any, *, cached: bool, replayed: bool,
-        wall_s: float, attempts: int,
-    ) -> DoneFields:
-        sha = hashlib.sha256(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
+    def _finish(unit: Dispatch, result: Any) -> DoneFields:
+        # Only the hash and the domain metrics outlive the call: a sweep
+        # must not hold every driver result until it ends.
+        point = point_of[unit.key]
         domain = slo_mod.domain_metrics(point.experiment, result)
         slo_rows = [] if point.axes else slo_mod.evaluate_specs(
             slo_specs.get(point.experiment, []), {point.experiment: domain}
         )
         outcomes[point.key] = PointOutcome(
             point=point,
-            status="ok",
-            cached=cached,
-            replayed=replayed,
-            result_sha256=sha,
-            wall_s=wall_s,
-            attempts=attempts,
+            cached=unit.cached,
+            replayed=unit.cached and unit.key in prior.done,
+            result_sha256=result_sha256(result),
+            wall_s=unit.wall_s,
+            attempts=unit.attempts,
             domain=domain,
             slo_rows=slo_rows,
         )
@@ -919,70 +931,31 @@ def run_campaign(
             return None
         return {"slo_violated": _violated(slo_rows)}
 
-    def _quarantined(point: CampaignPoint, attempts: int, error: str,
-                     replayed: bool) -> None:
-        outcomes[point.key] = PointOutcome(
-            point=point,
-            status="quarantined",
-            replayed=replayed,
-            attempts=attempts,
-            error=error,
-        )
-
-    for point in points:
-        record = prior.quarantined.get(point.key)
-        if record is not None:
-            _quarantined(
-                point,
-                attempts=int(record.get("attempts", 0) or 0),
-                error=str(record.get("error", "quarantined")),
-                replayed=True,
-            )
-
-    def _hit(unit: Dispatch, value: Any, replayed: bool) -> DoneFields:
-        return _finish(
-            point_of[unit.key], value, cached=True, replayed=replayed,
-            wall_s=0.0, attempts=0,
-        )
-
-    def _record(state: Dispatch, outcome: TaskOutcome) -> DoneFields:
-        if cache is not None:
-            cache.put(state.key, outcome.result)
-        return _finish(
-            point_of[state.key], outcome.result, cached=False, replayed=False,
-            wall_s=outcome.wall_s, attempts=state.attempts,
-        )
-
-    def _quarantine(state: Dispatch) -> None:
-        error = f"{state.failure_kind}: {state.error}"
-        point = point_of[state.key]
-        _quarantined(point, state.attempts, error, replayed=False)
-        emit(f"[quarantine] {point.label} after {state.attempts} attempt(s): {error}")
-
     # One descriptor for the whole generation, closed however it ends.
     with CampaignJournal(journal_path, start_seq=prior.last_seq) as journal:
         # Fault directives bind to point labels (seed-qualified, so a
         # count=1 spec poisons exactly one replicate).
+        units = [
+            Dispatch(
+                task=TaskSpec(
+                    experiment_id=point.experiment,
+                    part=point.part,
+                    target=point.target,
+                    kwargs=dict(point.kwargs),
+                    seed=point.seed,
+                ),
+                key=point.key,
+                part_label=point.part_label,
+            )
+            for point in points
+        ]
         pending, fault_events = probe(
-            [
-                Dispatch(
-                    task=TaskSpec(
-                        experiment_id=point.experiment,
-                        part=point.part,
-                        target=point.target,
-                        kwargs=dict(point.kwargs),
-                        seed=point.seed,
-                    ),
-                    key=point.key,
-                    part_label=point.part_label,
-                )
-                for point in points
-            ],
+            units,
             journal,
             cache=cache,
             fault_plan=fault_plan,
             emit=emit,
-            hit=_hit,
+            finish=_finish,
             prior=prior,
             campaign=spec.name,
             spec_digest=spec.digest(),
@@ -995,7 +968,9 @@ def run_campaign(
         )
         interrupted = dispatch(
             pending,
-            DispatchHooks(noun="point", done=_record, failed=_quarantine),
+            _finish,
+            noun="point",
+            cache=cache,
             jobs=worker_count(jobs, len(pending)),
             seed=seed,
             retries=retries,
@@ -1007,6 +982,23 @@ def run_campaign(
         )
         if interrupted:
             emit("[interrupt] signal received; journal preserved for --resume")
+        for point, unit in zip(points, units):
+            record = prior.quarantined.get(point.key)
+            if record is not None:
+                outcomes[point.key] = PointOutcome(
+                    point=point,
+                    status="quarantined",
+                    replayed=True,
+                    attempts=int(record.get("attempts", 0) or 0),
+                    error=str(record.get("error", "quarantined")),
+                )
+            elif unit.failure_kind not in (None, "interrupted"):
+                outcomes[point.key] = PointOutcome(
+                    point=point,
+                    status="quarantined",
+                    attempts=unit.attempts,
+                    error=f"{unit.failure_kind}: {unit.error}",
+                )
 
         ordered_outcomes = [
             outcomes[point.key] for point in points if point.key in outcomes

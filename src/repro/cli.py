@@ -291,8 +291,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     print(f"journal: {journal_path}")
 
     # Sidecar telemetry next to the manifest: the span tree and the
-    # parent-process metrics snapshot (worker snapshots are summarised
-    # inside the manifest's parts[] entries).
+    # parent-process metrics snapshot.
     spans_path = os.path.join(report_dir, "run_spans.jsonl")
     metrics_path = os.path.join(report_dir, "run_metrics.jsonl")
     if not args.no_obs:

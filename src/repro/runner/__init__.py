@@ -30,7 +30,6 @@ from repro.runner.cache import (
 )
 from repro.runner.core import (
     ExperimentRun,
-    PartRun,
     RunAllResult,
     resolve_ids,
     run_all,
@@ -49,7 +48,6 @@ __all__ = [
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA_VERSION",
     "ExperimentRun",
-    "PartRun",
     "ResultCache",
     "RunAllResult",
     "SpanContext",

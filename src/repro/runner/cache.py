@@ -148,6 +148,16 @@ def cache_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def result_sha256(result: Any) -> str:
+    """SHA-256 of a result's pickle bytes, the manifests' ``result_sha256``.
+
+    Two runs regenerated the same artifact exactly when these match.
+    """
+    return hashlib.sha256(
+        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+    ).hexdigest()
+
+
 class ResultCache:
     """The ``.repro_cache/`` store: pickled results addressed by key.
 
@@ -167,9 +177,12 @@ class ResultCache:
         #: Keys quarantined by this instance, in discovery order (the
         #: runner drains this to emit one progress line per event).
         self.quarantine_events: List[str] = []
+        # Entry paths are string-joined: a Path per lookup cost a third of
+        # a warm read.
+        self._prefix = os.path.join(self.objects, "")
 
-    def _object_path(self, key: str) -> Path:
-        return self.objects / f"{key}.pkl"
+    def _object_path(self, key: str) -> str:
+        return f"{self._prefix}{key}.pkl"
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(hit, result)``; corrupt or unreadable entries count as misses
@@ -189,9 +202,8 @@ class ResultCache:
     def quarantine(self, key: str) -> None:
         """Move one entry into ``quarantine/``."""
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        path = self._object_path(key)
         try:
-            os.replace(path, self.quarantine_dir / path.name)
+            os.replace(self._object_path(key), self.quarantine_dir / f"{key}.pkl")
         except OSError:
             pass
         self.quarantine_events.append(key)
@@ -205,7 +217,7 @@ class ResultCache:
         shape :meth:`get` must survive.
         """
         path = self._object_path(key)
-        if not path.exists():
+        if not os.path.exists(path):
             return False
         with open(path, "r+b") as handle:
             handle.truncate(4)
@@ -223,12 +235,12 @@ class ResultCache:
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists (without loading it)."""
-        return self._object_path(key).exists()
+        return os.path.exists(self._object_path(key))
 
     def discard(self, key: str) -> None:
         """Remove one entry, if present."""
         try:
-            self._object_path(key).unlink()
+            os.unlink(self._object_path(key))
         except OSError:
             pass
 

@@ -13,9 +13,10 @@ experiments in one call:
    replay instantly, corrupt entries are quarantined and re-executed.
 3. **Execute** — remaining tasks fan out over a
    ``concurrent.futures.ProcessPoolExecutor`` (``jobs`` workers), slowest
-   runtime class first so the pool drains evenly. ``jobs=1`` runs the same
-   plan in-process; both modes produce byte-identical results because
-   every task builds its own simulator from the same seed.
+   runtime class first so the pool drains evenly, and each result is
+   stored in the cache as it lands. ``jobs=1`` runs the same plan
+   in-process; both modes produce byte-identical results because every
+   task builds its own simulator from the same seed.
 4. **Merge + check** — part results are merged in canonical order and the
    experiment's shape check validates the paper's headline claim.
 
@@ -46,12 +47,10 @@ instruments); the caller gets a :class:`RunAllResult` from which
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
@@ -70,35 +69,12 @@ from repro.runner.cache import (
     ResultCache,
     cache_key,
     code_fingerprint,
+    result_sha256,
 )
-from repro.runner.tasks import TaskOutcome, TaskSpec
+from repro.runner.tasks import TaskSpec
 
-
-@dataclass
-class PartRun:
-    """Outcome of one task (one sweep part, or the whole experiment)."""
-
-    part: str
-    key: str
-    cache_hit: bool
-    duration_s: float
-    #: Engine profile attributed to this task: worker-local aggregate for
-    #: pool tasks, tracked-simulator delta for in-process tasks, ``{}`` for
-    #: cache hits.
-    engine: Dict[str, Any] = field(default_factory=dict)
-    #: The executing worker's full metrics snapshot (pool tasks only; the
-    #: parent's ambient registry already holds in-process telemetry).
-    metrics: List[Dict[str, Any]] = field(default_factory=list)
-    #: Execution attempts consumed (0 for cache hits, 1 for a clean run,
-    #: more when retries fired).
-    attempts: int = 0
-    #: Whether any attempt tripped the watchdog.
-    timed_out: bool = False
-    #: Classification of the *final* failure (``error`` / ``timeout`` /
-    #: ``pool_broken`` / ``interrupted``); ``None`` when the part succeeded.
-    failure_kind: Optional[str] = None
-    #: Final failure message, ``None`` when the part succeeded.
-    error: Optional[str] = None
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.campaign.manager import Dispatch
 
 
 @dataclass
@@ -108,7 +84,9 @@ class ExperimentRun:
     id: str
     runtime: str
     seed: Optional[int]
-    parts: List[PartRun]
+    #: One scheduler unit per task (a sweep part, or ``all``): cache hit,
+    #: attempts, failure, driver wall and engine profile.
+    parts: List[Dispatch]
     result: Any = None
     result_sha256: str = ""
     duration_s: float = 0.0
@@ -377,23 +355,26 @@ def run_all(
     slo_rows: List[Dict[str, Any]] = []
 
     # Cache probe: hits load immediately, misses queue for execution.
-    results: Dict[str, Tuple[Any, float]] = {}  # key -> (result, wall_s)
+    results: Dict[str, Any] = {}  # key -> part result
 
-    def _hit(unit: manager.Dispatch, value: Any, replayed: bool) -> None:
-        results[unit.key] = (value, 0.0)
+    def _finish(unit: manager.Dispatch, value: Any) -> None:
+        results[unit.key] = value
 
-    units = [
-        manager.Dispatch(task=task, key=key, part_label=task.part)
+    units_of = [
+        [
+            manager.Dispatch(task=task, key=key, part_label=task.part)
+            for task, key in zip(plan.tasks, plan.keys)
+        ]
         for plan in planned
-        for task, key in zip(plan.tasks, plan.keys)
     ]
+    units = [unit for plan_units in units_of for unit in plan_units]
     pending, fault_events = manager.probe(
         units,
         journal,
         cache=cache,
         fault_plan=fault_plan,
         emit=emit,
-        hit=_hit,
+        finish=_finish,
         campaign=RUN_ALL_CAMPAIGN,
         code_fingerprint=fingerprint,
         points=len(units),
@@ -402,7 +383,6 @@ def run_all(
         resume=False,
         jobs=manager.worker_count(jobs, len(units)),
     )
-    hits = set(results)
 
     # Longest-processing-time-first: slow experiments enter the pool first
     # so the run's tail is not one straggler on an otherwise idle pool.
@@ -410,30 +390,11 @@ def run_all(
     pending.sort(key=lambda state: -rank[state.task.experiment_id])
     effective_jobs = manager.worker_count(jobs, len(pending))
 
-    outcomes: Dict[str, TaskOutcome] = {}  # key -> executed-task telemetry
-    worker_spans_dropped = 0
-
-    def _record(state: manager.Dispatch, outcome: TaskOutcome) -> None:
-        nonlocal worker_spans_dropped
-        worker_spans_dropped += outcome.spans_dropped
-        results[state.key] = (outcome.result, outcome.wall_s)
-        outcomes[state.key] = outcome
-        registry.histogram(
-            "runner.part.wall_s", experiment=state.task.experiment_id
-        ).observe(outcome.wall_s)
-        registry.counter("runner.parts.executed").inc()
-        if cache is not None:
-            cache.put(state.key, outcome.result)
-
-    def _failed(state: manager.Dispatch) -> None:
-        emit(
-            f"[task] {state.label} FAILED after "
-            f"{state.attempts} attempt(s) ({state.failure_kind}): {state.error}"
-        )
-
     interrupted = manager.dispatch(
         pending,
-        manager.DispatchHooks(noun="task", done=_record, failed=_failed),
+        _finish,
+        noun="task",
+        cache=cache,
         jobs=effective_jobs,
         seed=seed,
         retries=retries,
@@ -446,51 +407,29 @@ def run_all(
         emit("[interrupt] signal received; flushing partial results")
 
     # Merge parts, shape-check, and assemble the per-experiment records.
-    states_by_key = {state.key: state for state in pending}
     runs: List[ExperimentRun] = []
-    for index, plan in enumerate(planned, start=1):
-        parts = []
-        for task, key in zip(plan.tasks, plan.keys):
-            state = states_by_key.get(key)
-            parts.append(
-                PartRun(
-                    part=task.part,
-                    key=key,
-                    cache_hit=key in hits,
-                    duration_s=results[key][1] if key in results else 0.0,
-                    engine=outcomes[key].engine if key in outcomes else {},
-                    metrics=outcomes[key].metrics if key in outcomes else [],
-                    attempts=state.attempts if state else 0,
-                    timed_out=state.timed_out if state else False,
-                    failure_kind=state.failure_kind if state else None,
-                    error=state.error if state else None,
-                )
-            )
+    for index, (plan, parts) in enumerate(zip(planned, units_of), start=1):
         run = ExperimentRun(
             id=plan.spec.id,
             runtime=plan.spec.runtime,
             seed=plan.seed,
             parts=parts,
-            duration_s=sum(p.duration_s for p in parts),
-            cache_hit=bool(parts) and all(p.cache_hit for p in parts),
+            duration_s=sum(unit.wall_s for unit in parts),
+            cache_hit=bool(parts) and all(unit.cached for unit in parts),
         )
-        failed = [
-            (task.part, states_by_key[key].error)
-            for task, key in zip(plan.tasks, plan.keys)
-            if key in states_by_key and states_by_key[key].error is not None
-        ]
+        failed = [unit for unit in parts if unit.error is not None]
         if plan.error is not None:
             run.error = plan.error
         elif failed:
-            run.error = "; ".join(f"{part}: {message}" for part, message in failed)
+            run.error = "; ".join(
+                f"{unit.task.part}: {unit.error}" for unit in failed
+            )
         else:
-            part_results = [results[key][0] for key in plan.keys]
+            part_results = [results[key] for key in plan.keys]
             run.result = (
                 plan.merge(part_results) if plan.merge is not None else part_results[0]
             )
-            run.result_sha256 = hashlib.sha256(
-                pickle.dumps(run.result, protocol=pickle.HIGHEST_PROTOCOL)
-            ).hexdigest()
+            run.result_sha256 = result_sha256(run.result)
             run.shape_ok, run.shape_detail = verdict(run.id, run.result)
             run.domain = slo_mod.domain_metrics(run.id, run.result)
         runs.append(run)
@@ -522,7 +461,7 @@ def run_all(
                 ],
             )
         status = "ok" if run.ok else "FAIL"
-        source = "hit" if run.cache_hit else ("partial" if any(p.cache_hit for p in parts) else "run")
+        source = "hit" if run.cache_hit else ("partial" if any(u.cached for u in parts) else "run")
         emit(
             f"[{index}/{len(planned)}] {run.id:<7} {status:<4} cache={source:<7} "
             f"{run.duration_s:7.2f}s  {run.error or run.shape_detail}"
@@ -540,7 +479,6 @@ def run_all(
         for record in spans.to_records()
         if record["span_id"] not in prior_ids
     ]
-    spans_dropped = spans.dropped + worker_spans_dropped
     slo_rows.sort(key=lambda row: (row["experiment"], row["id"]))
     journal.append(
         "campaign.interrupted" if interrupted else "campaign.done",
@@ -549,7 +487,7 @@ def run_all(
         failed=len(runs) - ok_count,
         cache_hits=sum(1 for run in runs if run.cache_hit),
         wall_s=round(wall_s, 3),
-        spans_dropped=spans_dropped,
+        spans_dropped=spans.dropped,
         slo_violated=sum(1 for row in slo_rows if row["status"] == "violated"),
     )
     return RunAllResult(
@@ -567,7 +505,7 @@ def run_all(
         fault_plan=fault_plan.describe() if fault_plan is not None else None,
         fault_events=fault_events,
         quarantined=list(cache.quarantine_events) if cache is not None else [],
-        spans_dropped=spans_dropped,
+        spans_dropped=spans.dropped,
         slo_rows=slo_rows,
         slo_spec_paths=[spec.path for spec in slo_specs],
     )

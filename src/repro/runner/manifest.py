@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.obs.ioutil import write_atomic
 from repro.obs.slo import section_from_rows
@@ -50,7 +50,9 @@ from repro.runner.core import RunAllResult
 #: v6 (one journal PR): the live-event drop count leaves ``totals``; run
 #: progress is ``run_journal.jsonl``, which drops nothing (docs/running.md
 #: has the field mapping).
-MANIFEST_SCHEMA_VERSION = 6
+#: v7 (one record per unit): per-part ``metrics`` (a pool worker's counter
+#: totals, empty in-process, read by nothing) is gone.
+MANIFEST_SCHEMA_VERSION = 7
 
 #: Default output filename.
 MANIFEST_FILENAME = "run_manifest.json"
@@ -77,7 +79,6 @@ PART_KEYS = (
     "cache_hit",
     "duration_s",
     "engine",
-    "metrics",
     "attempts",
     "timed_out",
     "failure_kind",
@@ -117,25 +118,6 @@ def _part_engine(engine: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _part_metrics(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Surface a worker's metrics snapshot as a manifest-sized summary.
-
-    Counters are summed across label sets by name (the worker ran exactly
-    one task, so the totals are that task's); other instrument kinds are
-    only counted — their full records live in the ``run_metrics.jsonl``
-    sidecar, not the manifest.
-    """
-    counters: Dict[str, float] = {}
-    for record in records:
-        if record.get("type") == "counter":
-            name = record["name"]
-            counters[name] = counters.get(name, 0.0) + float(record.get("value", 0.0))
-    return {
-        "records": len(records),
-        "counter_totals": {name: counters[name] for name in sorted(counters)},
-    }
-
-
 def build_manifest(run: RunAllResult) -> Dict[str, Any]:
     """Render a :class:`~repro.runner.core.RunAllResult` as manifest data."""
     experiments = []
@@ -154,12 +136,11 @@ def build_manifest(run: RunAllResult) -> Dict[str, Any]:
                 "domain": record.domain,
                 "parts": [
                     {
-                        "part": part.part,
+                        "part": part.task.part,
                         "key": part.key,
-                        "cache_hit": part.cache_hit,
-                        "duration_s": round(part.duration_s, 6),
+                        "cache_hit": part.cached,
+                        "duration_s": round(part.wall_s, 6),
                         "engine": _part_engine(part.engine),
-                        "metrics": _part_metrics(part.metrics),
                         "attempts": part.attempts,
                         "timed_out": part.timed_out,
                         "failure_kind": part.failure_kind,

@@ -13,7 +13,7 @@ per-task span-id prefix, and the observability mode, which is how
 ``--no-obs`` reaches workers (they re-import ``repro`` with default runtime
 state, so the parent's escape hatch would otherwise be silently lost).
 Inbound, :class:`TaskOutcome` carries the result plus the worker's finished
-span records, metrics snapshot, and engine profile for the parent to merge.
+span records, dropped-span count and engine profile for the parent to merge.
 
 Fault injection rides the same channel: the parent binds the
 :class:`~repro.faults.plan.FaultDirective`\\ s a
@@ -68,7 +68,6 @@ class TaskOutcome:
     result: Any
     wall_s: float
     spans: List[Dict[str, Any]] = field(default_factory=list)
-    metrics: List[Dict[str, Any]] = field(default_factory=list)
     engine: Dict[str, Any] = field(default_factory=dict)
     #: Spans the worker's recorder discarded at its retention cap.
     spans_dropped: int = 0
@@ -118,11 +117,6 @@ class TaskSpec:
     faults: Tuple[FaultDirective, ...] = ()
     attempt: int = 1
 
-    @property
-    def label(self) -> str:
-        """The ``experiment:part`` label fault plans assign against."""
-        return f"{self.experiment_id}:{self.part}"
-
 
 @contextlib.contextmanager
 def _gc_paused():
@@ -164,8 +158,8 @@ def execute_task(spec: TaskSpec) -> TaskOutcome:
 
     * ``spec.obs`` set (pool worker) — reconfigure this process's runtime
       to the parent's mode, open a ``runner.task`` span grafted under the
-      parent's root, and snapshot spans/metrics/engine stats into the
-      outcome for the parent to merge.
+      parent's root, and snapshot spans and engine stats into the outcome
+      for the parent to merge.
     * ``spec.obs`` unset (in-process) — run the driver plainly; the
       caller's ambient recorders already capture everything, so the
       outcome carries empty telemetry.
@@ -213,7 +207,6 @@ def execute_task(spec: TaskSpec) -> TaskOutcome:
         result=result,
         wall_s=wall_s,
         spans=spans.to_records(),
-        metrics=obs_runtime.get_registry().snapshot(),
         engine=obs_runtime.aggregate_engine_stats(),
         spans_dropped=spans.dropped,
     )

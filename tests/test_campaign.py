@@ -372,6 +372,28 @@ class TestRunCampaign:
         )
         assert second.generations == 2
 
+    def test_run_all_results_replay_as_campaign_points(self, workdir):
+        """One cache for both callers: a campaign replays run-all's parts."""
+        from repro.runner import run_all
+
+        cache_dir = str(workdir / "cache")
+        ran = run_all(ids=["fig9", "fig12"], seed=0, jobs=1, cache_dir=cache_dir)
+        assert ran.ok
+        spec = parse_campaign_spec(
+            {
+                "campaign": "cross-caller",
+                "seeds": [0],
+                "experiments": [{"experiment": "fig9"}, {"experiment": "fig12"}],
+            }
+        )
+        result = _run(spec, workdir, cache_dir=cache_dir)
+        assert result.ok and result.executed == 0
+        assert [o.point.experiment for o in result.outcomes] == ["fig9", "fig12"]
+        for outcome in result.outcomes:
+            assert outcome.cached, outcome.point.label
+            run = ran.run_for(outcome.point.experiment)
+            assert outcome.result_sha256 == run.result_sha256, outcome.point.label
+
     def test_journal_in_the_earlier_layout_still_folds_and_resumes(
         self, spec, workdir
     ):

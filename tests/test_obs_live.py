@@ -384,9 +384,9 @@ class TestRunnerIntegration:
 
         result = run_all(ids=["table1"], jobs=1, use_cache=False)
         manifest = build_manifest(result)
-        assert manifest["schema"] == 6
+        assert manifest["schema"] == 7
         assert manifest["totals"]["spans_dropped"] == 0
-        # Schema 6: the journal drops nothing, so no live drop counter.
+        # Since schema 6 the journal drops nothing: no live drop counter.
         assert not any("live" in name for name in manifest["totals"])
 
 

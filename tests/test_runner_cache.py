@@ -151,7 +151,7 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "cache"))
         key = _key()
         cache.put(key, [1, 2, 3])
-        cache._object_path(key).write_bytes(b"not a pickle")
+        Path(cache._object_path(key)).write_bytes(b"not a pickle")
         hit, value = cache.get(key)
         assert not hit and value is None
         assert not cache.contains(key)  # discarded, not left to rot

@@ -253,6 +253,68 @@ class TestCacheQuarantine:
         assert fired and fired[0]["point"] == "cache.corrupt"
 
 
+def _journal_records(path, event_type):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    return [record for record in records if record["type"] == event_type]
+
+
+class TestJournalManifestAgree:
+    """The journal and the manifest report each unit from one record."""
+
+    def test_cache_hits_agree(self, tmp_path, cache_dir):
+        from repro.campaign.journal import CampaignJournal
+
+        run_all(ids=["fig9"], jobs=1, cache_dir=cache_dir)
+        path = tmp_path / "run_journal.jsonl"
+        with CampaignJournal(path) as journal:
+            result = run_all(
+                ids=["fig9", "fig13", "table1"],
+                jobs=2,
+                cache_dir=cache_dir,
+                journal=journal,
+            )
+        assert result.ok
+        (hit,) = result.run_for("fig9").parts
+        assert hit.cached and hit.attempts == 0
+        assert hit.wall_s == 0.0 and hit.engine == {}
+        for run_id in ("fig13", "table1"):
+            (part,) = result.run_for(run_id).parts
+            assert not part.cached and part.attempts == 1
+        journaled = {
+            record["key"]
+            for record in _journal_records(path, "point.done")
+            if record["cached"]
+        }
+        manifest = build_manifest(result)
+        hit_keys = {
+            part["key"]
+            for entry in manifest["experiments"]
+            for part in entry["parts"]
+            if part["cache_hit"]
+        }
+        assert journaled == hit_keys == {hit.key}
+
+    def test_failed_part_agrees(self, tmp_path, cache_dir):
+        from repro.campaign.journal import CampaignJournal
+
+        plan = _plan(FaultSpec("worker.raise", scope="fig9:*"))
+        path = tmp_path / "run_journal.jsonl"
+        with CampaignJournal(path) as journal:
+            result = run_all(
+                ids=IDS, jobs=1, cache_dir=cache_dir, fault_plan=plan,
+                journal=journal,
+            )
+        entry = next(
+            e for e in build_manifest(result)["experiments"] if e["id"] == "fig9"
+        )
+        (part,) = entry["parts"]
+        (record,) = _journal_records(path, "point.quarantined")
+        assert record["key"] == part["key"]
+        assert record["attempts"] == part["attempts"] == 1
+        assert part["failure_kind"] == "error"
+        assert record["error"] == f"{part['failure_kind']}: {part['error']}"
+
+
 class TestCampaignFaultPoints:
     """The campaign fault points fire in run-all too: one shared probe."""
 
@@ -274,7 +336,7 @@ class TestCampaignFaultPoints:
         )
         assert result.ok
         part = result.run_for("fig9").parts[0]
-        assert not part.cache_hit and part.attempts == 2
+        assert not part.cached and part.attempts == 2
         assert result.run_for("table1").cache_hit
 
     def test_corrupt_journal_leaves_a_torn_line(self, tmp_path, cache_dir):
