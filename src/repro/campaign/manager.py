@@ -484,7 +484,6 @@ def dispatch(
                     root_id=root_id,
                     prefix=f"t{submitted:02d}.",
                     obs_enabled=obs_runtime.enabled(),
-                    span_detail=spans.detail,
                 ),
             )
             try:

@@ -221,7 +221,7 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     )
     from repro.runner import ResultCache, run_all, write_manifest
 
-    obs_runtime.configure(enabled=not args.no_obs, span_detail=args.span_detail)
+    obs_runtime.configure(enabled=not args.no_obs)
 
     fault_plan = _fault_plan(args)
 
@@ -619,7 +619,7 @@ def _cmd_spans(args: argparse.Namespace) -> int:
         records = read_jsonl(args.input, "span")
     else:
         key = args.experiment
-        obs_runtime.configure(enabled=True, span_detail=args.detail)
+        obs_runtime.configure(enabled=True)
         with obs_runtime.span("cli.spans.run", experiment=key, seed=args.seed):
             _run_driver(key, args.seed)
         recorder = obs_runtime.get_spans()
@@ -706,9 +706,7 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     """``repro dash``: render the static HTML observatory for one run."""
     from repro.obs.dash import write_dash
 
-    out = write_dash(
-        args.input, args.out, history_path=args.history, metrics_path=args.metrics
-    )
+    out = write_dash(args.input, args.out, history_path=args.history)
     print(f"dash: wrote {out}")
     return 0
 
@@ -924,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop every cache entry before running",
     )
     run_all.add_argument(
-        "--span-detail",
-        action="store_true",
-        help="also record hot-path spans (per-transmission mac80211)",
-    )
-    run_all.add_argument(
         "--history-dir",
         default=DEFAULT_HISTORY_DIR,
         help=f"perf-history directory (default: {DEFAULT_HISTORY_DIR})",
@@ -1094,11 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
     spans.add_argument(
         "--max-depth", type=int, default=None, help="truncate the tree below this depth"
     )
-    spans.add_argument(
-        "--detail",
-        action="store_true",
-        help="also record hot-path spans (per-transmission mac80211)",
-    )
 
     compare = command(
         commands, "compare", "diff two manifests or perf-history records; CI gate",
@@ -1146,8 +1134,8 @@ def build_parser() -> argparse.ArgumentParser:
     dash = command(
         commands, "dash", "render a static HTML observatory for a run", _cmd_dash,
         "--input",
-        description="Render a run manifest (plus perf-history and metrics "
-        "sidecars) as one dependency-free static HTML dashboard.",
+        description="Render a run manifest (plus the perf-history sidecar) "
+        "as one dependency-free static HTML dashboard.",
     )
     dash.set_defaults(input=_RUN_MANIFEST)
     dash.add_argument(
@@ -1161,13 +1149,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="perf_history.jsonl for the trend section "
         "(default: benchmarks/results/perf_history.jsonl)",
-    )
-    dash.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="run_metrics.jsonl for the energy section (default: next to "
-        "the manifest, when present)",
     )
 
     lint = command(

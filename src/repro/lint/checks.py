@@ -454,9 +454,7 @@ class FloatTimeEqualityRule(Rule):
 
 # ---------------------------------------------------------------------- PW006
 
-_METRIC_METHODS: FrozenSet[str] = frozenset(
-    {"counter", "gauge", "histogram", "timeseries"}
-)
+_METRIC_METHODS: FrozenSet[str] = frozenset({"counter", "gauge", "histogram"})
 
 #: Span-recorder entry points (``spans.begin(...)``, ``spans.span(...)``,
 #: ``runtime.span(...)``): same literal-name contract as metrics.

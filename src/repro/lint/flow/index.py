@@ -568,7 +568,6 @@ class ProjectIndex:
                     **facts.classes[name],
                     "path": facts.path,
                 }
-        self._module_names = sorted(self.modules, key=len, reverse=True)
         self._edges: Optional[Dict[str, List[str]]] = None
 
     # ---------------------------------------------------------- resolution
@@ -589,20 +588,22 @@ class ProjectIndex:
             if dotted in facts.classes:
                 return f"{module}:{dotted}"
             return None
-        for candidate in self._module_names:
-            if dotted == candidate:
+        # The longest dot-boundary prefix that names a module owns the rest.
+        candidate = dotted
+        while candidate not in self.modules:
+            candidate, dot, _ = candidate.rpartition(".")
+            if not dot:
                 return None
-            if dotted.startswith(candidate + "."):
-                qual = dotted[len(candidate) + 1 :]
-                node = f"{candidate}:{qual}"
-                if node in self.functions or node in self.class_nodes:
-                    return node
-                # ``pkg.Class.method`` resolves through the class node.
-                head = qual.split(".")[0]
-                class_node = f"{candidate}:{head}"
-                if class_node in self.class_nodes:
-                    return class_node
-                return None
+        if candidate == dotted:
+            return None
+        qual = dotted[len(candidate) + 1 :]
+        node = f"{candidate}:{qual}"
+        if node in self.functions or node in self.class_nodes:
+            return node
+        # ``pkg.Class.method`` resolves through the class node.
+        class_node = f"{candidate}:{qual.split('.')[0]}"
+        if class_node in self.class_nodes:
+            return class_node
         return None
 
     def resolve_target(self, target: str) -> Optional[str]:

@@ -340,36 +340,22 @@ class Medium:
             )
             for observer in observers:
                 observer(record)
-        # Detail-gated hot-path span: one per busy period, ended by the
-        # tx_done callback (non-LIFO close — overlapping channels interleave).
-        spans = sim.spans
-        busy_span = None
-        if spans.detail:
-            busy_span = spans.begin(
-                "mac.medium.busy",
-                sim_start_s=start,
-                channel=self.channel,
-                collided=collided,
-            )
         event = self._tx_done_timer
         if event is None:
             self._tx_done_timer = sim.schedule(
                 duration, self._finish_transmission, pairs, collided, success,
-                busy_span, name="tx_done",
+                name="tx_done",
             )
         else:
-            sim.rearm(event, duration, pairs, collided, success, busy_span)
+            sim.rearm(event, duration, pairs, collided, success)
 
     def _finish_transmission(
         self,
         pairs: Sequence[Tuple["Station", FrameJob]],
         collided: bool,
         success: bool,
-        busy_span=None,
     ) -> None:
         sim = self.sim
-        if busy_span is not None:
-            sim.spans.end(busy_span, sim_end_s=sim._now)
         delivered = success and not collided
         for station, frame in pairs:
             station.finish_transmission(frame, delivered)

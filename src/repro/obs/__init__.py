@@ -1,8 +1,8 @@
-"""Observability: metrics registry, energy ledger, and runtime wiring.
+"""Observability: metrics registry, spans, traces, and runtime wiring.
 
 The telemetry-first layer behind every performance claim in this repo: the
-paper measured channel occupancy, queue behaviour and harvested energy with
-tcpdump/tshark and router counters; the simulator measures them here. See
+paper measured channel occupancy and queue behaviour with tcpdump/tshark and
+router counters; the simulator measures them here. See
 ``docs/observability.md`` for naming conventions and the JSONL schemas.
 
 Typical use::
@@ -17,7 +17,6 @@ Typical use::
 from __future__ import annotations
 
 from repro.obs.compare import compare_runs, load_run, render_compare
-from repro.obs.energy import EnergyLedger
 from repro.obs.profile import (
     PROFILE_SCHEMA_VERSION,
     KindRow,
@@ -43,7 +42,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
-    Timeseries,
 )
 from repro.obs.spans import (
     NULL_SPANS,
@@ -57,7 +55,6 @@ from repro.obs import runtime
 __all__ = [
     "Counter",
     "DEFAULT_BUCKETS",
-    "EnergyLedger",
     "Gauge",
     "HISTORY_SCHEMA_VERSION",
     "Histogram",
@@ -69,7 +66,6 @@ __all__ = [
     "SPAN_SCHEMA_VERSION",
     "Span",
     "SpanRecorder",
-    "Timeseries",
     "append_history",
     "build_history_record",
     "collapse_stacks",

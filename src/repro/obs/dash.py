@@ -1,8 +1,8 @@
 """The run observatory: one self-contained HTML page per run.
 
-``repro dash`` folds a run's artifacts — ``run_manifest.json`` (v5: SLO
-section + domain metrics), ``perf_history.jsonl``, ``run_metrics.jsonl``
-— into a single static HTML file with inline SVG sparklines and CSS
+``repro dash`` folds a run's artifacts — ``run_manifest.json`` (SLO
+section + domain metrics) and ``perf_history.jsonl`` — into a single
+static HTML file with inline SVG sparklines and CSS
 bars: no external scripts, stylesheets, fonts, or network fetches, so
 the file renders identically from a CI artifact store, an email
 attachment, or ``file://``. Sections:
@@ -12,8 +12,7 @@ attachment, or ``file://``. Sections:
 * domain metric sparklines (the streams the SLOs are judged on),
 * per-experiment wall/events trend from perf history,
 * span flame summary and per-kind attribution table,
-* fault/retry timeline,
-* per-chain energy ledger.
+* fault/retry timeline.
 
 Every value shown in a chart is also present as text in the same card
 (the charts decorate tables, not the other way around), and the page
@@ -488,54 +487,6 @@ def _section_faults(manifest: Dict[str, Any]) -> str:
     return "".join(blocks)
 
 
-def _section_energy(metrics: List[Dict[str, Any]]) -> str:
-    chains: Dict[str, Dict[str, Any]] = {}
-    for record in metrics:
-        name = record.get("name", "")
-        if not name.startswith("harvester."):
-            continue
-        chain = (record.get("labels") or {}).get("chain", "default")
-        bucket = chains.setdefault(
-            chain, {"in_uj": 0.0, "out_uj": 0.0, "operations": 0.0, "voltage": []}
-        )
-        if name == "harvester.energy.in_uj":
-            bucket["in_uj"] += float(record.get("value", 0.0))
-        elif name == "harvester.energy.out_uj":
-            bucket["out_uj"] += float(record.get("value", 0.0))
-        elif name == "harvester.energy.operations":
-            bucket["operations"] += float(record.get("value", 0.0))
-        elif name == "harvester.storage.voltage_v":
-            bucket["voltage"] = [
-                float(pair[1]) for pair in record.get("samples") or []
-            ]
-    if not chains:
-        return ""
-    rows = []
-    for chain in sorted(chains):
-        bucket = chains[chain]
-        spark = (
-            sparkline(bucket["voltage"], title=f"{chain} storage voltage")
-            if bucket["voltage"]
-            else '<span class="dim">-</span>'
-        )
-        rows.append(
-            "<tr>"
-            f"<td>{_esc(chain)}</td>"
-            f'<td class="num">{_fmt(bucket["in_uj"])}</td>'
-            f'<td class="num">{_fmt(bucket["out_uj"])}</td>'
-            f'<td class="num">{_fmt(bucket["operations"])}</td>'
-            f"<td>{spark}</td>"
-            "</tr>"
-        )
-    return (
-        '<div class="card"><h2>Energy ledger</h2>'
-        "<table><thead><tr><th>chain</th>"
-        '<th class="num">in (µJ)</th><th class="num">out (µJ)</th>'
-        '<th class="num">operations</th><th>storage voltage</th></tr></thead>'
-        f'<tbody>{"".join(rows)}</tbody></table></div>'
-    )
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 
@@ -543,7 +494,6 @@ def _section_energy(metrics: List[Dict[str, Any]]) -> str:
 def build_dash(
     manifest: Dict[str, Any],
     history: Optional[List[Dict[str, Any]]] = None,
-    metrics: Optional[List[Dict[str, Any]]] = None,
 ) -> str:
     """Render the full observatory page as one HTML string (pure)."""
     sections = [
@@ -554,7 +504,6 @@ def build_dash(
         _section_spans(manifest),
         _section_attribution(manifest),
         _section_faults(manifest),
-        _section_energy(metrics or []),
     ]
     body = "".join(section for section in sections if section)
     return (
@@ -571,14 +520,12 @@ def write_dash(
     manifest_path: Union[str, Path],
     out_path: Union[str, Path] = DASH_FILENAME,
     history_path: Optional[Union[str, Path]] = None,
-    metrics_path: Optional[Union[str, Path]] = None,
 ) -> str:
     """Load artifacts, render, and write the page; returns the output path.
 
-    ``history_path`` defaults to the repo's perf-history file and
-    ``metrics_path`` to ``run_metrics.jsonl`` next to the manifest; both
-    degrade to empty sections when absent — only the manifest is required.
-    A malformed line in either raises, as in every other reader
+    ``history_path`` defaults to the repo's perf-history file and degrades
+    to an empty trend section when absent — only the manifest is required.
+    A malformed history line raises, as in every other reader
     (:func:`repro.obs.ioutil.read_jsonl`).
     """
     from repro.obs.history import DEFAULT_HISTORY_DIR, HISTORY_FILENAME
@@ -587,11 +534,8 @@ def write_dash(
     manifest = read_json(manifest_path)
     if history_path is None:
         history_path = Path(DEFAULT_HISTORY_DIR) / HISTORY_FILENAME
-    if metrics_path is None:
-        metrics_path = manifest_path.parent / "run_metrics.jsonl"
     history = read_jsonl(history_path, "history") if os.path.exists(history_path) else []
-    metrics = read_jsonl(metrics_path, "metrics") if os.path.exists(metrics_path) else []
-    page = build_dash(manifest, history=history, metrics=metrics)
+    page = build_dash(manifest, history=history)
     out_path = Path(out_path)
     out_path.write_text(page, encoding="utf-8")
     return str(out_path)

@@ -1,21 +1,19 @@
 """The metrics registry: named, labelled instruments for the whole stack.
 
 Every layer of the simulator registers instruments here — DCF collision
-counters, per-channel airtime, txqueue depth, injector duty cycle, harvested
-energy — playing the role the router-side counters and tcpdump statistics
+counters, per-channel airtime, txqueue depth, injector duty cycle, harvester
+chain calls — playing the role the router-side counters and tcpdump statistics
 played in the paper's evaluation (§4). Instruments are addressed by a dotted
 lowercase name (``layer.component.metric``, see ``docs/observability.md``)
 plus a label dict, so ``registry.counter("mac.medium.collisions", channel=6)``
 always resolves to the same underlying counter.
 
-Four instrument types:
+Three instrument types:
 
 * :class:`Counter` — monotonically increasing total (float increments OK);
 * :class:`Gauge` — a value that goes up and down;
 * :class:`Histogram` — fixed-bucket distribution plus a deterministic
-  streaming reservoir for quantile estimates;
-* :class:`Timeseries` — sim-time-stamped gauge samples (time must be
-  monotonically non-decreasing).
+  streaming reservoir for quantile estimates.
 
 The registry is deliberately simulation-agnostic: it never touches the event
 loop or any random stream, so enabling or disabling observability can never
@@ -29,8 +27,6 @@ import bisect
 import collections
 import json
 import re
-import time
-from contextlib import contextmanager
 from functools import reduce
 from operator import add
 from typing import (
@@ -52,12 +48,6 @@ _NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_]+)*$")
 
 #: Default histogram bucket upper bounds (generic small-count scale).
 DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-
-#: Bucket upper bounds (seconds) for :meth:`MetricsRegistry.timer`
-#: histograms — wall-clock spans from sub-millisecond to a few minutes.
-TIMER_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300,
-)
 
 #: Reservoir size bound for streaming quantiles; beyond it the reservoir is
 #: decimated 2:1 and the admission stride doubles (deterministic — no RNG).
@@ -373,85 +363,6 @@ class Histogram(_Instrument):
         return record
 
 
-class Timeseries(_Instrument):
-    """Sim-time-stamped gauge samples.
-
-    Sample times must be monotonically non-decreasing — simulation time never
-    runs backwards, so a violation always indicates a wiring bug and raises
-    :class:`~repro.errors.ObservabilityError`.
-    """
-
-    kind = "timeseries"
-
-    __slots__ = ("samples",)
-
-    def __init__(self, name: str, labels: Labels) -> None:
-        super().__init__(name, labels)
-        self.samples: List[Tuple[float, float]] = []
-
-    def sample(self, time_s: float, value: float) -> None:
-        """Append one ``(time, value)`` sample."""
-        if self.samples and time_s < self.samples[-1][0]:
-            raise ObservabilityError(
-                f"timeseries {self.name!r} time went backwards: "
-                f"{time_s} < {self.samples[-1][0]}"
-            )
-        self.samples.append((float(time_s), float(value)))
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def last(self) -> Optional[Tuple[float, float]]:
-        """Most recent sample, or None when empty."""
-        return self.samples[-1] if self.samples else None
-
-    def values(self) -> List[float]:
-        """The sampled values in time order."""
-        return [v for _, v in self.samples]
-
-    def rate(self) -> float:
-        """Average change per second across the sampled window.
-
-        ``(last - first) / (t_last - t_first)``. The degenerate cases all
-        return ``0.0`` by contract — never ``inf``/``nan``, never a raise —
-        because a caller such as
-        :meth:`repro.obs.energy.EnergyLedger.voltage_rate_v_per_s` asks for
-        the ramp over whatever was sampled, and an empty or instantaneous
-        series must read as "no measured change", not as an error:
-
-        * **empty series** and **single sample** — no interval to rate over;
-        * **zero-span window** (all samples share one timestamp) —
-          repeated-timestamp samples are legal, simulation time may stand
-          still across events.
-
-        >>> ts = Timeseries("demo.level", ())
-        >>> ts.rate()
-        0.0
-        >>> ts.sample(2.0, 5.0)
-        >>> ts.rate()
-        0.0
-        >>> ts.sample(2.0, 9.0)  # same instant: zero-span window
-        >>> ts.rate()
-        0.0
-        >>> ts.sample(4.0, 9.0)
-        >>> ts.rate()
-        2.0
-        """
-        if len(self.samples) < 2:
-            return 0.0
-        (t_first, v_first), (t_last, v_last) = self.samples[0], self.samples[-1]
-        window = t_last - t_first
-        if window <= 0.0:
-            return 0.0
-        return (v_last - v_first) / window
-
-    def to_record(self) -> Dict[str, Any]:
-        record = self._base_record()
-        record["samples"] = [[t, v] for t, v in self.samples]
-        return record
-
-
 # --------------------------------------------------------------- no-op mode
 
 
@@ -491,18 +402,10 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimeseries(Timeseries):
-    __slots__ = ()
-
-    def sample(self, time_s: float, value: float) -> None:
-        pass
-
-
 _NULL_LABELS: Labels = ()
 NULL_COUNTER = _NullCounter("noop", _NULL_LABELS)
 NULL_GAUGE = _NullGauge("noop", _NULL_LABELS)
 NULL_HISTOGRAM = _NullHistogram("noop", _NULL_LABELS, buckets=(1.0,))
-NULL_TIMESERIES = _NullTimeseries("noop", _NULL_LABELS)
 
 
 # ----------------------------------------------------------------- registry
@@ -580,34 +483,6 @@ class MetricsRegistry:
         if not self._enabled:
             return NULL_HISTOGRAM
         return self._get(Histogram, name, labels, buckets=buckets)
-
-    def timeseries(self, name: str, **labels: LabelValue) -> Timeseries:
-        """Get or create the timeseries ``name{labels}``."""
-        if not self._enabled:
-            return NULL_TIMESERIES
-        return self._get(Timeseries, name, labels)
-
-    @contextmanager
-    def timer(self, name: str, **labels: LabelValue):
-        """Observe a wall-clock span into the histogram ``name{labels}``.
-
-        The span is measured with ``time.perf_counter`` and recorded in
-        seconds against :data:`TIMER_BUCKETS`. Only for host-side timing
-        (the parallel runner, exporters); simulation code must never read
-        the wall clock (lint rule PW001).
-
-        >>> registry = MetricsRegistry()
-        >>> with registry.timer("runner.part.wall_s", experiment="fig9"):
-        ...     _ = sum(range(10))
-        >>> registry.get("runner.part.wall_s", experiment="fig9").count
-        1
-        """
-        histogram = self.histogram(name, buckets=TIMER_BUCKETS, **labels)
-        started = time.perf_counter()
-        try:
-            yield histogram
-        finally:
-            histogram.observe(time.perf_counter() - started)
 
     # --------------------------------------------------------------- queries
 

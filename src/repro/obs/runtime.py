@@ -91,7 +91,6 @@ def configure(
     enabled: bool = True,
     trace_kinds: Optional[Sequence[str]] = (),
     span_prefix: str = "s",
-    span_detail: bool = False,
 ) -> None:
     """Reset the observability state for a fresh run.
 
@@ -107,9 +106,6 @@ def configure(
         Id prefix for spans recorded in this process. The parallel runner
         hands each worker task a unique prefix so merged span ids never
         collide.
-    span_detail:
-        Whether hot-path span sites (per-transmission mac80211 spans)
-        record; coarse spans always do.
     """
     global _enabled, _registry, _trace, _trace_kinds, _spans
     from repro.sim.trace import TraceRecorder
@@ -120,9 +116,7 @@ def configure(
     _trace = TraceRecorder(
         enabled_kinds=None if trace_kinds is None else list(trace_kinds)
     )
-    _spans = SpanRecorder(
-        id_prefix=span_prefix, detail=span_detail, enabled=_enabled
-    )
+    _spans = SpanRecorder(id_prefix=span_prefix, enabled=_enabled)
     _sim_stats.clear()
 
 

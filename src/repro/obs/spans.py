@@ -134,10 +134,6 @@ class SpanRecorder:
         Prepended to every span id (``"s"`` -> ``s1, s2, ...``). The runner
         hands each worker task a unique prefix (``"t03."``) so ids merged
         back into the parent can never collide.
-    detail:
-        Whether hot-path sites (per-transmission mac80211 spans) record.
-        Coarse spans always record; detail spans are an opt-in firehose,
-        exactly like trace kinds.
     max_spans:
         Retention cap; spans beyond it still nest correctly but are only
         counted (:attr:`dropped`), not retained.
@@ -149,13 +145,11 @@ class SpanRecorder:
     def __init__(
         self,
         id_prefix: str = "s",
-        detail: bool = False,
         max_spans: int = MAX_SPANS,
         enabled: bool = True,
     ) -> None:
         self._enabled = bool(enabled)
         self._prefix = id_prefix
-        self.detail = bool(detail) and self._enabled
         self._max_spans = max_spans
         self._counter = itertools.count(1)
         self._epoch = perf_counter()

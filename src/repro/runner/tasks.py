@@ -51,14 +51,11 @@ class SpanContext:
         worker-minted ids never collide with the parent's or each other's.
     obs_enabled:
         The parent's observability mode; ``False`` propagates ``--no-obs``.
-    span_detail:
-        Whether hot-path (per-transmission) span sites record in the worker.
     """
 
     root_id: Optional[str]
     prefix: str
     obs_enabled: bool = True
-    span_detail: bool = False
 
 
 @dataclass
@@ -179,11 +176,7 @@ def execute_task(spec: TaskSpec) -> TaskOutcome:
         return TaskOutcome(result=result, wall_s=time.perf_counter() - started)
 
     ctx = spec.obs
-    obs_runtime.configure(
-        enabled=ctx.obs_enabled,
-        span_prefix=ctx.prefix,
-        span_detail=ctx.span_detail,
-    )
+    obs_runtime.configure(enabled=ctx.obs_enabled, span_prefix=ctx.prefix)
     spans = obs_runtime.get_spans()
     task_span = spans.begin(
         "runner.task",

@@ -21,7 +21,6 @@ from typing import Callable, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.harvester.harvester import Harvester
 from repro.harvester.storage import Capacitor
-from repro.obs.energy import EnergyLedger
 from repro.sensors.mcu import MCU_BOOT_TIME_S
 from repro.units import dbm_to_watts, watts_to_dbm
 
@@ -88,11 +87,6 @@ class DutyCycleSimulator:
         Storage thresholds: the default 2.4 V / 1.9 V pair models the
         temperature sensor's Seiko chain; the camera's bq25570+supercap
         chain uses 3.1 V / 2.4 V (§5.2).
-    ledger:
-        Optional :class:`repro.obs.energy.EnergyLedger` recording harvested
-        deposits, operation withdrawals and a (strided) storage-voltage
-        timeseries. The ledger's timeseries is monotonic in time, so use a
-        fresh ledger per ``run`` call.
     """
 
     def __init__(
@@ -104,7 +98,6 @@ class DutyCycleSimulator:
         step_s: float = 0.01,
         boot_voltage_v: float = BOOT_VOLTAGE_V,
         floor_voltage_v: float = BROWNOUT_VOLTAGE_V,
-        ledger: Optional[EnergyLedger] = None,
     ) -> None:
         if operation_energy_j <= 0:
             raise ConfigurationError("operation energy must be > 0")
@@ -124,7 +117,6 @@ class DutyCycleSimulator:
         self.step_s = step_s
         self.boot_voltage_v = boot_voltage_v
         self.floor_voltage_v = floor_voltage_v
-        self.ledger = ledger
 
     # ------------------------------------------------------------------ model
 
@@ -151,24 +143,17 @@ class DutyCycleSimulator:
             raise ConfigurationError("duration must be > 0")
         result = DutyCycleResult(duration_s=duration_s)
         cap = self.storage
-        ledger = self.ledger
         brownout_energy = 0.5 * cap.capacitance_f * self.floor_voltage_v ** 2
         t = 0.0
         while t < duration_s:
             power = self._harvest_power_w(occupancy(t))
             cap.deposit(power * self.step_s)
             cap.leak(self.step_s)
-            if ledger is not None:
-                ledger.deposit(t, power * self.step_s)
             if cap.voltage_v >= self.boot_voltage_v:
                 usable = cap.energy_j - brownout_energy
                 if usable >= self.operation_energy_j:
                     before = cap.voltage_v
                     cap.withdraw(self.operation_energy_j)
-                    if ledger is not None:
-                        ledger.withdraw(
-                            t + MCU_BOOT_TIME_S, self.operation_energy_j
-                        )
                     result.operations.append(
                         OperationRecord(
                             time_s=t + MCU_BOOT_TIME_S,
@@ -176,8 +161,6 @@ class DutyCycleSimulator:
                             storage_voltage_after=cap.voltage_v,
                         )
                     )
-            if ledger is not None:
-                ledger.sample_voltage(t, cap.voltage_v)
             t += self.step_s
         return result
 

@@ -9,12 +9,8 @@ power-optimised to 2.77 µJ per temperature measurement-and-transmit and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.energy import EnergyLedger
 
 #: Energy for one temperature sample + UART transmission (§5.1).
 TEMPERATURE_READ_ENERGY_J = 2.77e-6
@@ -86,21 +82,6 @@ class SensorLoad:
         if available_power_w < 0:
             raise ConfigurationError("power must be >= 0")
         return available_power_w / self.energy_per_operation_j
-
-    def consume(
-        self, ledger: "EnergyLedger", time_s: float, operations: float = 1.0
-    ) -> float:
-        """Record ``operations`` executions of this load on an energy ledger.
-
-        Returns the total energy withdrawn (joules). The dataclass stays
-        frozen — all mutable accounting lives in the ledger.
-        """
-        if operations < 0:
-            raise ConfigurationError("operations must be >= 0")
-        energy = operations * self.energy_per_operation_j
-        if operations > 0:
-            ledger.withdraw(time_s, energy, operations=operations)
-        return energy
 
 
 #: The LMT84 temperature read + UART transmit load (§5.1).

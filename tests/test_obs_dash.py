@@ -131,29 +131,6 @@ def stub_history():
     ]
 
 
-def stub_metrics():
-    return [
-        {
-            "type": "counter",
-            "name": "harvester.energy.in_uj",
-            "labels": {"chain": "camera"},
-            "value": 1250.0,
-        },
-        {
-            "type": "counter",
-            "name": "harvester.energy.operations",
-            "labels": {"chain": "camera"},
-            "value": 7.0,
-        },
-        {
-            "type": "timeseries",
-            "name": "harvester.storage.voltage_v",
-            "labels": {"chain": "camera"},
-            "samples": [[0.0, 2.1], [1.0, 2.4], [2.0, 2.2]],
-        },
-    ]
-
-
 class TagBalanceChecker(HTMLParser):
     """Fails on mismatched close tags and reports unclosed ones."""
 
@@ -209,7 +186,7 @@ class TestSparkline:
 
 class TestBuildDash:
     def test_all_sections_present(self):
-        page = build_dash(stub_manifest(), stub_history(), stub_metrics())
+        page = build_dash(stub_manifest(), stub_history())
         for heading in (
             "SLO scorecard",
             "Domain metric streams",
@@ -217,7 +194,6 @@ class TestBuildDash:
             "Span flame summary",
             "Per-kind attribution",
             "Fault &amp; retry timeline",
-            "Energy ledger",
         ):
             assert heading in page, heading
         # SLO hero: 1 ok of 2 evaluated (skips excluded).
@@ -225,14 +201,13 @@ class TestBuildDash:
         assert "PASS" in page and "VIOLATED" in page and "SKIPPED" in page
 
     def test_charted_values_also_appear_as_text(self):
-        page = build_dash(stub_manifest(), stub_history(), stub_metrics())
+        page = build_dash(stub_manifest(), stub_history())
         assert "1.246" in page  # SLO actual
         assert "1.5000 s" in page  # top span wall
         assert "router.packet" in page and "900" in page  # attribution
-        assert "1,250" in page or "1250" in page  # energy in_uj
 
     def test_self_contained_no_scripts_or_network(self):
-        page = build_dash(stub_manifest(), stub_history(), stub_metrics())
+        page = build_dash(stub_manifest(), stub_history())
         lowered = page.lower()
         assert "<script" not in lowered
         assert "http://" not in lowered and "https://" not in lowered
@@ -240,11 +215,11 @@ class TestBuildDash:
         assert "prefers-color-scheme: dark" in page  # dark palette shipped
 
     def test_well_formed_html(self):
-        assert_well_formed(build_dash(stub_manifest(), stub_history(), stub_metrics()))
+        assert_well_formed(build_dash(stub_manifest(), stub_history()))
         assert_well_formed(build_dash({}))  # empty manifest degrades
 
     def test_pure_equal_inputs_byte_identical(self):
-        args = (stub_manifest(), stub_history(), stub_metrics())
+        args = (stub_manifest(), stub_history())
         assert build_dash(*args) == build_dash(*args)
 
     def test_empty_manifest_degrades_with_placeholders(self):
@@ -252,7 +227,6 @@ class TestBuildDash:
         assert "No SLO specs were evaluated" in page
         assert "No perf_history.jsonl found" in page
         assert "Span flame summary" not in page  # empty sections vanish
-        assert "Energy ledger" not in page
 
     def test_interrupted_flag_surfaces(self):
         manifest = stub_manifest()
@@ -300,17 +274,23 @@ class TestAttributionAgreesWithProfile:
 
 
 class TestWriteDash:
-    def test_writes_page_with_default_sidecar_discovery(self, tmp_path):
+    def test_writes_page_with_default_sidecar_discovery(self, tmp_path, monkeypatch):
+        from repro.obs.history import DEFAULT_HISTORY_DIR, HISTORY_FILENAME
+
+        monkeypatch.chdir(tmp_path)
         manifest_path = tmp_path / "run_manifest.json"
         manifest_path.write_text(json.dumps(stub_manifest()))
-        metrics_path = tmp_path / "run_metrics.jsonl"
-        metrics_path.write_text(
-            "\n".join(json.dumps(record) for record in stub_metrics()) + "\n"
+        history_path = tmp_path / DEFAULT_HISTORY_DIR / HISTORY_FILENAME
+        history_path.parent.mkdir(parents=True)
+        history_path.write_text(
+            "\n".join(json.dumps(record) for record in stub_history()) + "\n"
         )
         out = write_dash(manifest_path, out_path=tmp_path / DASH_FILENAME)
         page = (tmp_path / DASH_FILENAME).read_text()
         assert out == str(tmp_path / DASH_FILENAME)
-        assert "Energy ledger" in page  # metrics sidecar found by location
+        # History sidecar found at its default location.
+        assert "No perf_history.jsonl found" not in page
+        assert "2 run(s)" in page
         assert_well_formed(page)
 
     def test_missing_sidecars_degrade(self, tmp_path):
@@ -321,19 +301,19 @@ class TestWriteDash:
             manifest_path,
             out_path=out,
             history_path=tmp_path / "absent.jsonl",
-            metrics_path=tmp_path / "absent2.jsonl",
         )
         page = out.read_text()
-        assert "Energy ledger" not in page
         assert "No perf_history.jsonl found" in page
 
     def test_malformed_sidecar_line_raises(self, tmp_path):
         manifest_path = tmp_path / "run_manifest.json"
         manifest_path.write_text(json.dumps(stub_manifest()))
-        metrics_path = tmp_path / "run_metrics.jsonl"
-        metrics_path.write_text('{"name": "x"}\nnot json\n')
-        with pytest.raises(ObservabilityError, match=r"jsonl:2: malformed metrics record"):
-            write_dash(manifest_path, out_path=tmp_path / "x.html")
+        history_path = tmp_path / "perf_history.jsonl"
+        history_path.write_text('{"totals": {}}\nnot json\n')
+        with pytest.raises(ObservabilityError, match=r"jsonl:2: malformed history record"):
+            write_dash(
+                manifest_path, out_path=tmp_path / "x.html", history_path=history_path
+            )
 
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(OSError):

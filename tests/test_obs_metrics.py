@@ -1,13 +1,15 @@
-"""Observability layer: instruments, registry, ledger, engine stats, CLI."""
+"""Observability layer: instruments, registry, engine stats, CLI."""
 
+import ast
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs import runtime as obs_runtime
-from repro.obs.energy import EnergyLedger
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -133,50 +135,18 @@ class TestHistogram:
         assert h1.quantile(0.5) == h2.quantile(0.5)
 
 
-class TestTimeseries:
-    def test_records_samples_in_order(self, registry):
-        ts = registry.timeseries("harvester.storage.voltage_v")
-        ts.sample(0.0, 1.0)
-        ts.sample(0.5, 1.5)
-        assert ts.last == (0.5, 1.5)
-        assert len(ts) == 2
-
-    def test_time_must_not_go_backwards(self, registry):
-        ts = registry.timeseries("t")  # lint: ignore[PW006] test-local name
-        ts.sample(1.0, 0.0)
-        with pytest.raises(ObservabilityError):
-            ts.sample(0.5, 0.0)
-
-    def test_rate_degenerate_cases_are_zero(self, registry):
-        ts = registry.timeseries("r0")  # lint: ignore[PW006] test-local name
-        assert ts.rate() == 0.0  # empty
-        ts.sample(3.0, 42.0)
-        assert ts.rate() == 0.0  # single sample
-        ts.sample(3.0, 99.0)  # repeated timestamp: zero-span window
-        assert ts.rate() == 0.0
-
-    def test_rate_measures_first_to_last(self, registry):
-        ts = registry.timeseries("r1")  # lint: ignore[PW006] test-local name
-        ts.sample(0.0, 10.0)
-        ts.sample(1.0, 0.0)
-        ts.sample(5.0, 30.0)
-        assert ts.rate() == pytest.approx(4.0)
-
-
 class TestRegistryExport:
     def test_snapshot_json_round_trip(self, registry):
         registry.counter("a.count", channel=1).inc(2)
         registry.gauge("a.level").set(0.75)
         registry.histogram("a.dist", buckets=(1, 2)).observe(1.5)
-        registry.timeseries("a.series").sample(0.0, 3.3)
         payload = json.dumps(registry.to_dict())
         restored = json.loads(payload)
-        assert len(restored["metrics"]) == 4
+        assert len(restored["metrics"]) == 3
         by_name = {record["name"]: record for record in restored["metrics"]}
         assert by_name["a.count"]["value"] == 2
         assert by_name["a.count"]["labels"] == {"channel": 1}
         assert by_name["a.dist"]["buckets"] == [[1, 0], [2, 1], ["+inf", 0]]
-        assert by_name["a.series"]["samples"] == [[0.0, 3.3]]
 
     def test_to_jsonl_counts_lines(self, registry):
         registry.counter("x.a").inc()
@@ -199,27 +169,18 @@ class TestNoOpMode:
         c = disabled.counter("a.b")
         g = disabled.gauge("a.c")
         h = disabled.histogram("a.d")
-        ts = disabled.timeseries("a.e")
         c.inc(10)
         g.set(5)
         h.observe(3)
-        ts.sample(0.0, 1.0)
         assert c.value == 0
         assert g.value == 0
         assert h.to_record()["count"] == 0
-        assert len(ts) == 0
         assert disabled.snapshot() == []
 
     def test_null_instruments_are_shared_singletons(self):
         disabled = MetricsRegistry(enabled=False)
         assert disabled.counter("a.b") is disabled.counter("c.d")
         assert disabled.counter("a.b") is NULL_REGISTRY.counter("x.y")
-
-    def test_timeseries_null_accepts_backwards_time(self):
-        ts = NULL_REGISTRY.timeseries("t")  # lint: ignore[PW006] test-local name
-        ts.sample(1.0, 0.0)
-        ts.sample(0.0, 0.0)  # must not raise in no-op mode
-
 
 class TestSimulatorStats:
     def test_counts_dispatched_and_cancelled(self):
@@ -291,57 +252,6 @@ class TestRuntimeAggregation:
         assert not sim.stats.profiling
         assert obs_runtime.aggregate_engine_stats()["simulators"] == 0
         assert sim.metrics is obs_runtime.null_registry()
-
-
-class TestEnergyLedger:
-    def test_deposit_withdraw_and_net(self, registry):
-        ledger = EnergyLedger(registry, chain="battery-free")
-        ledger.deposit(0.0, 10e-6)
-        ledger.withdraw(1.0, 2.77e-6)
-        assert ledger.deposited_uj == pytest.approx(10.0)
-        assert ledger.withdrawn_uj == pytest.approx(2.77)
-        assert ledger.net_uj == pytest.approx(7.23)
-        assert ledger.operations == 1
-
-    def test_voltage_stride_thins_samples(self, registry):
-        ledger = EnergyLedger(registry, voltage_stride=10)
-        for i in range(100):
-            ledger.sample_voltage(0.01 * i, 1.0 + 0.01 * i)
-        assert ledger.voltage_samples == 10
-        assert ledger.last_voltage() == pytest.approx(1.90)
-
-    def test_negative_flows_rejected(self, registry):
-        ledger = EnergyLedger(registry)
-        with pytest.raises(ObservabilityError):
-            ledger.deposit(0.0, -1.0)
-        with pytest.raises(ObservabilityError):
-            ledger.withdraw(0.0, -1.0)
-
-    def test_sensor_load_consume_records_operations(self, registry):
-        from repro.sensors.mcu import TEMPERATURE_LOAD
-
-        ledger = EnergyLedger(registry)
-        energy = TEMPERATURE_LOAD.consume(ledger, 0.0, operations=3)
-        assert energy == pytest.approx(3 * 2.77e-6)
-        assert ledger.operations == 3
-        assert ledger.withdrawn_uj == pytest.approx(3 * 2.77)
-
-    def test_duty_cycle_simulator_feeds_ledger(self, registry):
-        from repro.harvester.harvester import battery_free_harvester
-        from repro.sensors.duty_cycle import DutyCycleSimulator
-
-        ledger = EnergyLedger(registry, voltage_stride=100)
-        sim = DutyCycleSimulator(
-            battery_free_harvester(),
-            received_power_dbm=-8.0,
-            operation_energy_j=2.77e-6,
-            ledger=ledger,
-        )
-        result = sim.run_constant(duration_s=20.0, occupancy=1.0)
-        assert result.count >= 1
-        assert ledger.operations == result.count
-        assert ledger.deposited_uj > 0
-        assert ledger.voltage_samples >= 1
 
 
 class TestCliObservability:
@@ -431,62 +341,6 @@ class TestHistogramPercentile:
             h.percentile(-1.0)
 
 
-class TestTimeseriesRate:
-    def test_rate_is_slope_over_window(self, registry):
-        ts = registry.timeseries("a.level")
-        ts.sample(0.0, 1.0)
-        ts.sample(2.0, 2.0)
-        ts.sample(4.0, 9.0)
-        assert ts.rate() == pytest.approx(2.0)
-
-    def test_rate_degenerate_windows_are_zero(self, registry):
-        ts = registry.timeseries("a.level")
-        assert ts.rate() == 0.0
-        ts.sample(1.0, 5.0)
-        assert ts.rate() == 0.0  # one sample
-        ts.sample(1.0, 9.0)
-        assert ts.rate() == 0.0  # repeated timestamp: zero-width window
-
-
-class TestEnergyLedgerEdgeCases:
-    """Satellite: zero-duration intervals and round-off negative drains."""
-
-    def test_zero_duration_interval_contributes_zero(self, registry):
-        ledger = EnergyLedger(registry)
-        ledger.deposit(0.0, 0.0)
-        ledger.withdraw(0.0, 0.0, operation=False)
-        assert ledger.deposited_uj == 0.0
-        assert ledger.withdrawn_uj == 0.0
-        assert ledger.net_uj == 0.0
-        assert ledger.operations == 0
-
-    def test_roundoff_negative_drain_clamps_to_zero(self, registry):
-        from repro.obs.energy import NEGATIVE_FLOW_CLAMP_J
-
-        ledger = EnergyLedger(registry)
-        ledger.deposit(0.0, -1e-18)  # integrator round-off
-        ledger.withdraw(0.1, -NEGATIVE_FLOW_CLAMP_J)  # exactly on the band edge
-        assert ledger.deposited_uj == 0.0
-        assert ledger.withdrawn_uj == 0.0
-
-    def test_genuine_negative_flow_still_raises(self, registry):
-        from repro.obs.energy import NEGATIVE_FLOW_CLAMP_J
-
-        ledger = EnergyLedger(registry)
-        with pytest.raises(ObservabilityError, match="cannot deposit"):
-            ledger.deposit(0.0, -2 * NEGATIVE_FLOW_CLAMP_J)
-        with pytest.raises(ObservabilityError, match="cannot withdraw"):
-            ledger.withdraw(0.0, -1e-6)
-
-    def test_voltage_rate_delegates_to_timeseries(self, registry):
-        ledger = EnergyLedger(registry)
-        assert ledger.voltage_rate_v_per_s() == 0.0
-        ledger.sample_voltage(0.0, 1.0)
-        assert ledger.voltage_rate_v_per_s() == 0.0
-        ledger.sample_voltage(10.0, 3.0)
-        assert ledger.voltage_rate_v_per_s() == pytest.approx(0.2)
-
-
 class TestSimulatorStatsSummary:
     def test_summary_reflects_a_real_run(self):
         obs_runtime.configure(enabled=True)
@@ -512,3 +366,47 @@ class TestSimulatorStatsSummary:
             stats.summary()
             == "dispatched=7 cancelled=2 heap_high=5 callbacks=0 wall=0.0000s"
         )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _documented_prefixes():
+    """First-column prefixes of docs/observability.md's naming table."""
+    text = (ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    section = text.split("## Naming conventions", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([a-z0-9_.]+)\.\*` \|", section, re.MULTILINE)
+
+
+def _registered_names():
+    """Literal names passed to ``.counter/.gauge/.histogram`` outside repro.obs."""
+    names = set()
+    src = ROOT / "src" / "repro"
+    for path in src.rglob("*.py"):
+        if path.relative_to(src).parts[0] == "obs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("counter", "gauge", "histogram")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                names.add(node.args[0].value)
+    return names
+
+
+class TestNamingTable:
+    def test_every_documented_prefix_has_a_producer(self):
+        """A prefix in the naming table names metrics some layer registers."""
+        prefixes = _documented_prefixes()
+        assert len(prefixes) >= 5, "naming table not found or not parsed"
+        names = _registered_names()
+        unregistered = [
+            prefix
+            for prefix in prefixes
+            if not any(name.startswith(prefix + ".") for name in names)
+        ]
+        assert not unregistered, f"documented but never registered: {unregistered}"
