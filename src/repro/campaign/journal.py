@@ -61,7 +61,7 @@ RUN_ALL_CAMPAIGN = "run-all"
 _TERMINAL_EVENTS = frozenset({"point.done", "point.quarantined"})
 
 #: Fault point torn into an append when armed (see
-#: :data:`repro.faults.plan.INFRA_FAULT_POINTS`).
+#: :data:`repro.faults.plan.FAULT_POINTS`).
 CORRUPT_FAULT_POINT = "campaign.journal.corrupt"
 
 

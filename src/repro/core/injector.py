@@ -19,9 +19,9 @@ random stream. When a tick ends in one of those states the injector goes
 **dormant**: it cancels its timer and instead *watches* the station's queue
 depth (``DeviceQueue.on_change`` + ``Station.on_depth_change``). The moment
 a tick could behave differently — depth falls below the threshold, the
-saturated class gains room, a stall/overflow fault opens, the pacing is
-retuned, or the loop stops — it settles every skipped tick in closed form
-and resumes live ticking at the exact time the next tick would have fired.
+saturated class gains room, the pacing is retuned, or the loop stops — it
+settles every skipped tick in closed form and resumes live ticking at the
+exact time the next tick would have fired.
 
 Settlement is byte-exact, not approximate: tick times follow the same
 ``t += period`` float recurrence the live loop produces, tallies advance by
@@ -33,8 +33,7 @@ every-64th-tick metric sync is replicated boundary-for-boundary. Equal-seed
 runs therefore produce byte-identical results and metric exports with the
 fast-forward on. Fast-forward is bypassed whenever its preconditions fail:
 a trace subscription wants per-tick records (``core.gate_drop`` /
-``mac.drop``), an ``on_event`` debug hook is installed, a stall window is
-open, or a forced-overflow fault window is active (see
+``mac.drop``) or an ``on_event`` debug hook is installed (see
 ``docs/performance.md``).
 """
 
@@ -128,8 +127,6 @@ class PowerInjector:
         self._dropped_by_gate = 0
         self._collided = 0
         self._ticks = 0
-        self.stalled_ticks = 0
-        self._stalled_until = 0.0
         self._timer: Optional[Event] = None
         self._running = False
         self._synced_ticks = 0
@@ -158,7 +155,6 @@ class PowerInjector:
         self._m_duty_cycle = metrics.gauge(
             "core.injector.duty_cycle", interface=station.name
         )
-        self._m_stalls = metrics.counter("core.injector.stalls", interface=station.name)
         # A dormant injector has no event on the heap: settle skipped ticks
         # whenever the kernel hands control back so post-run reads (drivers,
         # metric exporters) always see fully materialised state.
@@ -196,28 +192,6 @@ class PowerInjector:
     def running(self) -> bool:
         """True while the injection loop is active."""
         return self._running
-
-    def stall_for(self, duration_s: float) -> None:
-        """Freeze injection for ``duration_s`` sim seconds from now.
-
-        The fault hook behind ``world.injector.stall`` (§7: the user-space
-        injector loses its cadence when the router CPU is saturated).
-        Stalled ticks keep the timer alive but neither consult the gate
-        nor enqueue — they are tallied separately in :attr:`stalled_ticks`
-        so the duty-cycle accounting is untouched. A dormant injector wakes
-        first: stalled ticks differ from gated ones, so they must run live.
-        """
-        if self._dormant is not None:
-            self._wake()
-        until = self.sim.now + duration_s
-        if until > self._stalled_until:
-            self._stalled_until = until
-        self._m_stalls.inc()
-
-    @property
-    def stalled(self) -> bool:
-        """True while an injected stall window is open."""
-        return self.sim.now < self._stalled_until
 
     # ------------------------------------------------- settled-state readers
 
@@ -283,9 +257,6 @@ class PowerInjector:
                 self._timer = None
             return
         sim = self.sim
-        if sim._now < self._stalled_until:
-            self.stalled_ticks += 1
-            return  # the periodic timer keeps the cadence
         self._ticks += 1
         dormant_mode = None
         sat_class = None
@@ -302,14 +273,9 @@ class PowerInjector:
                 meta=self._frame_meta,
             )
             if not station.enqueue(frame):
-                queue = station.queue
-                if (
-                    gate.queue_threshold is None
-                    and not queue.forced_overflow
-                    and not station._trace_drops
-                ):
+                if gate.queue_threshold is None and not station._trace_drops:
                     dormant_mode = "saturated"
-                    sat_class = queue.classifier(frame)
+                    sat_class = station.queue.classifier(frame)
         else:
             self._dropped_by_gate += 1
             if not gate.trace_drops:
@@ -331,11 +297,7 @@ class PowerInjector:
             1 if self._last_spell_ticks >= LONG_SPELL_TICKS
             else IDLE_STREAK_BEFORE_SLEEP
         )
-        if (
-            self._idle_streak >= needed
-            and sim.on_event is None
-            and sim._now >= self._stalled_until
-        ):
+        if self._idle_streak >= needed and sim.on_event is None:
             self._idle_streak = 0
             self._sleep(dormant_mode, sat_class)
 
@@ -387,10 +349,7 @@ class PowerInjector:
         if dormancy.mode == "gated":
             if depth < self.gate.queue_threshold:
                 self._wake()
-        elif (
-            queue.forced_overflow
-            or queue.depth_of(dormancy.sat_class) < queue.capacity
-        ):
+        elif queue.depth_of(dormancy.sat_class) < queue.capacity:
             self._wake()
 
     def _wake(self) -> None:

@@ -1,19 +1,19 @@
-"""Deterministic fault injection for the PoWiFi reproduction.
+"""Deterministic fault injection for the PoWiFi reproduction's runner.
 
-PoWiFi's headline claim is graceful behaviour under adversity; this package
-gives the reproduction the means to *manufacture* adversity on demand, and
-reproducibly. A :class:`~repro.faults.plan.FaultPlan` is built from a seed
-and a list of fault specs; every choice it makes — which task a worker
-crash hits, when a channel outage opens — comes from named
+A reproduction run must survive its own infrastructure: workers crash or
+hang, cache entries rot, manifest writes and journal appends are cut off.
+This package manufactures those failures on demand, and reproducibly. A
+:class:`~repro.faults.plan.FaultPlan` is built from a seed and a list of
+fault specs; every choice it makes — which task a worker crash hits, which
+cache entry is corrupted — comes from named
 :class:`~repro.sim.rng.RandomStreams`, so any chaos run replays exactly.
+Every fault changes how a result was obtained, never the result bytes.
 
 Layering:
 
 * :mod:`repro.faults.plan` — the plan model, fault-point registry, parsing;
 * :mod:`repro.faults.inject` — worker-side infrastructure fault firing
   (used by :mod:`repro.runner.tasks`);
-* :mod:`repro.faults.world` — simulated-world faults scheduled onto a
-  testbed (channel outages, injector stalls, queue overflows, brownouts);
 * :mod:`repro.faults.runtime` — process-scoped armed faults
   (``manifest.interrupt``).
 
@@ -22,34 +22,20 @@ See ``docs/robustness.md`` for the fault-point registry and semantics.
 
 from repro.faults.plan import (
     DEFAULT_HANG_S,
-    DEFAULT_WINDOW_S,
     FAULT_POINTS,
-    INFRA_FAULT_POINTS,
     WORKER_FAULT_POINTS,
-    WORLD_FAULT_POINTS,
     FaultDirective,
     FaultPlan,
     FaultSpec,
     parse_fault_plan,
 )
-from repro.faults.world import (
-    WorldFaultEvent,
-    apply_to_testbed,
-    schedule_world_faults,
-)
 
 __all__ = [
     "DEFAULT_HANG_S",
-    "DEFAULT_WINDOW_S",
     "FAULT_POINTS",
-    "INFRA_FAULT_POINTS",
     "WORKER_FAULT_POINTS",
-    "WORLD_FAULT_POINTS",
     "FaultDirective",
     "FaultPlan",
     "FaultSpec",
-    "WorldFaultEvent",
-    "apply_to_testbed",
     "parse_fault_plan",
-    "schedule_world_faults",
 ]

@@ -7,20 +7,12 @@ the *same* tasks are faulted in the *same* way on every machine — injected
 chaos is as reproducible as the simulation itself, and a flaky-looking
 failure can always be replayed from its seed.
 
-Two families of fault points exist (see :data:`FAULT_POINTS`):
-
-* **infrastructure** faults exercise the orchestration layer — a worker
-  process crashing or hanging mid-task, an unpicklable result, a corrupted
-  cache entry, an interrupted manifest write. These never change experiment
-  *results*: a hardened runner retries them away, which is exactly the
-  invariant the chaos CI job pins (result hashes byte-identical to a
-  fault-free run at the same seed).
-* **world** faults are grounded in the paper's §7 deployments — a power
-  injector stalling under router load, a channel outage on 1/6/11, a
-  transmit-queue overflow exercising the ``IP_Power`` qdepth path, a
-  harvester brownout. These *do* change simulated behaviour; they are
-  applied to a testbed through :mod:`repro.faults.world`, not silently
-  injected into ``run-all``.
+Every fault point (see :data:`FAULT_POINTS`) exercises the orchestration
+layer — a worker process crashing or hanging mid-task, an unpicklable
+result, a corrupted cache entry, an interrupted manifest write, a torn
+campaign journal. None of them changes experiment *results*: a hardened
+runner retries them away, which is exactly the invariant the chaos CI job
+pins (result hashes byte-identical to a fault-free run at the same seed).
 
 Plans parse from a compact CLI spec (``worker.crash:1,worker.hang:1@20``)
 or a JSON file; see ``docs/robustness.md``.
@@ -37,8 +29,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.sim.rng import RandomStreams, derive_seed
 
-#: Infrastructure fault points: fired by the runner / its workers.
-INFRA_FAULT_POINTS: Dict[str, str] = {
+#: Every registered fault point, by name: fired by the runner, its workers
+#: or the campaign manager.
+FAULT_POINTS: Dict[str, str] = {
     "worker.raise": "the task raises an injected exception mid-execution",
     "worker.crash": "the worker process exits abruptly mid-task "
     "(in-process runs degrade this to worker.raise)",
@@ -59,22 +52,7 @@ INFRA_FAULT_POINTS: Dict[str, str] = {
     "cannot help, exercising the poisoned-point quarantine path",
 }
 
-#: Simulated-world fault points: applied to a testbed by repro.faults.world.
-WORLD_FAULT_POINTS: Dict[str, str] = {
-    "world.injector.stall": "a power injector stops enqueueing for a window "
-    "(param: stall duration in sim seconds)",
-    "world.channel.outage": "external interference holds one channel busy "
-    "for a window (param: outage duration in sim seconds)",
-    "world.txqueue.overflow": "a device transmit queue tail-drops every push "
-    "for a window, exercising the IP_Power qdepth path",
-    "world.harvester.brownout": "a storage capacitor's charge collapses to "
-    "zero at the window start",
-}
-
-#: Every registered fault point, by name.
-FAULT_POINTS: Dict[str, str] = {**INFRA_FAULT_POINTS, **WORLD_FAULT_POINTS}
-
-#: Infrastructure points that detonate inside a worker's execute_task call.
+#: Points that detonate inside a worker's execute_task call.
 #: Tasks assigned one of these are forced to execute (bypassing the cache):
 #: a directive that never fires because its task was a cache hit would make
 #: chaos runs silently vacuous.
@@ -84,9 +62,6 @@ WORKER_FAULT_POINTS = frozenset(
 
 #: Default sleep for worker.hang when no param is given (seconds).
 DEFAULT_HANG_S = 30.0
-
-#: Default world fault window duration when no param is given (sim seconds).
-DEFAULT_WINDOW_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -100,7 +75,7 @@ class FaultSpec:
     count:
         How many distinct targets this spec faults (default 1).
     param:
-        Point-specific magnitude — hang/stall/outage duration in seconds;
+        Point-specific magnitude — the ``worker.hang`` sleep in seconds;
         ignored by points that take none.
     scope:
         ``fnmatch`` pattern over ``experiment:part`` task labels
@@ -121,6 +96,15 @@ class FaultSpec:
             raise ConfigurationError(
                 f"fault count must be >= 1, got {self.count} for {self.point}"
             )
+
+    def __str__(self) -> str:
+        """The compact spec-string token (round-trips through parsing)."""
+        text = f"{self.point}:{self.count}"
+        if self.param is not None:
+            text += f"@{self.param:g}"
+        if self.scope != "*":
+            text += f"%{self.scope}"
+        return text
 
 
 @dataclass(frozen=True)
@@ -157,22 +141,27 @@ class FaultPlan:
         """Deterministically bind task-scoped faults to task labels.
 
         ``labels`` are ``experiment:part`` strings for every task the run
-        is about to execute. For each infrastructure spec (except
-        ``manifest.interrupt``, which is process- not task-scoped), ``count``
-        targets are drawn without replacement from the eligible labels in
-        sorted order. Same seed + same label set ⇒ same assignment.
+        is about to execute. For each spec (except ``manifest.interrupt``,
+        which is process- not task-scoped), ``count`` targets are drawn
+        without replacement from the eligible labels in sorted order. Same
+        seed + same label set ⇒ same assignment.
+
+        Raises :class:`~repro.errors.ConfigurationError` naming the spec
+        when a task-scoped spec's scope matches none of ``labels``: a fault
+        that can never fire would leave the run untested yet look faulted.
         """
         assignment: Dict[str, List[FaultDirective]] = {}
         for index, spec in enumerate(self.specs):
-            if spec.point not in INFRA_FAULT_POINTS:
-                continue
             if spec.point == "manifest.interrupt":
                 continue
             eligible = sorted(
                 label for label in set(labels) if fnmatchcase(label, spec.scope)
             )
             if not eligible:
-                continue
+                raise ConfigurationError(
+                    f"fault spec {str(spec)!r}: scope {spec.scope!r} matches "
+                    f"none of the run's {len(set(labels))} unit label(s)"
+                )
             rng = self._streams.stream(f"{spec.point}#{index}")
             chosen = rng.sample(eligible, min(spec.count, len(eligible)))
             for label in chosen:
@@ -181,31 +170,15 @@ class FaultPlan:
                 )
         return {label: tuple(directives) for label, directives in assignment.items()}
 
-    def world_specs(self) -> Tuple[FaultSpec, ...]:
-        """The simulated-world faults this plan requests."""
-        return tuple(s for s in self.specs if s.point in WORLD_FAULT_POINTS)
-
     def wants(self, point: str) -> bool:
         """Whether any spec targets ``point``."""
         return any(spec.point == point for spec in self.specs)
-
-    def world_stream(self, label: str):
-        """A named RNG stream for world-fault window placement."""
-        return self._streams.stream(f"world:{label}")
 
     # ----------------------------------------------------------- rendering
 
     def describe(self) -> str:
         """The compact spec-string form (round-trips through parsing)."""
-        parts = []
-        for spec in self.specs:
-            text = f"{spec.point}:{spec.count}"
-            if spec.param is not None:
-                text += f"@{spec.param:g}"
-            if spec.scope != "*":
-                text += f"%{spec.scope}"
-            parts.append(text)
-        return ",".join(parts)
+        return ",".join(str(spec) for spec in self.specs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan(seed={self.seed}, specs={self.describe()!r})"

@@ -69,17 +69,6 @@ class Capacitor:
         self.set_energy(self.energy_j - energy_j)
         return True
 
-    def brownout(self) -> float:
-        """Collapse the stored charge to zero; returns the energy shed (J).
-
-        The fault hook behind ``world.harvester.brownout``: a §7 deployment
-        sensor whose storage is drained faster than the channel refills it
-        (e.g. a camera frame landing during a lean occupancy stretch).
-        """
-        shed = self.energy_j
-        self.voltage_v = 0.0
-        return shed
-
     def leak(self, dt_s: float) -> None:
         """Exponential self-discharge over ``dt_s`` seconds."""
         if dt_s < 0:

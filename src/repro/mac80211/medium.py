@@ -141,7 +141,6 @@ class Medium:
         self.transmission_count = 0
         self.collision_count = 0
         self.dcf_rounds = 0
-        self.outage_count = 0
         # Per-round instruments publish from the tallies above and two
         # ordered buffers (repro.obs.hotpath); None with observability off.
         self._busy_buffer: Optional[List[float]] = None
@@ -168,7 +167,6 @@ class Medium:
                 "dcf_rounds",
             )
             sim.add_tallies(tallies)
-        self._m_outages = metrics.counter("mac.medium.outages", channel=channel)
 
     # ------------------------------------------------------------------ wiring
 
@@ -184,35 +182,6 @@ class Medium:
     def add_observer(self, observer: MediumObserver) -> None:
         """Subscribe a callback to every :class:`TransmissionRecord`."""
         self._observers.append(observer)
-
-    def inject_outage(self, duration_s: float) -> None:
-        """Hold the channel busy for ``duration_s`` from now (external
-        interference — the fault-injection hook behind
-        ``world.channel.outage``, see ``docs/robustness.md``).
-
-        Carrier sense reacts exactly as it would to a real interferer: any
-        pending DCF round is abandoned (the countdown would have frozen)
-        and contention restarts when the outage clears. An in-flight
-        transmission keeps its schedule — the interferer corrupts nobody
-        retroactively, it only extends the busy horizon.
-        """
-        if duration_s <= 0:
-            raise MediumError(f"outage duration must be > 0, got {duration_s}")
-        now = self.sim.now
-        end = now + duration_s
-        # Only the *incremental* busy extension counts toward occupancy.
-        self.total_busy_time += max(0.0, end - max(self._busy_until, now))
-        if end > self._busy_until:
-            self._busy_until = end
-        self.outage_count += 1
-        self._m_outages.inc()
-        if self._round_event is not None:
-            # The cancelled event stays on the heap as a tombstone, so the
-            # next round allocates a fresh one.
-            self._round_event.cancel()
-            self._round_event = self._round_timer = None
-            self._round_contenders = []
-        self.sim.schedule(duration_s, self.notify_ready, name="outage_end")
 
     # --------------------------------------------------------------- contention
 

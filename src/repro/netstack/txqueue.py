@@ -86,8 +86,6 @@ class DeviceQueue:
         self._retry_pending = 0
         self.total_enqueued = 0
         self.total_tail_dropped = 0
-        self.total_forced_dropped = 0
-        self.forced_overflow = False
         self.high_watermark = 0
         #: Set counts of the depth and high-watermark gauges; each gauge's
         #: last value is the live ``_size`` / ``high_watermark``.
@@ -123,16 +121,11 @@ class DeviceQueue:
                     "net.txqueue.depth_on_push", buckets=_DEPTH_BUCKETS, queue=name
                 )
             )
-            tallies.add_counter(
-                registry.counter("net.txqueue.forced_dropped", queue=name),
-                "total_forced_dropped",
-            )
         #: Optional observer invoked (with no arguments) after any change to
-        #: queue contents or admission state — push success, pop, push_front,
-        #: clear, forced-overflow begin/end. The injector's idle-tick
-        #: fast-forward subscribes to know when a dormancy precondition
-        #: (depth, class fill, overflow window) may have shifted. Must not
-        #: mutate the queue re-entrantly.
+        #: queue contents — push success, pop, push_front, clear. The
+        #: injector's idle-tick fast-forward subscribes to know when a
+        #: dormancy precondition (depth, class fill) may have shifted. Must
+        #: not mutate the queue re-entrantly.
         self.on_change: Optional[Callable[[], None]] = None
 
     # ---------------------------------------------------------------- mutation
@@ -140,13 +133,6 @@ class DeviceQueue:
     def push(self, frame: FrameJob) -> bool:
         """Append ``frame`` to its class; returns False (tail drop) when its
         class is full."""
-        if self.forced_overflow:
-            # Injected overflow window (world.txqueue.overflow): every push
-            # tail-drops exactly as a saturated driver ring would, which is
-            # the condition the IP_Power qdepth gate exists to absorb.
-            self.total_tail_dropped += 1
-            self.total_forced_dropped += 1
-            return False
         classes = self._classes
         name = self.classifier(frame)
         queue = classes.get(name)
@@ -159,8 +145,9 @@ class DeviceQueue:
         size = self._size + 1
         self._size = size
         # getattr, not attribute access: the queue is payload-agnostic by
-        # contract (fault tests push opaque sentinels), so a payload without
-        # an attempt counter simply never marks a retry pending.
+        # contract (perfbench/micro.py times push/pop with bare object()
+        # payloads), so a payload without an attempt counter simply never
+        # marks a retry pending.
         if getattr(frame, "attempts", 0):
             self._retry_pending += 1
         self.total_enqueued += 1
@@ -174,18 +161,6 @@ class DeviceQueue:
         if self.on_change is not None:
             self.on_change()
         return True
-
-    def begin_forced_overflow(self) -> None:
-        """Open an injected overflow window: every ``push`` tail-drops."""
-        self.forced_overflow = True
-        if self.on_change is not None:
-            self.on_change()
-
-    def end_forced_overflow(self) -> None:
-        """Close the injected overflow window (normal admission resumes)."""
-        self.forced_overflow = False
-        if self.on_change is not None:
-            self.on_change()
 
     def push_front(self, frame: FrameJob) -> None:
         """Return a frame to the head of its class (MAC retry path).

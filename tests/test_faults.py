@@ -1,32 +1,25 @@
-"""Fault-injection subsystem: plans, directives, world faults, runtime.
+"""Fault-injection subsystem: plans, directives, runtime.
 
 The contract under test is determinism: a fault plan is as seeded as the
-simulation it attacks, so any chaos run — which task a crash hits, when a
-channel outage opens — replays exactly from ``(seed, specs, task set)``.
+simulation it attacks, so any chaos run — which task a crash hits, which
+cache entry is corrupted — replays exactly from ``(seed, specs, task set)``.
 """
 
 import pickle
 
 import pytest
 
-from repro.core.router import Scheme
 from repro.errors import ConfigurationError, InjectedFault
-from repro.experiments.base import build_testbed
 from repro.faults import (
     FAULT_POINTS,
-    INFRA_FAULT_POINTS,
     WORKER_FAULT_POINTS,
-    WORLD_FAULT_POINTS,
     FaultDirective,
     FaultPlan,
     FaultSpec,
-    apply_to_testbed,
     parse_fault_plan,
-    schedule_world_faults,
 )
 from repro.faults import runtime as faults_runtime
 from repro.faults.inject import fire_worker_faults, sabotage_outcome
-from repro.sim.engine import Simulator
 
 LABELS = [
     "fig9:all",
@@ -46,10 +39,20 @@ class TestFaultSpecValidation:
         with pytest.raises(ConfigurationError, match="count must be >= 1"):
             FaultSpec("worker.raise", count=0)
 
-    def test_registries_are_disjoint_and_complete(self):
-        assert set(INFRA_FAULT_POINTS) | set(WORLD_FAULT_POINTS) == set(FAULT_POINTS)
-        assert not set(INFRA_FAULT_POINTS) & set(WORLD_FAULT_POINTS)
-        assert WORKER_FAULT_POINTS < set(INFRA_FAULT_POINTS)
+    def test_worker_points_are_registered(self):
+        assert WORKER_FAULT_POINTS < set(FAULT_POINTS)
+
+    def test_simulated_world_points_rejected(self):
+        # No run applies simulated-world faults, so a plan naming one must
+        # be refused rather than recorded as if it had fired.
+        for point in (
+            "world.injector.stall",
+            "world.channel.outage",
+            "world.txqueue.overflow",
+            "world.harvester.brownout",
+        ):
+            with pytest.raises(ConfigurationError, match="unknown fault point"):
+                FaultSpec(point)
 
     def test_directives_are_picklable(self):
         directive = FaultDirective("worker.hang", param=2.5)
@@ -117,14 +120,14 @@ class TestAssignmentDeterminism:
         assert plan.assign(LABELS) == {}
         assert plan.wants("manifest.interrupt")
 
-    def test_world_specs_excluded_from_assignment(self):
-        plan = FaultPlan(
-            [FaultSpec("world.channel.outage"), FaultSpec("worker.raise")], seed=0
-        )
-        assignment = plan.assign(LABELS)
-        points = {d.point for ds in assignment.values() for d in ds}
-        assert points == {"worker.raise"}
-        assert [s.point for s in plan.world_specs()] == ["world.channel.outage"]
+    def test_scope_matching_no_label_rejected(self):
+        plan = FaultPlan([FaultSpec("worker.crash", scope="fig99:*")], seed=0)
+        with pytest.raises(ConfigurationError, match=r"'worker.crash:1%fig99:\*'"):
+            plan.assign(LABELS)
+
+    def test_manifest_interrupt_scope_is_not_checked(self):
+        plan = FaultPlan([FaultSpec("manifest.interrupt", scope="fig99:*")], seed=0)
+        assert plan.assign(LABELS) == {}
 
 
 class TestWorkerFaultFiring:
@@ -179,89 +182,3 @@ class TestFaultRuntime:
         faults_runtime.arm("manifest.interrupt")
         faults_runtime.reset()
         assert faults_runtime.armed("manifest.interrupt") == 0
-
-
-class TestWorldFaultScheduling:
-    def _plan(self, *specs, seed=0):
-        return FaultPlan(specs, seed=seed)
-
-    def test_events_are_deterministic(self):
-        events = []
-        for _ in range(2):
-            tb = build_testbed(Scheme.POWIFI, seed=0)
-            plan = self._plan(
-                FaultSpec("world.channel.outage", count=2, param=0.1),
-                FaultSpec("world.injector.stall", param=0.2),
-                seed=11,
-            )
-            events.append(
-                [e.to_record() for e in apply_to_testbed(plan, tb, horizon_s=1.0)]
-            )
-        assert events[0] == events[1]
-        assert len(events[0]) == 3
-
-    def test_channel_outage_raises_busy_time(self):
-        tb = build_testbed(Scheme.POWIFI, seed=0)
-        plan = self._plan(FaultSpec("world.channel.outage", param=0.3), seed=2)
-        events = apply_to_testbed(plan, tb, horizon_s=1.0)
-        (event,) = events
-        tb.sim.run(until=1.0)
-        channel = int(event.target.split("=")[1])
-        medium = tb.media[channel]
-        assert medium.outage_count == 1
-        assert medium.total_busy_time >= 0.3 - 1e-9
-
-    def test_injector_stall_skips_ticks(self):
-        tb = build_testbed(Scheme.POWIFI, seed=0)
-        plan = self._plan(FaultSpec("world.injector.stall", param=0.2), seed=4)
-        (event,) = apply_to_testbed(plan, tb, horizon_s=1.0)
-        tb.start()
-        tb.sim.run(until=1.0)
-        name = event.target.split("=", 1)[1]
-        injector = next(
-            i for i in tb.router.injectors.values() if i.station.name == name
-        )
-        assert injector.stalled_ticks > 0
-
-    def test_txqueue_overflow_forces_drops(self):
-        from repro.netstack.txqueue import DeviceQueue
-
-        sim = Simulator()
-        queue = DeviceQueue(capacity=4, name="q0")
-        plan = self._plan(FaultSpec("world.txqueue.overflow", param=0.5), seed=0)
-        events = schedule_world_faults(plan, sim, horizon_s=1.0, queues=[queue])
-        (event,) = events
-        mid = event.start_s + event.duration_s / 2
-
-        outcomes = {}
-        sim.schedule(mid, lambda: outcomes.update(during=queue.push(object())))
-        sim.schedule(
-            event.start_s + event.duration_s + 0.01,
-            lambda: outcomes.update(after=queue.push(object())),
-        )
-        sim.run(until=2.0)
-        assert outcomes["during"] is False
-        assert outcomes["after"] is True
-        assert queue.total_forced_dropped == 1
-
-    def test_capacitor_brownout_zeroes_charge(self):
-        from repro.harvester.storage import Capacitor
-
-        sim = Simulator()
-        cap = Capacitor(1e-3, initial_voltage_v=3.0)
-        plan = self._plan(FaultSpec("world.harvester.brownout"), seed=0)
-        schedule_world_faults(plan, sim, horizon_s=1.0, capacitors=[cap])
-        sim.run(until=1.0)
-        assert cap.voltage_v == 0.0
-        assert cap.energy_j == 0.0
-
-    def test_empty_component_pool_is_skipped(self):
-        sim = Simulator()
-        plan = self._plan(FaultSpec("world.channel.outage"))
-        assert schedule_world_faults(plan, sim, horizon_s=1.0) == []
-
-    def test_bad_horizon_rejected(self):
-        sim = Simulator()
-        plan = self._plan(FaultSpec("world.channel.outage"))
-        with pytest.raises(ConfigurationError, match="horizon"):
-            schedule_world_faults(plan, sim, horizon_s=0.0)

@@ -75,7 +75,6 @@ def observable_state(sim, medium, router, client, injector):
         "collided": injector.collided,
         "dropped_by_gate": injector.dropped_by_gate,
         "duty_cycle": injector.duty_cycle,
-        "stalled_ticks": injector.stalled_ticks,
         "gate_considered": gate.stats.considered,
         "gate_admitted": gate.stats.admitted,
         "gate_dropped": gate.stats.dropped,
@@ -198,56 +197,6 @@ class TestSegmentedRuns:
 
 
 class TestFaultsOverlappingDormancy:
-    def test_stall_wakes_and_freezes_cadence(self):
-        obs_runtime.reset()
-        sim, medium, router, client, injector = build(11, 5, live=False)
-        injector.start()
-        sim.run(until=0.05)
-        sim.schedule(0.01, injector.stall_for, 0.02)
-        sim.run(until=sim.now + 0.05)
-        assert injector.stalled_ticks > 0
-
-        obs_runtime.reset()
-        sim2, medium2, router2, client2, injector2 = build(11, 5, live=True)
-        injector2.start()
-        sim2.run(until=0.05)
-        sim2.schedule(0.01, injector2.stall_for, 0.02)
-        sim2.run(until=sim2.now + 0.05)
-        assert injector.stalled_ticks == injector2.stalled_ticks
-        assert injector.ticks == injector2.ticks
-        assert injector.dropped_by_gate == injector2.dropped_by_gate
-
-    def test_outage_overlapping_skipped_region(self):
-        def scenario(live):
-            obs_runtime.reset()
-            sim, medium, router, client, injector = build(13, 5, live=live)
-            injector.start()
-            sim.run(until=0.03)
-            # Hold the channel busy across many would-be ticks: the queue
-            # stays full, dormancy (fast path) persists through the outage.
-            sim.schedule(0.005, medium.inject_outage, 0.04)
-            sim.run(until=0.12)
-            return observable_state(sim, medium, router, client, injector)
-
-        assert scenario(live=False) == scenario(live=True)
-
-    def test_forced_overflow_overlapping_dormancy(self):
-        def scenario(live):
-            obs_runtime.reset()
-            sim, medium, router, client, injector = build(
-                17, None, live=live, capacity=30
-            )
-            injector.start()
-            sim.run(until=0.03)
-            sim.schedule(0.004, router.queue.begin_forced_overflow)
-            sim.schedule(0.020, router.queue.end_forced_overflow)
-            sim.run(until=0.1)
-            state = observable_state(sim, medium, router, client, injector)
-            state["forced_dropped"] = router.queue.total_forced_dropped
-            return state
-
-        assert scenario(live=False) == scenario(live=True)
-
     def test_retune_during_dormancy(self):
         def scenario(live):
             obs_runtime.reset()
@@ -281,9 +230,7 @@ class TestDormancyPreconditions:
             injector.start()
             sim.run(until=0.05)
             # Every tick dispatched live: the trace wants per-tick records.
-            assert sim.stats.callback_counts["power_inject"] == (
-                injector.ticks + injector.stalled_ticks
-            )
+            assert sim.stats.callback_counts["power_inject"] == injector.ticks
             assert len(sim.trace.records) > 0
         finally:
             obs_runtime.reset()

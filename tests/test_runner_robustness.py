@@ -488,3 +488,56 @@ class TestGracefulInterrupt:
             for part in entry["parts"]
         }
         assert "interrupted" in kinds
+
+
+class TestFaultPlanRefusals:
+    """A fault plan that cannot fire is refused (exit 2), never recorded."""
+
+    @pytest.fixture()
+    def run_all_argv(self, tmp_path):
+        return [
+            "run-all", "--ids", "table1", "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--report", str(tmp_path / "run_manifest.json"), "--no-history",
+        ]
+
+    def test_run_all_refuses_simulated_world_point(
+        self, tmp_path, run_all_argv, capsys
+    ):
+        from repro.cli import main
+
+        code = main(run_all_argv + ["--fault-plan", "world.channel.outage:1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown fault point 'world.channel.outage'" in err
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_campaign_run_refuses_simulated_world_point(self, tmp_path, capsys):
+        from pathlib import Path
+
+        from repro.cli import main
+
+        spec = Path(__file__).resolve().parents[1] / "campaigns" / "demo.json"
+        code = main([
+            "campaign", "run", "--spec", str(spec), "--jobs", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--report", str(tmp_path / "campaign_manifest.json"),
+            "--fault-plan", "world.injector.stall:1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown fault point 'world.injector.stall'" in err
+        assert not (tmp_path / "campaign_manifest.json").exists()
+
+    def test_run_all_refuses_scope_matching_no_unit(
+        self, tmp_path, run_all_argv, capsys
+    ):
+        from repro.cli import main
+
+        code = main(run_all_argv + ["--fault-plan", "worker.crash:1%fig9:*"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'worker.crash:1%fig9:*'" in err and "matches none" in err
+        # Refused before any unit ran: nothing cached, no manifest.
+        assert not (tmp_path / "run_manifest.json").exists()
+        assert not list((tmp_path / "cache").glob("objects/*.pkl"))
