@@ -21,7 +21,7 @@ import pytest
 
 from conftest import write_report
 
-from repro.runner import run_all
+from repro.runner.core import run_all
 
 JOBS = 4
 

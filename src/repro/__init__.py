@@ -18,37 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core import (
-    InjectorConfig,
-    OccupancyAnalyzer,
-    PoWiFiRouter,
-    PowerInjector,
-    RouterConfig,
-    Scheme,
-)
-from repro.mac80211 import Medium
-from repro.planner import DeploymentPlanner, Environment, SensingRequirement
-from repro.sim import Simulator
-from repro.sim.rng import RandomStreams
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "InjectorConfig",
-    "OccupancyAnalyzer",
-    "PoWiFiRouter",
-    "PowerInjector",
-    "RouterConfig",
-    "Scheme",
-    "Medium",
-    "DeploymentPlanner",
-    "Environment",
-    "SensingRequirement",
-    "Simulator",
-    "RandomStreams",
-    "QuickstartResult",
-    "quickstart_powifi",
-]
+__all__ = ["QuickstartResult", "quickstart_powifi"]
 
 
 @dataclass
@@ -66,6 +38,12 @@ def quickstart_powifi(duration_s: float = 2.0, seed: int = 0) -> QuickstartResul
     A minimal end-to-end exercise of the core design: three media, three
     injectors, the queue-threshold gate, and the occupancy metric.
     """
+    from repro.core.config import Scheme
+    from repro.core.router import PoWiFiRouter, RouterConfig
+    from repro.mac80211.medium import Medium
+    from repro.sim.engine import Simulator
+    from repro.sim.rng import RandomStreams
+
     sim = Simulator()
     streams = RandomStreams(seed)
     media = {ch: Medium(sim, channel=ch) for ch in (1, 6, 11)}

@@ -11,47 +11,3 @@ flattened query surface over finished campaigns lives in
 :mod:`repro.campaign.results`; the CLI verbs are ``repro campaign
 run|status|results``. See ``docs/campaigns.md``.
 """
-
-from repro.campaign.journal import (
-    JOURNAL_FILENAME,
-    JOURNAL_SCHEMA_VERSION,
-    CampaignJournal,
-    JournalState,
-    fold_journal,
-    quarantine_journal,
-)
-from repro.campaign.manager import CampaignResult, PointOutcome, run_campaign
-from repro.campaign.results import point_rows, render_rows, rows_to_csv
-from repro.campaign.spec import (
-    CAMPAIGN_SCHEMA_VERSION,
-    DEFAULT_SPEC_DIR,
-    CampaignPoint,
-    CampaignSpec,
-    SweepEntry,
-    load_campaign_spec,
-    parse_campaign_spec,
-    validate_campaign_data,
-)
-
-__all__ = [
-    "CAMPAIGN_SCHEMA_VERSION",
-    "DEFAULT_SPEC_DIR",
-    "JOURNAL_FILENAME",
-    "JOURNAL_SCHEMA_VERSION",
-    "CampaignJournal",
-    "CampaignPoint",
-    "CampaignResult",
-    "CampaignSpec",
-    "JournalState",
-    "PointOutcome",
-    "SweepEntry",
-    "fold_journal",
-    "load_campaign_spec",
-    "parse_campaign_spec",
-    "point_rows",
-    "quarantine_journal",
-    "render_rows",
-    "rows_to_csv",
-    "run_campaign",
-    "validate_campaign_data",
-]

@@ -78,6 +78,9 @@ class CampaignJournal:
     resuming manager must pass the folded ``last_seq``. ``header`` fields
     are added to every ``campaign.open`` record (``run-all`` stamps its
     history-derived ``expected_walls`` there for ``repro watch``).
+    ``fresh`` empties the file at the first append, not at opening, so a
+    run refused before its first record leaves the previous journal as it
+    was (``run-all`` starts its journal empty each run).
     """
 
     def __init__(
@@ -85,11 +88,13 @@ class CampaignJournal:
         path: Union[str, Path],
         start_seq: int = 0,
         header: Optional[Dict[str, Any]] = None,
+        fresh: bool = False,
     ) -> None:
         self.path = Path(path)
         self.header = dict(header or {})
         self._seq = int(start_seq)
         self._fd = open_append(self.path)
+        self._fresh = fresh
 
     @property
     def seq(self) -> int:
@@ -118,6 +123,9 @@ class CampaignJournal:
         it keeps appending, the next line glues onto the fragment and the
         fold sees mid-file corruption (journal quarantined on resume).
         """
+        if self._fresh:
+            os.ftruncate(self._fd, 0)
+            self._fresh = False
         self._seq += 1
         record: Dict[str, Any] = {
             "schema": JOURNAL_SCHEMA_VERSION,

@@ -179,8 +179,8 @@ def _fault_plan(args: argparse.Namespace):
     arm a process-scoped ``manifest.interrupt``."""
     if args.fault_plan is None:
         return None
-    from repro.faults import parse_fault_plan
     from repro.faults import runtime as faults_runtime
+    from repro.faults.plan import parse_fault_plan
 
     plan = parse_fault_plan(
         args.fault_plan,
@@ -219,7 +219,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         expected_walls,
         write_bench_snapshot,
     )
-    from repro.runner import ResultCache, run_all, write_manifest
+    from repro.runner.cache import ResultCache
+    from repro.runner.core import run_all
+    from repro.runner.manifest import write_manifest
 
     obs_runtime.configure(enabled=not args.no_obs)
 
@@ -249,10 +251,9 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     # the cache already makes a rerun execute only what is missing.
     report_dir = os.path.dirname(os.path.abspath(args.report))
     journal_path = os.path.join(report_dir, RUN_JOURNAL_FILENAME)
-    if os.path.exists(journal_path):
-        os.unlink(journal_path)
     walls = expected_walls(os.path.join(args.history_dir, HISTORY_FILENAME))
-    with CampaignJournal(journal_path, header={"expected_walls": walls}) as journal:
+    header = {"expected_walls": walls}
+    with CampaignJournal(journal_path, header=header, fresh=True) as journal:
         result = run_all(
             ids=ids,
             jobs=args.jobs,
@@ -316,8 +317,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     Spec schema, journal format and resume/quarantine semantics are
     documented in ``docs/campaigns.md``.
     """
-    from repro.campaign import load_campaign_spec, run_campaign
+    from repro.campaign.manager import run_campaign
     from repro.campaign.manager import write_manifest as write_campaign_manifest
+    from repro.campaign.spec import load_campaign_spec
 
     if args.resume and args.fresh:
         print("campaign run: --resume and --fresh conflict", file=sys.stderr)
@@ -373,7 +375,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     """``repro campaign status``: fold the journal into a progress report."""
-    from repro.campaign import fold_journal, load_campaign_spec
+    from repro.campaign.journal import fold_journal
+    from repro.campaign.spec import load_campaign_spec
 
     state = fold_journal(args.journal)
     status: dict = {
@@ -434,8 +437,12 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_results(args: argparse.Namespace) -> int:
     """``repro campaign results``: flatten a campaign manifest into rows."""
-    from repro.campaign import point_rows, render_rows, rows_to_csv
-    from repro.campaign.results import load_campaign_manifest
+    from repro.campaign.results import (
+        load_campaign_manifest,
+        point_rows,
+        render_rows,
+        rows_to_csv,
+    )
 
     rows = point_rows(load_campaign_manifest(args.input), experiment=args.experiment)
     if args.format == "json":

@@ -8,35 +8,3 @@ is at or above a threshold, and a router that runs one injector per
 non-overlapping 2.4 GHz channel so the *cumulative* occupancy approaches a
 continuous transmission.
 """
-
-from repro.core.config import InjectorConfig, Scheme
-from repro.core.ip_power import IpPowerGate
-from repro.core.injector import PowerInjector
-from repro.core.occupancy import (
-    OccupancyAnalyzer,
-    OccupancySeries,
-    occupancy_from_pcap,
-)
-from repro.core.router import PoWiFiRouter, RouterConfig
-from repro.core.scheduler import OccupancyCap
-from repro.core.schemes import scheme_injector_config
-from repro.core.pdos import PdosAttacker, PdosWatchdog
-from repro.core.multi_router import MultiRouterDeployment, MultiRouterResult
-
-__all__ = [
-    "InjectorConfig",
-    "Scheme",
-    "IpPowerGate",
-    "PowerInjector",
-    "OccupancyAnalyzer",
-    "OccupancySeries",
-    "occupancy_from_pcap",
-    "PoWiFiRouter",
-    "RouterConfig",
-    "OccupancyCap",
-    "scheme_injector_config",
-    "PdosAttacker",
-    "PdosWatchdog",
-    "MultiRouterDeployment",
-    "MultiRouterResult",
-]

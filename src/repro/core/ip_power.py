@@ -9,12 +9,14 @@ frames queued to keep the channel busy. Client traffic is never touched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.mac80211.station import Station
 from repro.obs.hotpath import Tallies
-from repro.packets.ipv4 import IPv4Packet
+
+if TYPE_CHECKING:  # pragma: no cover - type hints only
+    from repro.packets.ipv4 import IPv4Packet
 
 
 @dataclass

@@ -26,8 +26,6 @@ from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.errors import ConfigurationError
 from repro.mac80211.medium import Medium, TransmissionRecord
 from repro.obs.hotpath import Tallies
-from repro.packets.pcap import PcapReader
-from repro.packets.radiotap import RadiotapHeader
 
 
 @dataclass
@@ -76,6 +74,9 @@ def occupancy_from_pcap(
         and last capture timestamps — supply the true duration when the
         capture has idle head/tail time.
     """
+    from repro.packets.pcap import PcapReader
+    from repro.packets.radiotap import RadiotapHeader
+
     airtime = 0.0
     first: Optional[float] = None
     last: Optional[float] = None

@@ -51,7 +51,7 @@ class ObservabilityError(ReproError):
 class InjectedFault(ReproError):
     """A fault deliberately fired by the fault-injection subsystem.
 
-    Raised (or simulated) only when a :class:`repro.faults.FaultPlan` armed
+    Raised (or simulated) only when a :class:`repro.faults.plan.FaultPlan` armed
     the corresponding fault point — never during normal operation. The
     message always names the fault point so failure records stay
     attributable to the plan that caused them.

@@ -6,7 +6,3 @@ regenerates the full figure rows, and the examples print human-readable
 reports. The registry maps experiment ids ("fig5", "table1", ...) to
 drivers.
 """
-
-from repro.experiments.registry import EXPERIMENTS, get_experiment
-
-__all__ = ["EXPERIMENTS", "get_experiment"]

@@ -23,23 +23,10 @@ so the merge functions insert part results in that same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core.config import Scheme
 from repro.experiments.base import FIG6_SCHEMES
-from repro.experiments.fig05_delay_sweep import (
-    DEFAULT_DELAYS_US,
-    DEFAULT_THRESHOLDS,
-    DelaySweepResult,
-)
-from repro.experiments.fig08_fairness import (
-    DEFAULT_NEIGHBOR_RATES,
-    FIG8_SCHEMES,
-    FairnessResult,
-)
-from repro.experiments.fig14_homes import HomeStudyResult
-from repro.experiments.sec8c_multi_router import MultiRouterStudy
-from repro.workloads.homes import HOME_DEPLOYMENTS
 
 
 @dataclass(frozen=True)
@@ -76,11 +63,22 @@ class SweepPlan:
 
 def fig5_sweep(
     seed: int = 0,
-    thresholds: Sequence[int] = DEFAULT_THRESHOLDS,
-    delays_us: Sequence[float] = DEFAULT_DELAYS_US,
+    thresholds: Optional[Sequence[int]] = None,
+    delays_us: Optional[Sequence[float]] = None,
     duration_s: float = 2.0,
 ) -> SweepPlan:
-    """Fig 5 split by queue threshold (one delay-grid curve per part)."""
+    """Fig 5 split by queue threshold (one delay-grid curve per part).
+
+    ``thresholds`` and ``delays_us`` default to the driver's grids.
+    """
+    from repro.experiments.fig05_delay_sweep import (
+        DEFAULT_DELAYS_US,
+        DEFAULT_THRESHOLDS,
+        DelaySweepResult,
+    )
+
+    thresholds = DEFAULT_THRESHOLDS if thresholds is None else thresholds
+    delays_us = DEFAULT_DELAYS_US if delays_us is None else delays_us
     parts = tuple(
         SweepPart(
             name=f"threshold={threshold}",
@@ -168,11 +166,22 @@ def fig6c_sweep(
 
 def fig8_sweep(
     seed: int = 0,
-    schemes: Sequence[Scheme] = FIG8_SCHEMES,
-    neighbor_rates: Sequence[float] = DEFAULT_NEIGHBOR_RATES,
+    schemes: Optional[Sequence[Scheme]] = None,
+    neighbor_rates: Optional[Sequence[float]] = None,
     duration_s: float = 2.0,
 ) -> SweepPlan:
-    """Fig 8 (neighbour fairness) split by scheme."""
+    """Fig 8 (neighbour fairness) split by scheme.
+
+    ``schemes`` and ``neighbor_rates`` default to the driver's.
+    """
+    from repro.experiments.fig08_fairness import (
+        DEFAULT_NEIGHBOR_RATES,
+        FIG8_SCHEMES,
+        FairnessResult,
+    )
+
+    schemes = FIG8_SCHEMES if schemes is None else schemes
+    neighbor_rates = DEFAULT_NEIGHBOR_RATES if neighbor_rates is None else neighbor_rates
     parts = tuple(
         SweepPart(
             name=f"scheme={scheme.value}",
@@ -202,6 +211,9 @@ def fig14_sweep(
     window_s: float = 60.0,
 ) -> SweepPlan:
     """Fig 14 (six-home study) split by home, via ``run_home``."""
+    from repro.experiments.fig14_homes import HomeStudyResult
+    from repro.workloads.homes import HOME_DEPLOYMENTS
+
     parts = tuple(
         SweepPart(
             name=f"home={profile.index}",
@@ -228,6 +240,8 @@ def sec8c_sweep(
     duration_s: float = 1.0,
 ) -> SweepPlan:
     """§8(c) (concurrent routers) split by router count."""
+    from repro.experiments.sec8c_multi_router import MultiRouterStudy
+
     parts = tuple(
         SweepPart(
             name=f"routers={count}",

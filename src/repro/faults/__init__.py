@@ -19,23 +19,3 @@ Layering:
 
 See ``docs/robustness.md`` for the fault-point registry and semantics.
 """
-
-from repro.faults.plan import (
-    DEFAULT_HANG_S,
-    FAULT_POINTS,
-    WORKER_FAULT_POINTS,
-    FaultDirective,
-    FaultPlan,
-    FaultSpec,
-    parse_fault_plan,
-)
-
-__all__ = [
-    "DEFAULT_HANG_S",
-    "FAULT_POINTS",
-    "WORKER_FAULT_POINTS",
-    "FaultDirective",
-    "FaultPlan",
-    "FaultSpec",
-    "parse_fault_plan",
-]

@@ -8,58 +8,3 @@ rectifier's RF input impedance, which is what lets a single-stage LC match
 datasheets the paper cites (SMS7630 diodes, Seiko S-882Z, TI bq25570) and
 from the measured curves in Figs 10–12.
 """
-
-from repro.harvester.diode import SMS7630, DiodeParameters
-from repro.harvester.matching import LMatchingNetwork, RectifierImpedanceModel
-from repro.harvester.rectifier import VoltageDoubler
-from repro.harvester.dcdc import (
-    SeikoSz882,
-    TiBq25570,
-    TiBq25570Standalone,
-    DcDcConverter,
-)
-from repro.harvester.harvester import (
-    Harvester,
-    HarvesterOperatingPoint,
-    battery_free_harvester,
-    battery_free_camera_harvester,
-    battery_recharging_harvester,
-)
-from repro.harvester.storage import (
-    Capacitor,
-    SuperCapacitor,
-    NiMHBattery,
-    LiIonCoinCell,
-)
-from repro.harvester.waveform import RectifierWaveformSimulator, VoltageSample
-from repro.harvester.multiband import (
-    BandInput,
-    MultiBandHarvester,
-    band_900_harvester,
-)
-
-__all__ = [
-    "SMS7630",
-    "DiodeParameters",
-    "LMatchingNetwork",
-    "RectifierImpedanceModel",
-    "VoltageDoubler",
-    "SeikoSz882",
-    "TiBq25570",
-    "TiBq25570Standalone",
-    "DcDcConverter",
-    "Harvester",
-    "HarvesterOperatingPoint",
-    "battery_free_harvester",
-    "battery_free_camera_harvester",
-    "battery_recharging_harvester",
-    "Capacitor",
-    "SuperCapacitor",
-    "NiMHBattery",
-    "LiIonCoinCell",
-    "RectifierWaveformSimulator",
-    "VoltageSample",
-    "BandInput",
-    "MultiBandHarvester",
-    "band_900_harvester",
-]

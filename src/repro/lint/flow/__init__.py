@@ -25,15 +25,3 @@ module once and feeds that tree to both the per-file rules and
 :func:`extract_facts`. See ``docs/lint.md`` for the PW1xx catalog and the
 index/cache schema.
 """
-
-from repro.lint.flow.index import ModuleFacts, ProjectIndex, extract_facts
-from repro.lint.flow.rules import FlowRule, all_flow_rules, get_flow_rule
-
-__all__ = [
-    "FlowRule",
-    "ModuleFacts",
-    "ProjectIndex",
-    "all_flow_rules",
-    "extract_facts",
-    "get_flow_rule",
-]

@@ -7,37 +7,3 @@ Minstrel-style rate adaptation, and a monitor-mode capture that writes
 radiotap pcap files — everything the PoWiFi router design in
 :mod:`repro.core` sits on.
 """
-
-from repro.mac80211.rates import (
-    DSSS_RATES_MBPS,
-    ERP_OFDM_RATES_MBPS,
-    ALL_80211G_RATES_MBPS,
-    PhyParameters,
-    PHY_80211G,
-)
-from repro.mac80211.airtime import frame_airtime_s, ack_airtime_s
-from repro.mac80211.frames import FrameJob, FrameKind
-from repro.mac80211.medium import Medium, TransmissionRecord
-from repro.mac80211.station import Station
-from repro.mac80211.channels import CHANNEL_FREQUENCIES_MHZ, channel_frequency_hz
-from repro.mac80211.rate_control import MinstrelLite
-from repro.mac80211.capture import MonitorCapture
-
-__all__ = [
-    "DSSS_RATES_MBPS",
-    "ERP_OFDM_RATES_MBPS",
-    "ALL_80211G_RATES_MBPS",
-    "PhyParameters",
-    "PHY_80211G",
-    "frame_airtime_s",
-    "ack_airtime_s",
-    "FrameJob",
-    "FrameKind",
-    "Medium",
-    "TransmissionRecord",
-    "Station",
-    "CHANNEL_FREQUENCIES_MHZ",
-    "channel_frequency_hz",
-    "MinstrelLite",
-    "MonitorCapture",
-]

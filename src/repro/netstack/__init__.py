@@ -5,24 +5,3 @@ Models the pieces of the Linux network stack the PoWiFi kernel patch touches
 the traffic sources the evaluation uses: iperf-style UDP and TCP flows and a
 PhantomJS-style page-load harness.
 """
-
-from repro.netstack.txqueue import DeviceQueue
-from repro.netstack.udp import UdpFlow
-from repro.netstack.tcp import TcpFlow, TcpParameters
-from repro.netstack.iperf import IperfUdpClient, IperfResult
-from repro.netstack.http import PageLoadHarness, WebPage, WebObject
-from repro.netstack.latency import LatencyTracker, LatencySample
-
-__all__ = [
-    "DeviceQueue",
-    "UdpFlow",
-    "TcpFlow",
-    "TcpParameters",
-    "IperfUdpClient",
-    "IperfResult",
-    "PageLoadHarness",
-    "WebPage",
-    "WebObject",
-    "LatencyTracker",
-    "LatencySample",
-]

@@ -28,7 +28,7 @@ MAX_TRACKED_SIMULATORS = 256
 
 _enabled: bool = True
 _registry: MetricsRegistry = MetricsRegistry(enabled=True)
-_trace = None  # created lazily to avoid an import cycle with repro.sim
+_trace = None  # built on first use: a process that never simulates never loads repro.sim
 _trace_kinds: Optional[Sequence[str]] = ()
 _spans: SpanRecorder = SpanRecorder(enabled=True)
 _sim_stats: Deque[Any] = deque(maxlen=MAX_TRACKED_SIMULATORS)
@@ -60,7 +60,8 @@ def get_trace():
     if _trace is None:
         from repro.sim.trace import TraceRecorder
 
-        _trace = TraceRecorder(enabled_kinds=list(_trace_kinds or []))
+        kinds = _trace_kinds
+        _trace = TraceRecorder(enabled_kinds=None if kinds is None else list(kinds))
     return _trace
 
 
@@ -108,14 +109,10 @@ def configure(
         collide.
     """
     global _enabled, _registry, _trace, _trace_kinds, _spans
-    from repro.sim.trace import TraceRecorder
-
     _enabled = bool(enabled)
     _registry = MetricsRegistry(enabled=_enabled)
     _trace_kinds = trace_kinds
-    _trace = TraceRecorder(
-        enabled_kinds=None if trace_kinds is None else list(trace_kinds)
-    )
+    _trace = None  # built on first use by get_trace()
     _spans = SpanRecorder(id_prefix=span_prefix, enabled=_enabled)
     _sim_stats.clear()
 

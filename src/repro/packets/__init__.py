@@ -9,47 +9,3 @@ container. The MAC simulator emits real frame bytes through these codecs and
 the occupancy analyzer parses them back, so the measurement path is exercised
 end to end.
 """
-
-from repro.packets.bytesutil import internet_checksum, hexdump
-from repro.packets.dot11 import (
-    Dot11Beacon,
-    Dot11Data,
-    Dot11FrameControl,
-    Dot11Header,
-    FrameType,
-    MacAddress,
-    BROADCAST_MAC,
-)
-from repro.packets.ipv4 import IPv4Packet, IP_OPTION_POWER
-from repro.packets.llc import LlcSnapHeader, ETHERTYPE_IPV4
-from repro.packets.pcap import PcapReader, PcapWriter, LINKTYPE_IEEE802_11_RADIOTAP
-from repro.packets.radiotap import RadiotapHeader
-from repro.packets.udp import UdpDatagram
-from repro.packets.builder import PowerPacketBuilder, build_power_frame
-from repro.packets.control import AckFrame, CtsFrame, RtsFrame
-
-__all__ = [
-    "internet_checksum",
-    "hexdump",
-    "MacAddress",
-    "BROADCAST_MAC",
-    "FrameType",
-    "Dot11FrameControl",
-    "Dot11Header",
-    "Dot11Data",
-    "Dot11Beacon",
-    "LlcSnapHeader",
-    "ETHERTYPE_IPV4",
-    "IPv4Packet",
-    "IP_OPTION_POWER",
-    "UdpDatagram",
-    "RadiotapHeader",
-    "PcapReader",
-    "PcapWriter",
-    "LINKTYPE_IEEE802_11_RADIOTAP",
-    "PowerPacketBuilder",
-    "build_power_frame",
-    "AckFrame",
-    "RtsFrame",
-    "CtsFrame",
-]

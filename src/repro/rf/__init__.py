@@ -4,23 +4,3 @@ Models the physical link between the PoWiFi router and a harvester: path
 loss (Friis free-space and log-distance), antenna gains, and the wall
 materials used in the paper's through-the-wall camera experiments (Fig. 13).
 """
-
-from repro.rf.antenna import Antenna
-from repro.rf.materials import WALL_MATERIALS, WallMaterial
-from repro.rf.propagation import (
-    FreeSpacePathLoss,
-    LogDistancePathLoss,
-    PathLossModel,
-)
-from repro.rf.link import LinkBudget, Transmitter
-
-__all__ = [
-    "Antenna",
-    "WallMaterial",
-    "WALL_MATERIALS",
-    "PathLossModel",
-    "FreeSpacePathLoss",
-    "LogDistancePathLoss",
-    "LinkBudget",
-    "Transmitter",
-]

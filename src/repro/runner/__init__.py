@@ -19,46 +19,3 @@ See ``docs/running.md`` for the end-to-end workflow and
 ``docs/architecture.md`` for where this sits in the layering (above
 ``experiments/``; nothing below it knows it exists).
 """
-
-from repro.runner.cache import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    cache_key,
-    canonical_config,
-    code_fingerprint,
-)
-from repro.runner.core import (
-    ExperimentRun,
-    RunAllResult,
-    resolve_ids,
-    run_all,
-)
-from repro.runner.manifest import (
-    MANIFEST_FILENAME,
-    MANIFEST_SCHEMA_VERSION,
-    build_manifest,
-    write_manifest,
-)
-from repro.runner.tasks import SpanContext, TaskOutcome, TaskSpec, execute_task
-
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "DEFAULT_CACHE_DIR",
-    "MANIFEST_FILENAME",
-    "MANIFEST_SCHEMA_VERSION",
-    "ExperimentRun",
-    "ResultCache",
-    "RunAllResult",
-    "SpanContext",
-    "TaskOutcome",
-    "TaskSpec",
-    "build_manifest",
-    "cache_key",
-    "canonical_config",
-    "code_fingerprint",
-    "execute_task",
-    "resolve_ids",
-    "run_all",
-    "write_manifest",
-]

@@ -1,24 +1,3 @@
 """Wi-Fi-powered sensor applications (§5): the battery-free and
 battery-recharging temperature sensor and camera, plus the USB charging
 hotspot of §8(a)."""
-
-from repro.sensors.mcu import Msp430Fr5969, SensorLoad, TEMPERATURE_READ_ENERGY_J
-from repro.sensors.temperature import TemperatureSensor, TemperatureSensorResult
-from repro.sensors.camera import WiFiCamera, CameraResult, IMAGE_CAPTURE_ENERGY_J
-from repro.sensors.charger import UsbWiFiCharger, ChargeResult
-from repro.sensors.duty_cycle import DutyCycleSimulator, DutyCycleResult
-
-__all__ = [
-    "Msp430Fr5969",
-    "SensorLoad",
-    "TEMPERATURE_READ_ENERGY_J",
-    "TemperatureSensor",
-    "TemperatureSensorResult",
-    "WiFiCamera",
-    "CameraResult",
-    "IMAGE_CAPTURE_ENERGY_J",
-    "UsbWiFiCharger",
-    "ChargeResult",
-    "DutyCycleSimulator",
-    "DutyCycleResult",
-]

@@ -5,16 +5,3 @@ tie-breaking, named pseudo-random streams for reproducibility, and a trace
 recorder. Everything in the MAC, network-stack and harvester simulators is
 built on these primitives.
 """
-
-from repro.sim.engine import Event, Simulator, SimulatorStats
-from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecord, TraceRecorder
-
-__all__ = [
-    "Event",
-    "Simulator",
-    "SimulatorStats",
-    "RandomStreams",
-    "TraceRecord",
-    "TraceRecorder",
-]

@@ -57,6 +57,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.obs import runtime as obs_runtime
 from repro.obs.hotpath import FLUSH_INTERVAL
+from repro.sim.trace import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.obs.hotpath import Tallies
@@ -379,8 +380,6 @@ class Simulator:
         else:
             self.metrics = obs_runtime.null_registry()
             self.spans = obs_runtime.null_spans()
-            from repro.sim.trace import TraceRecorder
-
             self.trace = TraceRecorder(enabled_kinds=[])
         #: Optional hook invoked with each :class:`Event` just before its
         #: callback runs (tracing/debugging; must not mutate the event).

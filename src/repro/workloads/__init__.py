@@ -1,18 +1,2 @@
 """Workload generators: office background traffic, the Alexa top-10 page
 models, and the six-home deployment profiles of Table 1."""
-
-from repro.workloads.traffic import PoissonFrameSource, BurstyFrameSource
-from repro.workloads.office import OfficeBackground
-from repro.workloads.web import TOP_10_US_SITES, page_for_site
-from repro.workloads.homes import HOME_DEPLOYMENTS, HomeDeployment, HomeProfile
-
-__all__ = [
-    "PoissonFrameSource",
-    "BurstyFrameSource",
-    "OfficeBackground",
-    "TOP_10_US_SITES",
-    "page_for_site",
-    "HOME_DEPLOYMENTS",
-    "HomeDeployment",
-    "HomeProfile",
-]

@@ -27,23 +27,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import (
+from repro.campaign.journal import (
     CampaignJournal,
     fold_journal,
+    load_journal,
+    quarantine_journal,
+)
+from repro.campaign.manager import build_manifest, run_campaign, write_manifest
+from repro.campaign.results import point_rows, render_rows, rows_to_csv
+from repro.campaign.spec import (
     load_campaign_spec,
     parse_campaign_spec,
-    point_rows,
-    quarantine_journal,
-    render_rows,
-    rows_to_csv,
-    run_campaign,
     validate_campaign_data,
 )
-from repro.campaign.journal import load_journal
-from repro.campaign.manager import build_manifest, write_manifest
 from repro.errors import ConfigurationError
 from repro.experiments.registry import resolve_target
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import runtime as obs_runtime
 from repro.runner.backoff import backoff_s
 
@@ -374,7 +373,7 @@ class TestRunCampaign:
 
     def test_run_all_results_replay_as_campaign_points(self, workdir):
         """One cache for both callers: a campaign replays run-all's parts."""
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         cache_dir = str(workdir / "cache")
         ran = run_all(ids=["fig9", "fig12"], seed=0, jobs=1, cache_dir=cache_dir)
@@ -610,7 +609,8 @@ class TestRunCampaign:
 #: the parent asserts the kill was real (returncode -9) and resumes.
 _SIGKILL_SCRIPT = """
 import json, os, signal, sys
-from repro.campaign import load_campaign_spec, run_campaign
+from repro.campaign.manager import run_campaign
+from repro.campaign.spec import load_campaign_spec
 
 spec = load_campaign_spec(sys.argv[1])
 
@@ -688,7 +688,7 @@ class TestBackoff:
             assert window * 0.5 <= delay <= window
 
     def test_runner_retry_observes_backoff_metric(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         obs_runtime.configure(enabled=True)
         registry = obs_runtime.get_registry()

@@ -4,8 +4,9 @@ import os
 
 import pytest
 
-import repro.campaign
-import repro.runner
+import repro.campaign.manager
+import repro.campaign.spec
+import repro.runner.core
 from repro.cli import build_parser, main, walk_commands
 from repro.errors import ConfigurationError
 
@@ -65,9 +66,9 @@ def captured(monkeypatch):
 
         return entry
 
-    monkeypatch.setattr(repro.runner, "run_all", fake("run_all"))
-    monkeypatch.setattr(repro.campaign, "run_campaign", fake("run_campaign"))
-    monkeypatch.setattr(repro.campaign, "load_campaign_spec", lambda path: path)
+    monkeypatch.setattr(repro.runner.core, "run_all", fake("run_all"))
+    monkeypatch.setattr(repro.campaign.manager, "run_campaign", fake("run_campaign"))
+    monkeypatch.setattr(repro.campaign.spec, "load_campaign_spec", lambda path: path)
     return calls
 
 
@@ -125,7 +126,8 @@ def test_live_flag_is_gone():
 def test_file_defaults_match_the_library():
     from repro.campaign.manager import MANIFEST_FILENAME as CAMPAIGN_MANIFEST
     from repro.obs.dash import DASH_FILENAME
-    from repro.runner import DEFAULT_CACHE_DIR, MANIFEST_FILENAME
+    from repro.runner.cache import DEFAULT_CACHE_DIR
+    from repro.runner.manifest import MANIFEST_FILENAME
 
     tree = {path: sub for path, _, sub in walk_commands(build_parser())}
     for path, dest, expected in [

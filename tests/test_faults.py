@@ -10,7 +10,9 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError, InjectedFault
-from repro.faults import (
+from repro.faults import runtime as faults_runtime
+from repro.faults.inject import fire_worker_faults, sabotage_outcome
+from repro.faults.plan import (
     FAULT_POINTS,
     WORKER_FAULT_POINTS,
     FaultDirective,
@@ -18,8 +20,6 @@ from repro.faults import (
     FaultSpec,
     parse_fault_plan,
 )
-from repro.faults import runtime as faults_runtime
-from repro.faults.inject import fire_worker_faults, sabotage_outcome
 
 LABELS = [
     "fig9:all",

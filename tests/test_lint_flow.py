@@ -20,14 +20,9 @@ from repro.lint.cli import main as lint_main
 from repro.lint.config import LintConfig
 from repro.lint.engine import flow_lint_sources, lint_paths
 from repro.lint.findings import Severity
-from repro.lint.flow import (
-    ModuleFacts,
-    ProjectIndex,
-    all_flow_rules,
-    extract_facts,
-    get_flow_rule,
-)
 from repro.lint.flow.cache import FlowCache, config_digest, content_hash
+from repro.lint.flow.index import ModuleFacts, ProjectIndex, extract_facts
+from repro.lint.flow.rules import all_flow_rules, get_flow_rule
 from repro.lint.sarif import render_sarif
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

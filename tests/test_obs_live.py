@@ -64,7 +64,7 @@ class TestLiveSink:
     """The run's live progress log: the journal ``run-all`` writes."""
 
     def test_events_are_sequenced_and_schema_stamped(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         path = tmp_path / RUN_JOURNAL_FILENAME
         with CampaignJournal(path) as journal:
@@ -338,7 +338,7 @@ class TestExpectedWalls:
 
 class TestRunnerIntegration:
     def test_live_run_streams_lifecycle_and_changes_nothing(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         path = tmp_path / RUN_JOURNAL_FILENAME
         with CampaignJournal(path) as journal:
@@ -361,7 +361,7 @@ class TestRunnerIntegration:
         assert records[-1]["ok"] == 2 and records[-1]["failed"] == 0
 
     def test_pool_run_streams_worker_running_events(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         path = tmp_path / RUN_JOURNAL_FILENAME
         with CampaignJournal(path) as journal:
@@ -379,7 +379,7 @@ class TestRunnerIntegration:
         assert rows_by_label(fold_journal(path))["fig9:all"]["state"] == "done"
 
     def test_drop_counters_land_in_manifest_totals(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
         from repro.runner.manifest import build_manifest
 
         result = run_all(ids=["table1"], jobs=1, use_cache=False)
@@ -434,7 +434,8 @@ class TestCampaignJournalBoard:
     """A campaign's own journal renders on the same board."""
 
     def test_pool_campaign_board_shows_running_rows(self, tmp_path):
-        from repro.campaign import load_campaign_spec, run_campaign
+        from repro.campaign.manager import run_campaign
+        from repro.campaign.spec import load_campaign_spec
 
         path = tmp_path / "campaign.jsonl"
         result = run_campaign(

@@ -303,7 +303,7 @@ class TestManifestAndHistoryIntegration:
         assert "kind hot-spot" in render_compare(report)
 
     def test_run_manifest_parts_carry_profile(self):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
         from repro.runner.manifest import build_manifest
 
         obs_runtime.configure(enabled=True)

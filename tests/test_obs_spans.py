@@ -157,7 +157,7 @@ class TestEngineSpans:
 
 class TestRunAllSpanTree:
     def test_parallel_run_builds_one_tree(self, tmp_path):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         result = run_all(
             ids=["fig9", "table1"],
@@ -179,7 +179,7 @@ class TestRunAllSpanTree:
     def test_engine_spans_nest_under_tasks(self, monkeypatch):
         """Acceptance shape: root -> per-experiment -> >=1 engine span."""
         from repro.experiments import sweeps
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         real_fig5_sweep = sweeps.fig5_sweep
 
@@ -215,7 +215,7 @@ class TestRunAllSpanTree:
         assert all(has_task_ancestor(r) for r in engine)
 
     def test_no_obs_propagates_to_workers(self):
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         obs_runtime.configure(enabled=False)
         result = run_all(ids=["fig9", "table1"], jobs=2, use_cache=False)
@@ -228,7 +228,7 @@ class TestRunAllSpanTree:
     def test_worker_engine_profile_surfaces_in_parts(self, monkeypatch):
         """A pool worker's engine profile rides back onto its part."""
         from repro.experiments import sweeps
-        from repro.runner import run_all
+        from repro.runner.core import run_all
 
         real_fig5_sweep = sweeps.fig5_sweep
 

@@ -21,13 +21,14 @@ import signal
 import pytest
 
 from repro.errors import InjectedFault
-from repro.faults import FaultPlan, FaultSpec
 from repro.faults import runtime as faults_runtime
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs import runtime as obs_runtime
 from repro.obs.ioutil import append_line, write_atomic
-from repro.runner import ResultCache, run_all, write_manifest
 from repro.campaign.manager import _InterruptGuard
-from repro.runner.manifest import build_manifest
+from repro.runner.cache import ResultCache
+from repro.runner.core import run_all
+from repro.runner.manifest import build_manifest, write_manifest
 
 #: Two fast single-task experiments: enough to show containment (one
 #: faulted, one clean) without ballooning tier-1 wall clock.
@@ -541,3 +542,21 @@ class TestFaultPlanRefusals:
         # Refused before any unit ran: nothing cached, no manifest.
         assert not (tmp_path / "run_manifest.json").exists()
         assert not list((tmp_path / "cache").glob("objects/*.pkl"))
+
+    @pytest.mark.parametrize(
+        "refused",
+        [["--ids", "fig99"], ["--fault-plan", "worker.crash:1%fig9:*"]],
+        ids=["unknown-id", "scope-matching-no-unit"],
+    )
+    def test_refused_run_all_keeps_the_previous_journal(
+        self, tmp_path, run_all_argv, refused
+    ):
+        from repro.cli import main
+
+        assert main(run_all_argv) == 0
+        journal = tmp_path / "run_journal.jsonl"
+        before = journal.read_bytes()
+        assert before.startswith(b"{") and b'"campaign.done"' in before
+        # A repeated --ids overrides the fixture's (argparse keeps the last).
+        assert main(run_all_argv + refused) == 2
+        assert journal.read_bytes() == before

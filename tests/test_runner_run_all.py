@@ -13,12 +13,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.registry import SPECS, ExperimentSpec, resolve_target
 from repro.experiments import sweeps
-from repro.runner import run_all, write_manifest
+from repro.runner.core import run_all
 from repro.runner.manifest import (
     EXPERIMENT_KEYS,
     MANIFEST_SCHEMA_VERSION,
     PART_KEYS,
     build_manifest,
+    write_manifest,
 )
 
 #: Sub-second experiments covering a single-task run (fig9, table1), a

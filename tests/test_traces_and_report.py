@@ -108,7 +108,7 @@ class TestReplay:
 
 @pytest.fixture(scope="module")
 def manifest():
-    from repro.runner import run_all
+    from repro.runner.core import run_all
     from repro.runner.manifest import build_manifest
 
     return build_manifest(
