@@ -51,9 +51,6 @@ JOURNAL_SCHEMA_VERSION = 1
 #: Default journal filename, written next to the campaign manifest.
 JOURNAL_FILENAME = "campaign.jsonl"
 
-#: The journal ``run-all`` writes next to its manifest, started empty each run.
-RUN_JOURNAL_FILENAME = "run_journal.jsonl"
-
 #: The ``campaign`` name on every record of a ``run-all`` journal.
 RUN_ALL_CAMPAIGN = "run-all"
 

@@ -219,12 +219,25 @@ def slo_specs_by_experiment(
     return list(slo_specs), grouped
 
 
+def bind_faults(
+    fault_plan: Optional[FaultPlan], units: List[Dispatch]
+) -> Dict[str, Tuple[FaultDirective, ...]]:
+    """``fault_plan``'s directives per unit label (``{}`` without a plan).
+
+    Raises :class:`~repro.errors.ConfigurationError` for a plan that cannot
+    fire, so a caller binds before it writes or moves anything.
+    """
+    if fault_plan is None:
+        return {}
+    return fault_plan.assign([unit.label for unit in units])
+
+
 def probe(
     units: List[Dispatch],
     journal: CampaignJournal,
     *,
     cache: Optional[ResultCache],
-    fault_plan: Optional[FaultPlan],
+    assignment: Dict[str, Tuple[FaultDirective, ...]],
     emit: ProgressFn,
     finish: FinishFn,
     prior: Optional[JournalState] = None,
@@ -233,7 +246,8 @@ def probe(
     """Open a journal generation; return the units left to run and fault events.
 
     Appends ``campaign.open`` (``header``, the unit roster ``units`` —
-    ``[cache key, label]`` pairs — and the bound fault events), then probes each
+    ``[cache key, label]`` pairs — and the fault events of ``assignment``,
+    from :func:`bind_faults`), then probes each
     unit. A bound ``cache.corrupt`` damages its entry first. A unit the
     ``prior`` journal quarantined is left out. Any other bound fault forces
     execution (a directive that never fires tests nothing: worker faults
@@ -247,9 +261,6 @@ def probe(
     registry = obs_runtime.get_registry()
     hits = registry.counter("runner.cache.hits")
     misses = registry.counter("runner.cache.misses")
-    assignment = {} if fault_plan is None else fault_plan.assign(
-        [unit.label for unit in units]
-    )
     fault_events = [
         {"point": directive.point, "task": label, "param": directive.param}
         for label in sorted(assignment)
@@ -871,6 +882,24 @@ def run_campaign(
     fingerprint = code_fingerprint()
     points = spec.expand(fingerprint)
     journal_path = Path(journal_path) if journal_path else Path(JOURNAL_FILENAME)
+    units = [
+        Dispatch(
+            task=TaskSpec(
+                experiment_id=point.experiment,
+                part=point.part,
+                target=point.target,
+                kwargs=dict(point.kwargs),
+                seed=point.seed,
+            ),
+            key=point.key,
+            part_label=point.part_label,
+        )
+        for point in points
+    ]
+    # Fault directives bind to point labels (seed-qualified, so a count=1
+    # spec poisons exactly one replicate); a plan that cannot fire is
+    # refused here, before a --fresh run moves the previous journal.
+    assignment = bind_faults(fault_plan, units)
 
     prior = JournalState(path=str(journal_path))
     journal_quarantined: Optional[str] = None
@@ -932,27 +961,11 @@ def run_campaign(
 
     # One descriptor for the whole generation, closed however it ends.
     with CampaignJournal(journal_path, start_seq=prior.last_seq) as journal:
-        # Fault directives bind to point labels (seed-qualified, so a
-        # count=1 spec poisons exactly one replicate).
-        units = [
-            Dispatch(
-                task=TaskSpec(
-                    experiment_id=point.experiment,
-                    part=point.part,
-                    target=point.target,
-                    kwargs=dict(point.kwargs),
-                    seed=point.seed,
-                ),
-                key=point.key,
-                part_label=point.part_label,
-            )
-            for point in points
-        ]
         pending, fault_events = probe(
             units,
             journal,
             cache=cache,
-            fault_plan=fault_plan,
+            assignment=assignment,
             emit=emit,
             finish=_finish,
             prior=prior,

@@ -211,7 +211,8 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
     The full workflow (cache semantics, ``--jobs`` guidance, manifest
     layout) is documented in ``docs/running.md``.
     """
-    from repro.campaign.journal import RUN_JOURNAL_FILENAME, CampaignJournal
+    from repro.campaign.journal import CampaignJournal
+    from repro.defaults import RUN_JOURNAL_FILENAME
     from repro.obs.history import (
         HISTORY_FILENAME,
         append_history,
@@ -565,7 +566,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     """``repro watch``: re-fold and render a journal until the run ends."""
     import time as _time
 
-    from repro.campaign.journal import RUN_JOURNAL_FILENAME, fold_journal
+    from repro.campaign.journal import fold_journal
+    from repro.defaults import RUN_JOURNAL_FILENAME
     from repro.campaign.watch import render_board, snapshot
 
     if args.json and not args.once:
@@ -866,9 +868,12 @@ def walk_commands(
 def build_parser() -> argparse.ArgumentParser:
     """The ``python -m repro`` command tree; every leaf sets ``func``."""
     from repro.lint import cli as lint_cli
-    from repro.obs.compare import DEFAULT_MIN_WALL_S, DEFAULT_WALL_THRESHOLD
-    from repro.obs.history import DEFAULT_HISTORY_DIR
-    from repro.campaign.journal import RUN_JOURNAL_FILENAME
+    from repro.defaults import (
+        DEFAULT_HISTORY_DIR,
+        DEFAULT_MIN_WALL_S,
+        DEFAULT_WALL_THRESHOLD,
+        RUN_JOURNAL_FILENAME,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",

@@ -13,18 +13,20 @@ exceed 100 % (§4, §6).
 Two implementations are provided:
 
 * :func:`occupancy_from_pcap` — parses a radiotap pcap (the tshark role);
-* :class:`OccupancyAnalyzer` — a live medium observer, cheaper for long runs,
-  computing the identical statistic.
+* :class:`OccupancyAnalyzer` — a live meter the medium feeds as each frame
+  goes on the air, cheaper for long runs, computing the identical statistic.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.mac80211.medium import Medium, TransmissionRecord
+from repro.mac80211.medium import Medium
 from repro.obs.hotpath import Tallies
 
 
@@ -105,7 +107,10 @@ class OccupancyAnalyzer:
     """Live occupancy accounting on one medium.
 
     Computes the same Σ size/rate statistic as the pcap path, without
-    materialising frame bytes. Subscribe one per channel; ask for the overall
+    materialising frame bytes: the medium appends each counted frame's
+    start and airtime to the analyzer's lists as the frame goes on the air
+    (:meth:`~repro.mac80211.medium.Medium.add_meter`). Attach one per
+    channel; ask for the overall
     occupancy, a windowed series, or per-window values aligned across
     channels for cumulative occupancy.
 
@@ -125,7 +130,9 @@ class OccupancyAnalyzer:
         self._times: List[float] = []
         self._airtimes: List[float] = []
         self._started_at = medium.sim.now
+        #: Left-to-right sum of ``_airtimes[:_summed]``.
         self._airtime_total = 0.0
+        self._summed = 0
         sim = medium.sim
         metrics = sim.metrics
         if metrics.enabled:
@@ -146,22 +153,13 @@ class OccupancyAnalyzer:
                 "_fraction",
             )
             sim.add_tallies(tallies)
-        medium.add_observer(self._on_transmission)
-
-    def _on_transmission(self, record: TransmissionRecord) -> None:
-        for station_name, frame in record.transmissions:
-            if self.station_filter is not None and station_name != self.station_filter:
-                continue
-            airtime = 8 * frame.mac_bytes / (frame.rate_mbps * 1e6)
-            self._times.append(record.start)
-            self._airtimes.append(airtime)
-            self._airtime_total += airtime
+        medium.add_meter(self._times, self._airtimes, station_filter)
 
     # The live occupancy gauge, Σ size/rate ÷ elapsed, is set once per frame
     # counted after the start instant (counting the in-flight frame, so it
-    # can briefly lead the windowed statistic). Observers run inside the
-    # transmission, so a frame's elapsed time is its start minus ours, and
-    # the last set is always the last frame's.
+    # can briefly lead the windowed statistic). Frames are counted inside
+    # the transmission, so a frame's elapsed time is its start minus ours,
+    # and the last set is always the last frame's.
 
     @property
     def _fraction_sets(self) -> int:
@@ -169,6 +167,12 @@ class OccupancyAnalyzer:
 
     @property
     def _fraction(self) -> float:
+        airtimes = self._airtimes
+        if len(airtimes) > self._summed:
+            self._airtime_total = reduce(
+                add, airtimes[self._summed:], self._airtime_total
+            )
+            self._summed = len(airtimes)
         return self._airtime_total / (self._times[-1] - self._started_at)
 
     @property

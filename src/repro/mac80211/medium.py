@@ -7,8 +7,10 @@ counter expires first transmit. Simultaneous expiries collide. Unicast frames
 are acknowledged and retransmitted with binary-exponential backoff; broadcast
 frames (PoWiFi power packets) are fire-and-forget.
 
-The medium publishes every transmission to observers — monitor captures,
-occupancy meters and harvester couplers subscribe to these records.
+The medium publishes every transmission to observers — monitor captures
+and harvester couplers subscribe to these records. Occupancy meters are
+counted inside the transmission instead (:meth:`Medium.add_meter`), so a
+round with no observer builds no record.
 """
 
 from __future__ import annotations
@@ -135,6 +137,8 @@ class Medium:
         self._tx_done_timer: Optional[Event] = None
         self._round_contenders: List["Station"] = []
         self._observers: List[MediumObserver] = []
+        #: ``(station name or None, times, airtimes)`` per registered meter.
+        self._meters: List[Tuple[Optional[str], List[float], List[float]]] = []
         # A simulator's trace kinds are fixed when it is built.
         self._trace_tx = sim.trace.wants("mac.tx")
         self.total_busy_time = 0.0
@@ -178,10 +182,32 @@ class Medium:
         station._medium = self
         station._backoff_table = self._backoff_table
         station._retry_limit = self.phy.retry_limit
+        station._meters = [
+            (times, airtimes) for name, times, airtimes in self._meters
+            if name is None or name == station.name
+        ]
 
     def add_observer(self, observer: MediumObserver) -> None:
         """Subscribe a callback to every :class:`TransmissionRecord`."""
         self._observers.append(observer)
+
+    def add_meter(
+        self,
+        times: List[float],
+        airtimes: List[float],
+        station: Optional[str] = None,
+    ) -> None:
+        """Count the frames of ``station`` (every station when None).
+
+        Each frame that goes on the air appends its start time to ``times``
+        and its payload airtime, ``8 * mac_bytes / (rate_mbps * 1e6)``, to
+        ``airtimes``, in the order the round's winners transmit. Stations
+        attached later are counted too.
+        """
+        self._meters.append((station, times, airtimes))
+        for member in self.stations:
+            if station is None or member.name == station:
+                member._meters.append((times, airtimes))
 
     # --------------------------------------------------------------- contention
 
@@ -251,9 +277,17 @@ class Medium:
         pairs: List[Tuple["Station", FrameJob]] = []
         airtime = 0.0
         airtime_cache = self._airtime_cache
+        sim = self.sim
+        start = sim._now
         for station in winners:
             frame = station.begin_transmission()
             pairs.append((station, frame))
+            meters = station._meters
+            if meters:
+                payload = 8 * frame.mac_bytes / (frame.rate_mbps * 1e6)
+                for times, airtimes in meters:
+                    times.append(start)
+                    airtimes.append(payload)
             key = (frame.mac_bytes, frame.rate_mbps)
             cached = airtime_cache.get(key)
             if cached is None:
@@ -278,8 +312,6 @@ class Medium:
                             frame.rate_mbps, self.phy
                         )
                     duration += self.phy.sifs + ack
-        sim = self.sim
-        start = sim._now
         self._busy_until = start + duration
         self.total_busy_time += duration
         self.transmission_count += len(pairs)

@@ -72,6 +72,9 @@ class Station:
         #: The medium's backoff draw table and retry limit, set on attach.
         self._backoff_table: Optional[Tuple[Tuple[int, int], ...]] = None
         self._retry_limit = 0
+        #: The medium's occupancy meters counting this station's frames:
+        #: ``(times, airtimes)`` list pairs (:meth:`Medium.add_meter`).
+        self._meters: List[Tuple[List[float], List[float]]] = []
         self._in_flight: Optional[FrameJob] = None
         #: Optional observer fired whenever the in-flight slot flips — the
         #: other half of :attr:`queue_depth` beyond the device queue itself.

@@ -27,16 +27,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.defaults import DEFAULT_MIN_WALL_S, DEFAULT_WALL_THRESHOLD
 from repro.errors import ObservabilityError
 from repro.obs.history import build_history_record, load_history
 from repro.obs.ioutil import read_json
-
-#: Relative wall-clock slowdown beyond which an experiment is a regression.
-DEFAULT_WALL_THRESHOLD = 0.25
-
-#: Experiments faster than this (in *both* runs) are never wall-flagged:
-#: interpreter jitter dominates below it.
-DEFAULT_MIN_WALL_S = 0.5
 
 
 def load_run(path: Union[str, Path]) -> Dict[str, Any]:

@@ -528,7 +528,8 @@ def write_dash(
     A malformed history line raises, as in every other reader
     (:func:`repro.obs.ioutil.read_jsonl`).
     """
-    from repro.obs.history import DEFAULT_HISTORY_DIR, HISTORY_FILENAME
+    from repro.defaults import DEFAULT_HISTORY_DIR
+    from repro.obs.history import HISTORY_FILENAME
 
     manifest_path = Path(manifest_path)
     manifest = read_json(manifest_path)

@@ -22,14 +22,12 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.defaults import DEFAULT_HISTORY_DIR
 from repro.errors import ObservabilityError
 from repro.obs.ioutil import append_line, read_jsonl, write_atomic
 
 #: Bump on any breaking change to the history record layout.
 HISTORY_SCHEMA_VERSION = 1
-
-#: Default location the BENCH trajectory accumulates in.
-DEFAULT_HISTORY_DIR = "benchmarks/results"
 
 #: Filename of the append-only record stream.
 HISTORY_FILENAME = "perf_history.jsonl"

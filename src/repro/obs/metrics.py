@@ -53,6 +53,9 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 #: decimated 2:1 and the admission stride doubles (deterministic — no RNG).
 _RESERVOIR_MAX = 512
 
+#: Integers below this magnitude are exact floats, and so are their sums.
+_EXACT_SUM_BOUND = 2**53
+
 LabelValue = Union[str, int, float, bool]
 Labels = Tuple[Tuple[str, LabelValue], ...]
 
@@ -261,8 +264,20 @@ class Histogram(_Instrument):
         counts = collections.Counter(values)
         edges = self.edges
         buckets = self.bucket_counts
+        # An all-int batch also sums exactly from its counts: while every
+        # partial sum is an integer below 2**53 in magnitude, no float
+        # addition rounds, so Σ value·count equals the left-to-right replay.
+        total = 0
+        exact = self.sum.is_integer()
+        magnitude = int(abs(self.sum)) if exact else 0
         for value, count in counts.items():
             buckets[bisect.bisect_left(edges, float(value))] += count
+            if exact:
+                if type(value) is int or type(value) is bool:
+                    total += value * count
+                    magnitude += abs(value) * count
+                else:
+                    exact = False
         self.count += n
         low = min(counts)
         if low < self.min:
@@ -270,9 +285,12 @@ class Histogram(_Instrument):
         high = max(counts)
         if high > self.max:
             self.max = float(high)
-        # Replayed left to right, not ``sum()``ed: that is compensated on
-        # Python >= 3.12.
-        self.sum = reduce(add, values, self.sum)
+        if exact and magnitude < _EXACT_SUM_BOUND:
+            self.sum += total
+        else:
+            # Replayed left to right, not ``sum()``ed: that is compensated
+            # on Python >= 3.12.
+            self.sum = reduce(add, values, self.sum)
         # Admitted samples are the positions where ``_seen % _stride == 0``;
         # take them a slice at a time, decimating whenever the reservoir
         # overflows exactly where the scalar path would.

@@ -372,7 +372,7 @@ def run_all(
         units,
         journal,
         cache=cache,
-        fault_plan=fault_plan,
+        assignment=manager.bind_faults(fault_plan, units),
         emit=emit,
         finish=_finish,
         campaign=RUN_ALL_CAMPAIGN,

@@ -62,9 +62,11 @@ from repro.sim.trace import TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.obs.hotpath import Tallies
 
-#: Wall-clock sampling stride (power of two): dispatches 0, N, 2N, ... of
+#: Wall-clock sampling stride (power of two): dispatches N, 2N, 3N, ... of
 #: each callback name are timed, and the sampled time is scaled by the
-#: dispatches per sample. Counts stay exact; only the timing is sampled.
+#: dispatches per sample. The cold first dispatch (0) is never timed, so a
+#: kind dispatched at most N times reads no wall. Counts stay exact; only
+#: the timing is sampled.
 #: On a fig 6a part, N=64 keeps every kind's share of the profiled wall
 #: within 1.6 points of timing every dispatch (N=4: within 0.5), while N=4
 #: costs about four points of the 15 % observability-overhead guard
@@ -93,12 +95,12 @@ class KindProfile:
     def scaled_wall_s(self) -> float:
         """The sampled wall time, scaled to all of the kind's dispatches.
 
-        Each sample stands for ``count / samples`` dispatches, so a kind
-        dispatched fewer than :data:`TIMING_STRIDE` times is scaled by its
-        count rather than by the stride.
+        Dispatches ``TIMING_STRIDE``, ``2 * TIMING_STRIDE``, ... are the
+        samples, each standing for ``count / samples`` dispatches; a kind
+        with none (at most :data:`TIMING_STRIDE` dispatches) reads 0.
         """
         count = self.count
-        samples = (count + _TIMING_MASK) // TIMING_STRIDE
+        samples = max(count - 1, 0) // TIMING_STRIDE
         return self.wall_s * count / samples if samples else 0.0
 
 
@@ -611,9 +613,12 @@ class Simulator:
                     count = kind.count
                     if count & mask:
                         event.callback(*event.args)
+                    elif not count:
+                        # A kind's first call is cold (imports, caches),
+                        # so it registers the kind untimed.
+                        stats._first_dispatch(event, time)
+                        event.callback(*event.args)
                     else:
-                        if not count:
-                            stats._first_dispatch(event, time)
                         started = clock()
                         event.callback(*event.args)
                         kind.wall_s += clock() - started

@@ -853,6 +853,41 @@ class TestCampaignCli:
         assert code == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_fresh_with_refused_fault_plan_keeps_previous_journal(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        spec_path = tmp_path / "one.json"
+        spec_path.write_text(
+            json.dumps(
+                {"campaign": "one", "seeds": [0],
+                 "experiments": [{"experiment": "table1"}]}
+            )
+        )
+        journal = tmp_path / "j.jsonl"
+
+        def run(*extra):
+            return main(
+                [
+                    "campaign", "run",
+                    "--spec", str(spec_path),
+                    "--jobs", "1",
+                    "--journal", str(journal),
+                    "--report", str(tmp_path / "campaign_manifest.json"),
+                    "--cache-dir", str(tmp_path / "cache"),
+                    *extra,
+                ]
+            )
+
+        assert run() == 0
+        before = journal.read_bytes()
+        capsys.readouterr()
+        assert run("--fresh", "--fault-plan", "worker.crash:1%fig9:*") == 2
+        assert "matches none" in capsys.readouterr().err
+        assert journal.read_bytes() == before
+        assert not (tmp_path / "quarantine").exists()
+
     def test_resume_fresh_conflict_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 

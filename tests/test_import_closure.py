@@ -72,7 +72,8 @@ _LIST = (
         ),
         (
             _LIST,
-            ["repro.sim", "repro.mac80211", "repro.core", "repro.campaign.manager"],
+            ["repro.sim", "repro.mac80211", "repro.core", "repro.campaign",
+             "repro.obs.compare", "repro.obs.history", "repro.faults"],
         ),
     ],
     ids=["repro", "obs.runtime", "runner.cache", "fig06_traffic", "repro-list"],

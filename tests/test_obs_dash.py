@@ -275,7 +275,8 @@ class TestAttributionAgreesWithProfile:
 
 class TestWriteDash:
     def test_writes_page_with_default_sidecar_discovery(self, tmp_path, monkeypatch):
-        from repro.obs.history import DEFAULT_HISTORY_DIR, HISTORY_FILENAME
+        from repro.defaults import DEFAULT_HISTORY_DIR
+        from repro.obs.history import HISTORY_FILENAME
 
         monkeypatch.chdir(tmp_path)
         manifest_path = tmp_path / "run_manifest.json"

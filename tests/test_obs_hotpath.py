@@ -100,6 +100,84 @@ class TestObserveBatch:
         assert histogram_state(batched) == histogram_state(sequential)
 
 
+def observe_both(start, batch):
+    """``(batched, sequential)`` histograms fed ``start`` then ``batch``."""
+    sequential = Histogram("h", (), EDGES)
+    batched = Histogram("h", (), EDGES)
+    for value in start:
+        sequential.observe(value)
+        batched.observe(value)
+    for value in batch:
+        sequential.observe(value)
+    batched.observe_batch(batch)
+    return batched, sequential
+
+
+class TestIntegerBatchSum:
+    """An all-int batch sums from its value counts, exactly or not at all."""
+
+    @pytest.mark.parametrize(
+        "start, batch",
+        [
+            ([], [3, 0, 7, 3, 3, 1023, 0]),
+            ([5], [-4, -4, 9, -1000, 2]),
+            ([], [True, False, True, 1, 0]),
+            ([1.5], [1, 2, 3]),
+            ([0.1], [1, 1, 1]),
+            ([], [1, 2.5, 3, 1]),
+            ([], [2, 2.0, -0.0, 0]),
+            ([-0.0], [0, 0]),
+            ([2.0**53 - 4], [1, 1, 1, 1, 1, 1]),
+            ([2.0**53 - 4], [1, 1, 1]),
+            ([-(2.0**53) + 2], [-1, -1, -1]),
+            ([], [2**53 + 1, -(2**53)]),
+            ([], [2**60, -(2**60), 3]),
+            ([float("inf")], [1, 2]),
+        ],
+    )
+    def test_equals_sequential_observe(self, start, batch):
+        batched, sequential = observe_both(start, batch)
+        assert histogram_state(batched) == histogram_state(sequential)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        start=st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**54), max_value=2**54),
+                st.sampled_from([0.5, 2.0**53 - 1, -(2.0**53) + 1]),
+            ),
+            max_size=5,
+        ),
+        batch=st.lists(
+            st.one_of(
+                st.integers(min_value=-(2**52), max_value=2**52),
+                st.booleans(),
+            ),
+            max_size=300,
+        ),
+    )
+    def test_large_and_negative_ints(self, start, batch):
+        batched, sequential = observe_both(start, batch)
+        assert histogram_state(batched) == histogram_state(sequential)
+
+    def test_small_int_batch_is_not_replayed(self, monkeypatch):
+        import repro.obs.metrics as metrics_mod
+
+        replays = []
+        original = metrics_mod.reduce
+
+        def spy(function, values, initial):
+            replays.append(len(values))
+            return original(function, values, initial)
+
+        monkeypatch.setattr(metrics_mod, "reduce", spy)
+        histogram = Histogram("h", (), EDGES)
+        histogram.observe_batch([1, 2, 3] * 100)
+        assert replays == [] and histogram.sum == 600.0
+        histogram.observe_batch([0.5, 1])
+        assert replays == [2]
+
+
 class TestGaugeAndCounterBatches:
     @given(start=st.lists(floats, max_size=5), sets=st.lists(values, max_size=50))
     def test_set_batch_equals_sequential_sets(self, start, sets):

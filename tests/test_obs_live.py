@@ -15,11 +15,11 @@ import pytest
 
 from repro.campaign.journal import (
     JOURNAL_SCHEMA_VERSION,
-    RUN_JOURNAL_FILENAME,
     CampaignJournal,
     fold_journal,
 )
 from repro.campaign.watch import eta_s, render_board, snapshot, unit_rows
+from repro.defaults import RUN_JOURNAL_FILENAME
 from repro.obs.history import expected_walls
 
 UNITS = [["k1", "fig5:t=1"], ["k5", "fig5:t=5"], ["k8", "fig8:all"]]

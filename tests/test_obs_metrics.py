@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import TIMING_STRIDE, Simulator
 
 
 @pytest.fixture
@@ -197,6 +198,36 @@ class TestSimulatorStats:
         assert sim.stats.callback_counts["tick"] == 2
         assert sim.stats.callback_wall_s["tick"] >= 0.0
         assert sim.stats.heap_high_watermark == 3
+
+    def test_cold_first_dispatch_is_not_timed(self):
+        sim = Simulator(observe=True)
+        calls = []
+
+        def cold_then_cheap():
+            if not calls:
+                time.sleep(0.05)
+            calls.append(sim.now)
+
+        def always_slow():
+            time.sleep(0.001)
+
+        sim.schedule_periodic(1.0, cold_then_cheap, name="cold")
+        sim.schedule_periodic(1.0, always_slow, name="slow", first_delay=0.5)
+        sim.run(until=TIMING_STRIDE + 0.9)
+        stats = sim.stats
+        assert stats.callback_counts == {"cold": TIMING_STRIDE + 1, "slow": TIMING_STRIDE + 1}
+        assert stats.callback_sim_bounds["cold"] == [0.0, float(TIMING_STRIDE)]
+        assert stats.callback_sim_bounds["slow"] == [0.5, TIMING_STRIDE + 0.5]
+        assert stats.callback_wall_s["cold"] < 0.05
+        # One timed dispatch (the TIMING_STRIDE-th) stands for all of them.
+        assert stats.callback_wall_s["slow"] >= 0.001 * (TIMING_STRIDE + 1)
+
+    def test_kind_dispatched_at_most_stride_times_reads_no_wall(self):
+        sim = Simulator(observe=True)
+        sim.schedule_periodic(1.0, lambda: time.sleep(0.001), name="rare")
+        sim.run(until=TIMING_STRIDE - 0.5)
+        assert sim.stats.callback_counts["rare"] == TIMING_STRIDE
+        assert sim.stats.callback_wall_s["rare"] == 0.0
 
     def test_stats_report_and_hot_callbacks(self):
         sim = Simulator(observe=True)

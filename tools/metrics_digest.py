@@ -14,7 +14,8 @@ Used by the CI ``metrics-smoke`` job against the digests committed in
     python tools/metrics_digest.py --check benchmarks/results/metrics_digests.json \\
         fig6a=metrics_fig6a.jsonl fig7=metrics_fig7.jsonl             # exit 1 on drift
     python tools/metrics_digest.py fig6a=metrics_fig6a.jsonl fig6c=metrics_fig6c.jsonl \\
-        fig7=metrics_fig7.jsonl > benchmarks/results/metrics_digests.json   # record
+        fig7=metrics_fig7.jsonl sec8c=metrics_sec8c.jsonl \\
+        > benchmarks/results/metrics_digests.json                            # record
 """
 
 from __future__ import annotations
